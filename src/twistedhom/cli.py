@@ -178,7 +178,7 @@ def parse_input_file(text: str) -> ParsedInput:
         raise InputFormatError("missing 'generators:' line", len(text.splitlines()) or 1)
     if rank is None:
         raise InputFormatError("missing 'rank:' line", len(text.splitlines()) or 1)
-    matrices = []
+    matrices, lines = [], []
     for gen in generators:
         if gen.name not in actions:
             raise InputFormatError(f"missing action for generator {gen.name!r}", len(text.splitlines()))
@@ -188,12 +188,24 @@ def parse_input_file(text: str) -> ParsedInput:
                 f"action for {gen.name!r} is {matrix.rows}x{matrix.cols}, expected {rank}x{rank}", lineno
             )
         matrices.append(matrix)
+        lines.append(lineno)
     try:
         representation = Representation.build(ring, generators, matrices, rank=rank)
     except ValueError as exc:
-        raise InputFormatError(str(exc), 1) from None
+        raise InputFormatError(str(exc), _rejected_action_line(ring, generators, matrices, lines)) from None
     presentation = Presentation(generators, tuple(relators))
     return ParsedInput(presentation, representation, form, kerf, expected)
+
+
+def _rejected_action_line(ring, generators, matrices, lines) -> int:
+    """Line of the first action that Representation.build rejects on its own
+    (build checks the generators in this order); 1 when none is."""
+    for gen, matrix, lineno in zip(generators, matrices, lines):
+        try:
+            Representation.build(ring, (gen,), (matrix,), rank=matrix.rows)
+        except ValueError:
+            return lineno
+    return 1
 
 
 def example_to_text(example: NamedExample) -> str:

@@ -322,30 +322,64 @@ def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(matrix.cols, [res.V.column(j) for j in keep])
 
 
-def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None:
+def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[tuple[int, ...] | None]:
     """Solve basis * x = target over the integers.
 
     Returns None when the target is outside the column lattice ("no
     solution" is a value, not an error). When the columns of basis are
-    independent the solution is unique.
+    independent the solution is unique. The target may also be an
+    IntMatrix: basis is then factored once and the result is a list with
+    one solution (or None) per target column.
     """
-    target = tuple(int(x) for x in target)
-    if len(target) != basis.rows:
+    if isinstance(target, IntMatrix):
+        targets = target
+    else:
+        target = tuple(target)
+        targets = IntMatrix(len(target), 1, target)
+    if targets.rows != basis.rows:
         raise ValueError("target length mismatch")
     res = snf(basis)
-    c = res.U.apply(target)
-    diag = res.diagonal()
-    y = [0] * basis.cols
-    for i in range(basis.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i]:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    return res.V.apply(y)
+    diag = [d for d in res.diagonal() if d]
+    rank, width = len(diag), targets.cols
+    # U*basis*V = D with the nonzero diagonal d_1..d_r first, so basis*x = t
+    # is solvable iff c = U*t has d_i | c_i for i <= r and c_i = 0 beyond.
+    c = (res.U * targets).to_rows()
+    solvable = [
+        all(row[j] % d == 0 for row, d in zip(c, diag)) and not any(row[j] for row in c[rank:])
+        for j in range(width)
+    ]
+    y = tuple(
+        c[i][j] // diag[i] if i < rank and solvable[j] else 0
+        for i in range(basis.cols)
+        for j in range(width)
+    )
+    x = res.V * IntMatrix(basis.cols, width, y)
+    solutions = [x.column(j) if solvable[j] else None for j in range(width)]
+    return solutions if isinstance(target, IntMatrix) else solutions[0]
+
+
+def quotient_generators(ambient_basis: IntMatrix, subgroup_gens: IntMatrix, generators: bool = True):
+    """Structure of span(ambient_basis) / span(subgroup_gens), with generators.
+
+    The ambient columns must be independent. The subgroup is solved
+    against one factorization of the ambient basis, and the quotient is
+    read off the SNF of the resulting coordinate matrix. With
+    ``generators`` the second value holds one ambient vector per cyclic
+    factor (torsion factors first, then free ones), the SNF generators
+    mapped back through the inverse row transform; otherwise it is empty.
+    """
+    k = ambient_basis.cols
+    coords = solve_in_lattice(ambient_basis, subgroup_gens) if subgroup_gens.cols else []
+    for j, x in enumerate(coords):
+        if x is None:
+            raise ValueError(f"subgroup generator {j} lies outside the ambient lattice")
+    res = snf(IntMatrix.from_columns(k, coords))
+    orders = list(res.diagonal()) + [0] * (k - min(k, subgroup_gens.cols))
+    structure = AbelianGroupStructure(orders.count(0), tuple(x for x in orders if x >= 2))
+    if not generators:
+        return structure, ()
+    images = ambient_basis * unimodular_inverse(res.U)
+    return structure, tuple(images.column(i) for i, order in enumerate(orders) if order != 1)
 
 
 def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> AbelianGroupStructure:
@@ -362,15 +396,7 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
     ambient_rank = sum(1 for x in snf(ambient_basis).diagonal() if x)
     if ambient_rank != ambient_basis.cols:
         raise ValueError("ambient basis columns are linearly dependent")
-    coords = []
-    for j in range(subgroup_gens.cols):
-        x = solve_in_lattice(ambient_basis, subgroup_gens.column(j))
-        if x is None:
-            raise ValueError(f"subgroup generator {j} lies outside the ambient lattice")
-        coords.append(x)
-    diag = snf(IntMatrix.from_columns(ambient_basis.cols, coords)).diagonal()
-    free = ambient_basis.cols - sum(1 for x in diag if x)
-    return AbelianGroupStructure(free, tuple(x for x in diag if x >= 2))
+    return quotient_generators(ambient_basis, subgroup_gens, generators=False)[0]
 
 
 def unimodular_inverse(matrix: IntMatrix) -> IntMatrix:

@@ -3,9 +3,12 @@
 Cohomology is crossed homomorphisms modulo principal ones; homology comes
 from the chain complex of the presentation 2-complex with local
 coefficients. Both are computed as integer lattice quotients: Z/n
-coefficients are handled by augmenting with n times the identity rather
-than by elimination over Z/n, so Smith normal form over Z is the single
-trusted kernel of the whole engine.
+coefficients never need elimination over Z/n: the lattice of cocycles mod
+n is read off the SNF over Z of the cocycle matrix J alone, as the columns
+of V * diag(n / gcd(d_j, n)) where U*J*V = D, and n times the identity
+joins the subgroup of each quotient. Smith normal form over Z is the single
+trusted kernel of the whole engine, and each quotient factors its ambient
+basis once, whatever the number of subgroup generators.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from .exactlinalg import (
     IntMatrix,
     hstack,
     kernel_basis,
+    quotient_generators,
     snf,
-    solve_in_lattice,
-    unimodular_inverse,
+    solve_in_lattice,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
     vstack,
 )
 from .fox import cocycle_matrix, fox_derivative
@@ -94,67 +97,45 @@ def coinvariants(rep: Representation) -> AbelianGroupStructure:
     g equals the one spanned over the generators alone.
     """
     blocks = _difference_blocks(rep, inverse=False)
-    n = rep.ring.modulus
-    if n:
-        blocks.append(IntMatrix.identity(rep.rank).scale(n))
-    if not blocks:
-        return AbelianGroupStructure.free(rep.rank)
-    return _cokernel_structure(hstack(*blocks), rep.rank)
+    columns = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
+    subgroup = _with_multiples(columns, rep.ring.modulus)
+    return quotient_generators(IntMatrix.identity(rep.rank), subgroup, generators=False)[0]
 
 
-def _cokernel_structure(columns: IntMatrix, rank: int) -> AbelianGroupStructure:
-    """Structure of Z^rank modulo the column lattice of ``columns``."""
-    diag = snf(columns).diagonal()
-    free = rank - sum(1 for x in diag if x)
-    return AbelianGroupStructure(free, tuple(x for x in diag if x >= 2))
+def _with_multiples(columns: IntMatrix, modulus: int) -> IntMatrix:
+    """The columns, joined over Z/n by n times the standard basis."""
+    if modulus == 0:
+        return columns
+    return hstack(columns, IntMatrix.identity(columns.rows).scale(modulus))
 
 
 def _kernel_over_ring(matrix: IntMatrix, modulus: int) -> IntMatrix:
     """Basis of {v : matrix*v = 0} over Z, or of {v in Z^cols : matrix*v = 0 mod n}.
 
-    The mod-n lattice is the projection of the kernel of [matrix | n*I] to
-    the first block of coordinates; that projection is injective on the
-    kernel, so the projected columns are again a basis.
+    With U*matrix*V = D from one SNF over Z, v = V*y satisfies
+    matrix*v = 0 mod n iff d_j*y_j = 0 mod n for every j, because U is
+    unimodular. So the mod-n lattice has the basis V * diag(n / gcd(d_j, n)),
+    where d_j = 0 past the diagonal and gcd(0, n) = n; V unimodular makes
+    the columns independent.
     """
     if modulus == 0:
         return kernel_basis(matrix)
-    augmented = hstack(matrix, IntMatrix.identity(matrix.rows).scale(modulus))
-    full = kernel_basis(augmented)
-    return IntMatrix.from_rows([full.row(i) for i in range(matrix.cols)])
-
-
-def _quotient_with_witnesses(basis: IntMatrix, subgroup: IntMatrix, modulus: int):
-    """Quotient of the column lattice of ``basis`` by that of ``subgroup``.
-
-    Returns the group structure together with one ambient vector per direct
-    factor: the SNF diagonal generators mapped back through the inverse row
-    transform and the ambient basis.
-    """
-    coords = []
-    for j in range(subgroup.cols):
-        x = solve_in_lattice(basis, subgroup.column(j))
-        if x is None:
-            raise RuntimeError("internal error: subgroup generator escapes its ambient lattice")
-        coords.append(x)
-    res = snf(IntMatrix.from_columns(basis.cols, coords))
+    res = snf(matrix)
     diag = res.diagonal()
-    generators = basis * unimodular_inverse(res.U)
-    torsion = []
-    free = 0
-    witnesses = []
-    for i in range(basis.cols):
-        order = diag[i] if i < len(diag) else 0
-        if order == 1:
-            continue
-        if order == 0:
-            free += 1
-        else:
-            torsion.append(order)
-        vec = generators.column(i)
-        if modulus:
-            vec = tuple(x % modulus for x in vec)
-        witnesses.append(vec)
-    return AbelianGroupStructure(free, tuple(torsion)), tuple(witnesses)
+    scales = [modulus // gcd(diag[j] if j < len(diag) else 0, modulus) for j in range(matrix.cols)]
+    return IntMatrix(
+        matrix.cols,
+        matrix.cols,
+        tuple(x * scale for i in range(matrix.cols) for x, scale in zip(res.V.row(i), scales)),
+    )
+
+
+def _cohomology(ring: CoefficientRing, K: IntMatrix, subgroup: IntMatrix) -> CohomologyResult:
+    """span(K) modulo the subgroup, with witnesses reduced into the ring."""
+    h1, witnesses = quotient_generators(K, subgroup)
+    if ring.modulus:
+        witnesses = tuple(tuple(x % ring.modulus for x in vec) for vec in witnesses)
+    return CohomologyResult(ring, K, h1, witnesses)
 
 
 def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
@@ -169,10 +150,7 @@ def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
     J = cocycle_matrix(p, rep)
     P = principal_map(rep).matrix
     n = rep.ring.modulus
-    K = _kernel_over_ring(J, n)
-    sub = P if n == 0 else hstack(P, IntMatrix.identity(K.rows).scale(n))
-    h1, witnesses = _quotient_with_witnesses(K, sub, n)
-    return CohomologyResult(rep.ring, K, h1, witnesses)
+    return _cohomology(rep.ring, _kernel_over_ring(J, n), _with_multiples(P, n))
 
 
 def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, IntMatrix]:
@@ -212,10 +190,7 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     n = rep.ring.modulus
     if not (d1 * d2).mod(n).is_zero():
         raise RuntimeError("internal error: boundary maps do not compose to zero")
-    K = _kernel_over_ring(d1, n)
-    sub = d2 if n == 0 else hstack(d2, IntMatrix.identity(K.rows).scale(n))
-    structure, _ = _quotient_with_witnesses(K, sub, n)
-    return structure
+    return quotient_generators(_kernel_over_ring(d1, n), _with_multiples(d2, n), generators=False)[0]
 
 
 def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> CohomologyResult:
@@ -238,13 +213,9 @@ def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> Cohomo
     J = cocycle_matrix(p, rep)
     K = _kernel_over_ring(vstack(J, f.mod(n)), n)
     if n == 0:
-        h1 = AbelianGroupStructure.free(K.cols)
         witnesses = tuple(K.column(j) for j in range(K.cols))
-    else:
-        h1, witnesses = _quotient_with_witnesses(
-            K, IntMatrix.identity(m).scale(n), n
-        )
-    return CohomologyResult(rep.ring, K, h1, witnesses)
+        return CohomologyResult(rep.ring, K, AbelianGroupStructure.free(K.cols), witnesses)
+    return _cohomology(rep.ring, K, IntMatrix.identity(m).scale(n))
 
 
 @dataclass(frozen=True)

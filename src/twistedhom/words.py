@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Largest |k| accepted in a token name^k. The token expands to |k| letters,
+# so an unbounded exponent lets one short line exhaust memory.
+MAX_EXPONENT = 100_000
+
 
 class ParseError(ValueError):
     """Malformed word text; ``position`` is the 0-based token index."""
@@ -91,8 +95,8 @@ def invert(w: Word) -> Word:
 def parse_word(text: str, alphabet) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^-1`` or ``name^k``.
 
-    A token ``name^k`` with nonzero integer k expands to |k| copies of the
-    signed letter; the result is freely reduced.
+    A token ``name^k`` with nonzero integer k, |k| <= MAX_EXPONENT, expands
+    to |k| copies of the signed letter; the result is freely reduced.
     """
     alphabet = tuple(alphabet)
     index_of = {gen.name: i for i, gen in enumerate(alphabet)}
@@ -106,6 +110,8 @@ def parse_word(text: str, alphabet) -> Word:
                 raise ParseError(f"malformed exponent {exponent_text!r}", position) from None
             if exponent == 0:
                 raise ParseError("zero exponent", position)
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}", position)
         else:
             exponent = 1
         if name not in index_of:

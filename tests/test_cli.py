@@ -43,8 +43,19 @@ class TestParseInputFile:
             parse_input_file(text)
 
     def test_non_invertible_action(self):
-        with pytest.raises(InputFormatError, match="not invertible"):
+        with pytest.raises(InputFormatError, match="not invertible") as err:
             parse_input_file(SMALL.replace("[-1]", "[2]"))
+        assert err.value.line == 5
+        # The rejected action's own line, not the first action's.
+        text = "generators: a b\nring: Z\nrank: 1\naction b: [2]\naction a: [1]\n"
+        with pytest.raises(InputFormatError, match="'b' is not invertible") as err:
+            parse_input_file(text)
+        assert err.value.line == 4
+
+    def test_exponent_over_the_cap_names_line(self):
+        with pytest.raises(InputFormatError, match="exceeds the limit") as err:
+            parse_input_file(SMALL.replace("relator: a a", "relator: a^1000000000"))
+        assert err.value.line == 2
 
     def test_relation_lines(self):
         text = "generators: a b\nrelation: a b = b a\nring: Z\nrank: 1\naction a: [1]\naction b: [1]\n"

@@ -6,6 +6,7 @@ from twistedhom import (
     AbelianGroupStructure,
     IntMatrix,
     adjugate,
+    exactlinalg,
     hstack,
     kernel_basis,
     lattice_quotient,
@@ -208,6 +209,28 @@ class TestSolveInLattice:
                         assert b.apply((x0, x1)) != target
 
 
+    def test_batched_solve_matches_vector_form(self):
+        rng = random.Random(707)
+        seen = set()
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+            b = random_int_matrix(rng, rows, cols, -3, 3)
+            targets = [b.apply([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(3)]
+            targets += [tuple(rng.randint(-4, 4) for _ in range(rows)) for _ in range(3)]
+            rng.shuffle(targets)
+            batched = solve_in_lattice(b, IntMatrix.from_columns(rows, targets))
+            assert batched == [solve_in_lattice(b, t) for t in targets]
+            seen.update(x is None for x in batched)
+        assert seen == {True, False}
+
+    def test_batched_solve_shapes(self):
+        b = IntMatrix.identity(2).scale(2)
+        assert solve_in_lattice(b, IntMatrix.zeros(2, 0)) == []
+        assert solve_in_lattice(b, IntMatrix.from_columns(2, [(2, 4), (1, 0)])) == [(1, 2), None]
+        with pytest.raises(ValueError, match="length mismatch"):
+            solve_in_lattice(b, IntMatrix.zeros(3, 1))
+
+
 class TestLatticeQuotient:
     def test_diagonal_quotient(self):
         q = lattice_quotient(IntMatrix.identity(2), IntMatrix.identity(2).scale(2))
@@ -240,6 +263,24 @@ class TestLatticeQuotient:
                 IntMatrix.identity(2).scale(2),
                 IntMatrix.from_columns(2, [(2, 0), (1, 0)]),
             )
+
+    def test_snf_count_independent_of_subgroup_size(self, monkeypatch):
+        calls = []
+
+        def counting_snf(matrix):
+            calls.append(matrix.cols)
+            return snf(matrix)
+
+        monkeypatch.setattr(exactlinalg, "snf", counting_snf)
+        rng = random.Random(808)
+        basis = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        counts = []
+        for width in (1, 30):
+            sub = [basis.apply([rng.randint(-3, 3) for _ in range(3)]) for _ in range(width)]
+            calls.clear()
+            lattice_quotient(basis, IntMatrix.from_columns(3, sub))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_mixed_structure(self):
         sub = IntMatrix.from_columns(3, [(2, 0, 0), (0, 3, 0)])

@@ -9,6 +9,7 @@ from twistedhom import (
     IntMatrix,
     Presentation,
     Representation,
+    adjugate,
     brute_force_h1_mod2,
     chain_boundaries,
     change_ring,
@@ -19,6 +20,7 @@ from twistedhom import (
     h1_homology,
     hstack,
     kerf_reduction,
+    kernel_basis,
     lattice_quotient,
     parse_word,
     principal_map,
@@ -27,7 +29,9 @@ from twistedhom import (
     uct_check,
 )
 
-from support import gf_rank, perturbed_pair
+from twistedhom.homology import _kernel_over_ring
+
+from support import gf_rank, perturbed_pair, random_int_matrix
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -159,6 +163,48 @@ class TestH1Cohomology:
         p = Presentation(gens, (parse_word("a a", gens),))
         with pytest.raises(ValueError, match="ill-posed"):
             h1_cohomology(p, rep)
+
+
+def _augmented_kernel_over_ring(matrix, n):
+    """Reference route to {v : matrix*v = 0 mod n}: the integer kernel of
+    [matrix | n*I], projected to the first block of coordinates."""
+    full = kernel_basis(hstack(matrix, IntMatrix.identity(matrix.rows).scale(n)))
+    return IntMatrix.from_rows([full.row(i) for i in range(matrix.cols)])
+
+
+class TestModularKernelLattice:
+    def test_matches_augmented_reference(self):
+        # The lattice contains n*Z^cols, so both bases are square. The new
+        # basis lies in the reference lattice (adj(R)*B = 0 mod det R, i.e.
+        # R^-1 * B is integral) and has the same index |det| in Z^cols, so
+        # the two lattices are equal.
+        rng = random.Random(909)
+        for trial in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+            matrix = random_int_matrix(rng, rows, cols, -6, 6).to_rows()
+            if trial % 3 == 0:
+                matrix[rng.randrange(rows)] = [0] * cols
+            if trial % 3 == 1 and rows > 1:
+                i, j = rng.sample(range(rows), 2)
+                matrix[i] = [2 * x - 3 * y for x, y in zip(matrix[j], matrix[i - 1])]
+            if trial % 4 == 0:
+                column = rng.randrange(cols)
+                for row in matrix:
+                    row[column] = 2 * row[0]
+            matrix = IntMatrix.from_rows(matrix)
+            for n in (2, 3, 4, 6, 8, 9):
+                basis = _kernel_over_ring(matrix, n)
+                reference = _augmented_kernel_over_ring(matrix, n)
+                assert basis.rows == basis.cols == reference.cols == cols
+                assert (matrix * basis).mod(n).is_zero()
+                det = reference.det()
+                assert det != 0 and abs(basis.det()) == abs(det)
+                assert (adjugate(reference) * basis).mod(abs(det)).is_zero()
+
+    def test_zero_matrix_and_units(self):
+        assert _kernel_over_ring(IntMatrix.zeros(2, 3), 4) == IntMatrix.identity(3)
+        unit = _kernel_over_ring(IntMatrix.identity(2), 6)
+        assert abs(unit.det()) == 36
 
 
 class TestH1Homology:

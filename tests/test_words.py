@@ -12,6 +12,7 @@ from twistedhom import (
     parse_word,
     word_to_text,
 )
+from twistedhom.words import MAX_EXPONENT
 
 from support import random_word
 
@@ -42,6 +43,16 @@ def test_parse_exponent_expansion():
     w = parse_word("d^3", ABGD)
     assert w.letters == ((3, 1), (3, 1), (3, 1))
     assert parse_word("a^-2", AB).letters == ((0, -1), (0, -1))
+
+
+def test_parse_caps_the_exponent():
+    assert len(parse_word(f"a^{MAX_EXPONENT}", AB)) == MAX_EXPONENT
+    assert len(parse_word(f"b^-{MAX_EXPONENT}", AB)) == MAX_EXPONENT
+    # Rejected before expansion: a billion letters would exhaust memory.
+    for token in (f"a^{MAX_EXPONENT + 1}", "a^-1000000000"):
+        with pytest.raises(ParseError, match="exceeds the limit") as err:
+            parse_word(f"b {token}", AB)
+        assert err.value.position == 1
 
 
 def test_parse_errors_carry_position():
