@@ -12,7 +12,6 @@ from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
     SnfResult,
-    adjugate,
     hstack,
     kernel_basis,
     lattice_quotient,
@@ -82,7 +81,6 @@ __all__ = [
     "SnfResult",
     "UctComparison",
     "Word",
-    "adjugate",
     "brute_force_h1_mod2",
     "builtin_examples",
     "chain_boundaries",

@@ -7,7 +7,7 @@ with '#' are skipped::
     relator: a a                  # one relator per line, or:
     relation: a d a = d           # contributes the relator (lhs)(rhs)^-1
     ring: Z                       # or Z/4; a --ring flag overrides this
-    rank: 4
+    rank: 4                       # 1 to MAX_RANK (256)
     action a: [-1 0 0 0; 0 -1 0 0; 0 0 -1 0; 0 0 0 -1]
     form: [...]                   # optional bilinear form to check
     kerf: [...]                   # optional splitting functional
@@ -48,6 +48,9 @@ from .words import Generator, ParseError, parse_word, word_to_text
 
 COMPUTATION_ORDER = ("check", "h0", "coh1", "h1", "uct", "oracle")
 UCT_MODULI = (2, 3, 4, 8)
+# An input with no generators still builds the rank x rank identity, so the
+# rank alone sets the size of the work; no shipped input goes past 8.
+MAX_RANK = 256
 
 
 class InputFormatError(ValueError):
@@ -75,7 +78,6 @@ class JobSpec:
     example: str | None = None
     ring: CoefficientRing | None = None
     computations: tuple[str, ...] = ("check", "h0", "coh1", "h1")
-    output_format: str = "text"
 
 
 def _parse_matrix(text: str, line: int) -> IntMatrix:
@@ -101,8 +103,9 @@ def _format_matrix(matrix: IntMatrix) -> str:
 def parse_input_file(text: str) -> ParsedInput:
     """Parse the documented format into validated objects.
 
-    Raises InputFormatError with a line number for syntax problems,
-    dimension mismatches, unknown generators and non-invertible actions.
+    Raises InputFormatError with a line number for syntax problems, a rank
+    outside 1..MAX_RANK, dimension mismatches, unknown generators and
+    non-invertible actions.
     """
     generators: tuple[Generator, ...] | None = None
     relators = []
@@ -151,6 +154,8 @@ def parse_input_file(text: str) -> ParsedInput:
                 rank = int(value)
             except ValueError:
                 raise InputFormatError(f"bad rank {value!r}", lineno) from None
+            if not 1 <= rank <= MAX_RANK:
+                raise InputFormatError(f"rank {rank} is outside 1..{MAX_RANK}", lineno)
         elif key.split() and key.split()[0] == "action":
             parts = key.split()
             if len(parts) != 2:
@@ -424,7 +429,7 @@ def main(argv=None) -> int:
             computations = tuple(c for c in COMPUTATION_ORDER if c in requested)
         else:
             computations = ("check", "h0", "coh1", "h1")
-        job = JobSpec(args.path, args.example, ring, computations, args.format)
+        job = JobSpec(args.path, args.example, ring, computations)
         status, records = run(job)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

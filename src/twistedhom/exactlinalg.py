@@ -10,6 +10,7 @@ point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 
 @dataclass(frozen=True)
@@ -174,26 +175,6 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     if any(m.cols != ncols for m in matrices):
         raise ValueError("column count mismatch")
     return IntMatrix(sum(m.rows for m in matrices), ncols, tuple(x for m in matrices for x in m.entries))
-
-
-def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Adjugate (transposed cofactor matrix): adjugate(M) * M = det(M) * I."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("adjugate of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return matrix
-    if n == 1:
-        return IntMatrix(1, 1, (1,))
-    rows = matrix.to_rows()
-
-    def minor_det(i, j):
-        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-        return IntMatrix.from_rows(minor).det()
-
-    return IntMatrix.from_rows(
-        [[(-1) ** (i + j) * minor_det(i, j) for i in range(n)] for j in range(n)]
-    )
 
 
 @dataclass(frozen=True)
@@ -399,15 +380,30 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
     return quotient_generators(ambient_basis, subgroup_gens, generators=False)[0]
 
 
-def unimodular_inverse(matrix: IntMatrix) -> IntMatrix:
-    """Inverse of a square integer matrix with determinant +1 or -1."""
+def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
+    """Inverse of a square integer matrix over Z (modulus 0) or over Z/modulus.
+
+    With U * M * V = D from snf(M), M^-1 = V * D^-1 * U. Over Z this needs
+    every d_i = 1, that is det M = +-1. Over Z/n it needs every d_i to be a
+    unit mod n, that is det M a unit, and the inverse is
+    V * diag(d_i^-1 mod n) * U with entries in [0, n). The one SNF over Z
+    serves both rings; nothing is eliminated over Z/n. Raises ValueError
+    when the matrix is not invertible over the ring, giving |det M|, the
+    product of the invariant factors.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
     res = snf(matrix)
-    if any(x != 1 for x in res.diagonal()):
-        raise ValueError("matrix is not unimodular")
-    # U * M * V = I, so M^-1 = V * U.
-    return res.V * res.U
+    diag = res.diagonal()
+    det = prod(diag)
+    # gcd(det, 0) = det, so over Z this asks for det = 1.
+    if gcd(det, modulus) != 1:
+        ring = f"Z/{modulus}" if modulus else "Z"
+        raise ValueError(f"|det| = {det} is not a unit over {ring}")
+    if modulus == 0:
+        return res.V * res.U
+    units = IntMatrix.diagonal(pow(d, -1, modulus) for d in diag)
+    return (res.V * units * res.U).mod(modulus)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactlinalg import IntMatrix, adjugate
+from .exactlinalg import IntMatrix, unimodular_inverse
 from .presentation import Diagnostic, Presentation
 from .words import Generator, Word, word_to_text
 
@@ -53,18 +53,6 @@ class CoefficientRing:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
 
 
-def _inverse_over_ring(matrix: IntMatrix, ring: CoefficientRing) -> IntMatrix:
-    # Adjugate route: exact over Z (determinant +-1) and over Z/n (determinant
-    # a unit), no elimination over a non-domain needed.
-    det = matrix.det()
-    if not ring.is_unit(det):
-        raise ValueError(f"determinant {det} is not a unit over {ring}")
-    if ring.modulus == 0:
-        return adjugate(matrix).scale(det)
-    n = ring.modulus
-    return adjugate(matrix).scale(pow(det % n, -1, n)).mod(n)
-
-
 @dataclass(frozen=True)
 class Representation:
     """A left action of a generator alphabet on A^rank by invertible matrices."""
@@ -101,7 +89,9 @@ class Representation:
                 )
             matrix = matrix.mod(ring.modulus)
             try:
-                inverse = _inverse_over_ring(matrix, ring)
+                # One SNF over Z, U*M*V = D, gives M^-1 = V*diag(d_i^-1)*U over
+                # Z and Z/n alike; it exists exactly when every d_i is a unit.
+                inverse = unimodular_inverse(matrix, ring.modulus)
             except ValueError as exc:
                 raise ValueError(f"action matrix for {gen.name!r} is not invertible: {exc}") from None
             reduced.append(matrix)

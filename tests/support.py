@@ -49,6 +49,26 @@ def random_unimodular(rng: random.Random, n, steps=6) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def adjugate(matrix: IntMatrix) -> IntMatrix:
+    """Adjugate (transposed cofactor matrix): adjugate(M) * M = det(M) * I."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("adjugate of a non-square matrix")
+    n = matrix.rows
+    if n == 0:
+        return matrix
+    if n == 1:
+        return IntMatrix(1, 1, (1,))
+    rows = matrix.to_rows()
+
+    def minor_det(i, j):
+        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+        return IntMatrix.from_rows(minor).det()
+
+    return IntMatrix.from_rows(
+        [[(-1) ** (i + j) * minor_det(i, j) for i in range(n)] for j in range(n)]
+    )
+
+
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:
     """A word in the normal closure of the relators: products of conjugates."""
     word = Word(p.generators)

@@ -4,6 +4,7 @@ import pytest
 
 from twistedhom import AbelianGroupStructure, goeritz_e2
 from twistedhom.cli import (
+    MAX_RANK,
     InputFormatError,
     JobSpec,
     example_to_text,
@@ -71,6 +72,18 @@ class TestParseInputFile:
         text = "generators: a\naction a: [1]\n"
         with pytest.raises(InputFormatError, match="rank"):
             parse_input_file(text)
+
+    def test_rank_outside_the_bounds_names_line(self):
+        for rank in ("0", "-3", str(MAX_RANK + 1), "100000"):
+            text = "generators:\nring: Z\nrank: " + rank + "\n"
+            with pytest.raises(InputFormatError, match=f"rank {rank} is outside") as err:
+                parse_input_file(text)
+            assert err.value.line == 3
+        with pytest.raises(InputFormatError, match="rank 0 is outside") as err:
+            parse_input_file(SMALL.replace("rank: 1", "rank: 0"))
+        assert err.value.line == 4
+        parsed = parse_input_file(f"generators:\nrank: {MAX_RANK}\n")
+        assert parsed.representation.rank == MAX_RANK
 
     def test_missing_action(self):
         text = "generators: a b\nring: Z\nrank: 1\naction a: [1]\n"

@@ -1,11 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
 from twistedhom import (
     AbelianGroupStructure,
     IntMatrix,
-    adjugate,
     exactlinalg,
     hstack,
     kernel_basis,
@@ -16,7 +16,7 @@ from twistedhom import (
     vstack,
 )
 
-from support import random_int_matrix
+from support import adjugate, random_int_matrix, random_unimodular
 
 
 def _diag_ok(diagonal):
@@ -291,16 +291,46 @@ class TestLatticeQuotient:
 class TestUnimodularInverse:
     def test_round_trip(self):
         rng = random.Random(606)
-        from support import random_unimodular
-
         for _ in range(30):
             n = rng.randint(1, 5)
             q = random_unimodular(rng, n)
-            assert q * unimodular_inverse(q) == IntMatrix.identity(n)
+            inverse = unimodular_inverse(q)
+            assert q * inverse == inverse * q == IntMatrix.identity(n)
+            assert inverse == adjugate(q).scale(q.det())
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\|det\| = 4 is not a unit over Z$"):
             unimodular_inverse(IntMatrix.identity(2).scale(2))
+        with pytest.raises(ValueError, match="non-square"):
+            unimodular_inverse(IntMatrix.zeros(2, 3))
+
+    def test_over_z_mod_n(self):
+        rng = random.Random(607)
+        for n in (2, 3, 4, 6, 8, 9):
+            found = 0
+            while found < 12:
+                size = rng.randint(1, 5)
+                m = random_int_matrix(rng, size, size, -9, 9)
+                det = m.det()
+                if gcd(det, n) != 1:
+                    with pytest.raises(ValueError, match=f"is not a unit over Z/{n}"):
+                        unimodular_inverse(m, n)
+                    continue
+                found += 1
+                inverse = unimodular_inverse(m, n)
+                identity = IntMatrix.identity(size)
+                assert (m * inverse).mod(n) == (inverse * m).mod(n) == identity.mod(n)
+                assert all(0 <= x < n for x in inverse.entries)
+                assert inverse == adjugate(m).scale(pow(det, -1, n)).mod(n)
+        for matrix, n, det in (
+            (IntMatrix.zeros(3, 3), 2, 0),
+            (IntMatrix.from_rows([[1, 2], [2, 4]]), 7, 0),
+            (IntMatrix.diagonal([2, 1]), 4, 2),
+            (IntMatrix.from_rows([[3, 1], [1, 5]]), 4, 14),
+            (IntMatrix.diagonal([3, 1]), 9, 3),
+        ):
+            with pytest.raises(ValueError, match=rf"\|det\| = {det} is not a unit over Z/{n}"):
+                unimodular_inverse(matrix, n)
 
 
 class TestAbelianGroupStructure:

@@ -9,7 +9,6 @@ from twistedhom import (
     IntMatrix,
     Presentation,
     Representation,
-    adjugate,
     brute_force_h1_mod2,
     chain_boundaries,
     change_ring,
@@ -31,7 +30,7 @@ from twistedhom import (
 
 from twistedhom.homology import _kernel_over_ring
 
-from support import gf_rank, perturbed_pair, random_int_matrix
+from support import adjugate, gf_rank, perturbed_pair, random_int_matrix
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
