@@ -48,6 +48,7 @@ from .representation import (
     change_ring,
     check_bilinear_form_preserved,
     check_relators_trivial,
+    dual,
     evaluate_group_ring,
     evaluate_word,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "check_relators_trivial",
     "cocycle_matrix",
     "coinvariants",
+    "dual",
     "evaluate_group_ring",
     "evaluate_word",
     "fox_derivative",

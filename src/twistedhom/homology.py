@@ -27,14 +27,15 @@ from .exactlinalg import (
     solve_in_lattice,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
     vstack,
 )
-from .fox import cocycle_matrix, fox_derivative
+from .fox import cocycle_matrix
 from .presentation import Presentation
 from .representation import (
     CoefficientRing,
     Representation,
     change_ring,
     check_relators_trivial,
-    evaluate_group_ring,
+    dual,
+    evaluate_group_ring,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
 )
 
 
@@ -162,24 +163,17 @@ def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, I
     involution applied first. This is the convention pinned down by the two
     checks: the boundaries compose to zero, and the cokernel of the first
     boundary is the coinvariants.
+
+    The dual action g -> (M_g^-1)^T sends a word w to M(w^-1)^T, so the
+    (g, r) block of the second boundary is the transposed (r, g) block of
+    the cocycle matrix of the dual action, which is linear in relator length.
     """
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
     n = rep.ring.modulus
     blocks = _difference_blocks(rep, inverse=True)
     d1 = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
-    width = len(p.generators) * rep.rank
-    if p.relators:
-        column_blocks = []
-        for relator in p.relators:
-            pieces = [
-                evaluate_group_ring(rep, fox_derivative(relator, gen).involute())
-                for gen in p.generators
-            ]
-            column_blocks.append(vstack(*pieces) if pieces else IntMatrix.zeros(0, rep.rank))
-        d2 = hstack(*column_blocks)
-    else:
-        d2 = IntMatrix.zeros(width, 0)
+    d2 = cocycle_matrix(p, dual(rep)).transpose()
     return d1.mod(n), d2.mod(n)
 
 
@@ -293,7 +287,7 @@ def brute_force_h1_mod2(p: Presentation, rep: Representation, max_bits: int = 20
     the distinct principal cocycles mod 2, and divides. Refuses when the
     bit count exceeds max_bits.
     """
-    rep2 = rep if rep.ring.modulus == 2 else change_ring(rep, CoefficientRing.modular(2))
+    rep2 = change_ring(rep, CoefficientRing.modular(2))
     _require_trivial_relators(p, rep2)
     bits = len(p.generators) * rep2.rank
     if bits > max_bits:

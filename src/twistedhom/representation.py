@@ -107,15 +107,34 @@ class Representation:
 
 
 def change_ring(rep: Representation, ring: CoefficientRing) -> Representation:
-    """The same action over a new coefficient ring.
+    """The same action over a new coefficient ring; rep itself when the ring
+    is unchanged.
 
     Allowed from Z to anything, and from Z/n to Z/m when m divides n; other
     changes have no canonical reduction map.
     """
+    if ring == rep.ring:
+        return rep
     old = rep.ring.modulus
     if old != 0 and (ring.modulus == 0 or old % ring.modulus):
         raise ValueError(f"cannot change coefficients from {rep.ring} to {ring}")
     return Representation.build(ring, rep.alphabet, rep.matrices, rank=rep.rank)
+
+
+def dual(rep: Representation) -> Representation:
+    """The contragredient action g -> (M_g^-1)^T on the same free module.
+
+    A word w acts by M(w^-1)^T under it, so evaluating a group-ring element
+    on the dual and transposing evaluates the involuted element on rep.
+    Built from the stored matrices; nothing is inverted again.
+    """
+    return Representation(
+        rep.ring,
+        rep.rank,
+        rep.alphabet,
+        tuple(m.transpose() for m in rep.inverse_matrices),
+        tuple(m.transpose() for m in rep.matrices),
+    )
 
 
 def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
@@ -131,11 +150,28 @@ def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
 
 
 def evaluate_group_ring(rep: Representation, element) -> IntMatrix:
-    """Matrix of a group-ring element: coefficient-weighted sum of word matrices."""
+    """Matrix of a group-ring element: coefficient-weighted sum of word matrices.
+
+    Terms are taken shortest first, and a term whose letters extend the
+    previous term's continues that term's matrix with the new letters only.
+    The terms of a Fox derivative dr/dg are prefixes of r, so one
+    derivative costs at most len(r) matrix products instead of the sum of
+    the prefix lengths. Any other term is evaluated from the identity.
+    """
+    n = rep.ring.modulus
     total = IntMatrix.zeros(rep.rank, rep.rank)
-    for word, coeff in element.terms.items():
-        total = total + evaluate_word(rep, word).scale(coeff)
-    return total.mod(rep.ring.modulus)
+    letters: tuple[tuple[int, int], ...] = ()
+    matrix = None
+    for word, coeff in sorted(element.terms.items(), key=lambda item: len(item[0].letters)):
+        if matrix is not None and word.letters[: len(letters)] == letters:
+            for index, sign in word.letters[len(letters) :]:
+                factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
+                matrix = (matrix * factor).mod(n)
+        else:
+            matrix = evaluate_word(rep, word)
+        letters = word.letters
+        total = total + matrix.scale(coeff)
+    return total.mod(n)
 
 
 def check_relators_trivial(rep: Representation, p: Presentation) -> list[Diagnostic]:

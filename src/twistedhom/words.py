@@ -15,6 +15,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Largest |k| accepted in a token name^k. The token expands to |k| letters,
 # so an unbounded exponent lets one short line exhaust memory.
 MAX_EXPONENT = 100_000
+# Largest number of letters a parsed word may expand to, counted before free
+# reduction, so that many capped tokens on one line cannot exhaust memory
+# either. Equal to MAX_EXPONENT, so a single name^k token always fits.
+MAX_WORD_LETTERS = 100_000
 
 
 class ParseError(ValueError):
@@ -96,7 +100,8 @@ def parse_word(text: str, alphabet) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^-1`` or ``name^k``.
 
     A token ``name^k`` with nonzero integer k, |k| <= MAX_EXPONENT, expands
-    to |k| copies of the signed letter; the result is freely reduced.
+    to |k| copies of the signed letter; the result is freely reduced. The
+    tokens together may expand to at most MAX_WORD_LETTERS letters.
     """
     alphabet = tuple(alphabet)
     index_of = {gen.name: i for i, gen in enumerate(alphabet)}
@@ -116,6 +121,8 @@ def parse_word(text: str, alphabet) -> Word:
             exponent = 1
         if name not in index_of:
             raise ParseError(f"unknown generator {name!r}", position)
+        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+            raise ParseError(f"word exceeds the limit of {MAX_WORD_LETTERS} letters", position)
         sign = 1 if exponent > 0 else -1
         letters.extend([(index_of[name], sign)] * abs(exponent))
     return Word(alphabet, tuple(letters))

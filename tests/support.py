@@ -13,9 +13,13 @@ from twistedhom import (
     Word,
     builtin_examples,
     change_ring,
+    evaluate_word,
+    fox_derivative,
+    hstack,
     invert,
     multiply,
     unimodular_inverse,
+    vstack,
 )
 
 
@@ -67,6 +71,28 @@ def adjugate(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(
         [[(-1) ** (i + j) * minor_det(i, j) for i in range(n)] for j in range(n)]
     )
+
+
+def term_by_term_group_ring(rep: Representation, element) -> IntMatrix:
+    """Reference evaluation of a group-ring element: every word from the identity."""
+    total = IntMatrix.zeros(rep.rank, rep.rank)
+    for word, coeff in element.terms.items():
+        total = total + evaluate_word(rep, word).scale(coeff)
+    return total.mod(rep.ring.modulus)
+
+
+def involuted_d2(p: Presentation, rep: Representation) -> IntMatrix:
+    """Reference second boundary: block (g, r) evaluates involute(dr/dg) on rep."""
+    if not p.relators:
+        return IntMatrix.zeros(len(p.generators) * rep.rank, 0)
+    column_blocks = []
+    for relator in p.relators:
+        pieces = [
+            term_by_term_group_ring(rep, fox_derivative(relator, gen).involute())
+            for gen in p.generators
+        ]
+        column_blocks.append(vstack(*pieces) if pieces else IntMatrix.zeros(0, rep.rank))
+    return hstack(*column_blocks).mod(rep.ring.modulus)
 
 
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:

@@ -58,6 +58,15 @@ class TestParseInputFile:
             parse_input_file(SMALL.replace("relator: a a", "relator: a^1000000000"))
         assert err.value.line == 2
 
+    def test_word_over_the_letter_cap_names_line(self):
+        text = SMALL.replace("relator: a a", "relator: a a\nrelator: a^60000 a^60000")
+        with pytest.raises(InputFormatError, match="token 1: word exceeds the limit") as err:
+            parse_input_file(text)
+        assert err.value.line == 3
+        with pytest.raises(InputFormatError, match="word exceeds the limit") as err:
+            parse_input_file(SMALL.replace("relator: a a", "relation: a = a^60000 a^60000"))
+        assert err.value.line == 2
+
     def test_relation_lines(self):
         text = "generators: a b\nrelation: a b = b a\nring: Z\nrank: 1\naction a: [1]\naction b: [1]\n"
         parsed = parse_input_file(text)
@@ -106,6 +115,22 @@ def record_by_name(records, name):
 
 
 class TestRun:
+    def test_h1_builds_the_action_once(self, tmp_path, monkeypatch):
+        from twistedhom import Representation
+
+        path = tmp_path / "e2.grp"
+        path.write_text(E2_TEXT)
+        builds = []
+        build = Representation.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args[0])
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Representation, "build", classmethod(counting))
+        status, _ = run(JobSpec(path=str(path), computations=("h1",)))
+        assert status == 0 and len(builds) == 1
+
     def test_e2_h1_over_z(self):
         status, records = run(JobSpec(example="e2", computations=("h1",)))
         assert status == 0

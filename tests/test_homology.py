@@ -30,7 +30,7 @@ from twistedhom import (
 
 from twistedhom.homology import _kernel_over_ring
 
-from support import adjugate, gf_rank, perturbed_pair, random_int_matrix
+from support import adjugate, gf_rank, involuted_d2, perturbed_pair, random_int_matrix, random_word
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -226,6 +226,22 @@ class TestH1Homology:
             d1, d2 = chain_boundaries(example.presentation, example.representation)
             assert (d1 * d2).is_zero()
 
+    def test_d2_matches_involution_reference(self):
+        for example in [E2, *TOYS.values()]:
+            for n in (0, 2, 3, 4, 8):
+                rep = rep_over(example, n)
+                assert chain_boundaries(example.presentation, rep)[1] == involuted_d2(example.presentation, rep)
+        rng = random.Random(37)
+        for _ in range(20):
+            p, rep = perturbed_pair(rng)
+            assert chain_boundaries(p, rep)[1] == involuted_d2(p, rep)
+        # Relators need not act trivially for the boundary to be defined.
+        for n in (0, 2, 9):
+            rep = rep_over(E2, n)
+            relators = tuple(random_word(rng, ABGD, max_len=20) for _ in range(3))
+            p = Presentation(ABGD, relators)
+            assert chain_boundaries(p, rep)[1] == involuted_d2(p, rep)
+
     def test_cokernel_of_d1_is_coinvariants(self):
         for example in [E2, *TOYS.values()]:
             d1, _ = chain_boundaries(example.presentation, example.representation)
@@ -258,6 +274,28 @@ class TestH1Homology:
                 continue
             hits += 1
             assert h1_homology(p, rep) == AbelianGroupStructure(0, (2, 2))
+
+
+class TestFoxMatrixCost:
+    @pytest.mark.parametrize("power", [200, 400])
+    def test_products_linear_in_relator_length(self, monkeypatch, power):
+        # d(a^k)/da has the k prefixes a^0 .. a^(k-1) as its terms: one
+        # product per letter past the first term, not one per prefix letter.
+        products = 0
+        multiply = IntMatrix.__mul__
+
+        def counting(left, right):
+            nonlocal products
+            products += 1
+            return multiply(left, right)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+        p = Presentation(ABGD, (parse_word(f"a^{power}", ABGD),))
+        cocycle_matrix(p, E2.representation)
+        assert products == power - 1
+        products = 0
+        chain_boundaries(p, E2.representation)
+        assert products == power - 1
 
 
 class TestKerfReduction:

@@ -9,19 +9,23 @@ from twistedhom import (
     IntMatrix,
     Presentation,
     Representation,
+    Word,
     change_ring,
     check_bilinear_form_preserved,
     check_relators_trivial,
+    dual,
     evaluate_group_ring,
     evaluate_word,
+    fox_derivative,
     goeritz_e2,
     identity_word,
     invert,
     multiply,
     parse_word,
+    unimodular_inverse,
 )
 
-from support import random_word
+from support import random_unimodular, random_word, term_by_term_group_ring
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -130,6 +134,66 @@ class TestEvaluateGroupRing:
         assert evaluate_group_ring(E2.representation, e).is_zero()
 
 
+def _actions_over(rng, moduli):
+    """E2's action and a random change of basis of it, over each ring."""
+    q = random_unimodular(rng, 4)
+    q_inv = unimodular_inverse(q)
+    conjugated = Representation.build(
+        E2.representation.ring, ABGD, [q * m * q_inv for m in E2.representation.matrices]
+    )
+    return [change_ring(rep, CoefficientRing(n)) for n in moduli for rep in (E2.representation, conjugated)]
+
+
+def _random_element(rng, alphabet) -> GroupRingElement:
+    """Nested prefixes of a few words, unrelated words and a cancelling pair,
+    with coefficients in [-3, 3] (zero included)."""
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        base = random_word(rng, alphabet, max_len=12)
+        cuts = rng.sample(range(len(base) + 1), rng.randint(0, len(base) + 1))
+        terms += [(Word(alphabet, base.letters[:i]), rng.randint(-3, 3)) for i in cuts]
+    terms += [(random_word(rng, alphabet, max_len=6), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+    if terms and rng.random() < 0.3:
+        word, coeff = rng.choice(terms)
+        terms.append((word, -coeff))
+    return GroupRingElement(alphabet, terms)
+
+
+class TestEvaluateGroupRingReference:
+    def test_matches_term_by_term_sum(self):
+        rng = random.Random(41)
+        for rep in _actions_over(rng, (0, 2, 4, 9)):
+            for _ in range(40):
+                element = _random_element(rng, ABGD)
+                assert evaluate_group_ring(rep, element) == term_by_term_group_ring(rep, element)
+            for _ in range(10):
+                word = random_word(rng, ABGD, max_len=30)
+                for gen in ABGD:
+                    derivative = fox_derivative(word, gen)
+                    for element in (derivative, -derivative, derivative * 3, derivative - derivative):
+                        assert evaluate_group_ring(rep, element) == term_by_term_group_ring(rep, element)
+
+    def test_alphabet_mismatch(self):
+        x = (Generator("x"),)
+        with pytest.raises(ValueError):
+            evaluate_group_ring(E2.representation, GroupRingElement.one(x))
+
+
+class TestDual:
+    def test_dual_twice_is_the_action(self):
+        rng = random.Random(43)
+        for rep in _actions_over(rng, (0, 2, 3, 8)):
+            assert dual(dual(rep)) == rep
+
+    def test_word_acts_by_inverse_transpose(self):
+        rng = random.Random(44)
+        for rep in _actions_over(rng, (0, 2, 4, 9)):
+            dual_rep = dual(rep)
+            for _ in range(20):
+                w = random_word(rng, ABGD, max_len=10)
+                assert evaluate_word(dual_rep, w) == evaluate_word(rep, invert(w)).transpose()
+
+
 class TestDiagnostics:
     def test_e2_relators_trivial(self):
         assert check_relators_trivial(E2.representation, E2.presentation) == []
@@ -177,6 +241,12 @@ class TestChangeRing:
         rep4 = change_ring(E2.representation, CoefficientRing.modular(4))
         rep2 = change_ring(rep4, CoefficientRing.modular(2))
         assert rep2.matrices == change_ring(E2.representation, CoefficientRing.modular(2)).matrices
+
+    def test_same_ring_is_the_same_action(self):
+        rep = E2.representation
+        assert change_ring(rep, rep.ring) is rep
+        rep4 = change_ring(rep, CoefficientRing.modular(4))
+        assert change_ring(rep4, CoefficientRing.modular(4)) is rep4
 
     def test_invalid_changes(self):
         rep3 = change_ring(E2.representation, CoefficientRing.modular(3))

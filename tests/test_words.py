@@ -12,7 +12,7 @@ from twistedhom import (
     parse_word,
     word_to_text,
 )
-from twistedhom.words import MAX_EXPONENT
+from twistedhom.words import MAX_EXPONENT, MAX_WORD_LETTERS
 
 from support import random_word
 
@@ -53,6 +53,24 @@ def test_parse_caps_the_exponent():
         with pytest.raises(ParseError, match="exceeds the limit") as err:
             parse_word(f"b {token}", AB)
         assert err.value.position == 1
+
+
+def test_parse_caps_the_letters_of_a_word():
+    assert MAX_WORD_LETTERS == MAX_EXPONENT
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
+    # Each token is within its own cap; the second would take the word past
+    # the total, so it is rejected before it expands.
+    with pytest.raises(ParseError, match=f"limit of {MAX_WORD_LETTERS} letters") as err:
+        parse_word("a^60000 a^60000", AB)
+    assert err.value.position == 1
+    # About 10 kB of capped tokens would ask for 10^8 letters.
+    with pytest.raises(ParseError, match="letters") as err:
+        parse_word("a^100000 " * 1000, AB)
+    assert err.value.position == 1
+    # Letters count before free reduction: a^60000 a^-60000 is rejected too.
+    with pytest.raises(ParseError, match="letters"):
+        parse_word("a^60000 a^-60000", AB)
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS - 1} b", AB)) == MAX_WORD_LETTERS
 
 
 def test_parse_errors_carry_position():
