@@ -3,7 +3,7 @@
 The input format is UTF-8 and line-oriented; blank lines and lines starting
 with '#' are skipped::
 
-    generators: a b g d
+    generators: a b g d           # at most MAX_GENERATORS (256)
     relator: a a                  # one relator per line, or:
     relation: a d a = d           # contributes the relator (lhs)(rhs)^-1
     ring: Z                       # or Z/4; a --ring flag overrides this
@@ -44,13 +44,15 @@ from .representation import (
     check_bilinear_form_preserved,
     check_relators_trivial,
 )
-from .words import Generator, ParseError, parse_word, word_to_text
+from .words import MAX_WORD_LETTERS, Generator, ParseError, parse_word, word_to_text
 
 COMPUTATION_ORDER = ("check", "h0", "coh1", "h1", "uct", "oracle")
 UCT_MODULI = (2, 3, 4, 8)
 # An input with no generators still builds the rank x rank identity, so the
 # rank alone sets the size of the work; no shipped input goes past 8.
 MAX_RANK = 256
+# The cocycle matrix has rank columns per generator; no shipped input has more than 8.
+MAX_GENERATORS = 256
 
 
 class InputFormatError(ValueError):
@@ -104,10 +106,12 @@ def parse_input_file(text: str) -> ParsedInput:
     """Parse the documented format into validated objects.
 
     Raises InputFormatError with a line number for syntax problems, a rank
-    outside 1..MAX_RANK, dimension mismatches, unknown generators and
-    non-invertible actions.
+    outside 1..MAX_RANK, more than MAX_GENERATORS generators, a relator of
+    more than MAX_WORD_LETTERS letters, dimension mismatches, unknown
+    generators and non-invertible actions.
     """
     generators: tuple[Generator, ...] | None = None
+    names: set[str] = set()
     relators = []
     ring = CoefficientRing.integers()
     rank: int | None = None
@@ -126,10 +130,14 @@ def parse_input_file(text: str) -> ParsedInput:
         value = value.strip()
 
         if key == "generators":
+            tokens = value.split()
+            if len(tokens) > MAX_GENERATORS:
+                raise InputFormatError(f"{len(tokens)} generators exceed the limit of {MAX_GENERATORS}", lineno)
             try:
-                generators = tuple(Generator(tok) for tok in value.split())
+                generators = tuple(Generator(tok) for tok in tokens)
             except ValueError as exc:
                 raise InputFormatError(str(exc), lineno) from None
+            names = {g.name for g in generators}
         elif key in ("relator", "relation"):
             if generators is None:
                 raise InputFormatError("generators must be declared first", lineno)
@@ -144,6 +152,8 @@ def parse_input_file(text: str) -> ParsedInput:
                     relators.append(from_equations(generators, [pair]).relators[0])
             except ParseError as exc:
                 raise InputFormatError(str(exc), lineno) from None
+            if len(relators[-1].letters) > MAX_WORD_LETTERS:
+                raise InputFormatError(f"relator exceeds the limit of {MAX_WORD_LETTERS} letters", lineno)
         elif key == "ring":
             try:
                 ring = CoefficientRing.parse(value)
@@ -161,7 +171,7 @@ def parse_input_file(text: str) -> ParsedInput:
             if len(parts) != 2:
                 raise InputFormatError("action needs a generator name", lineno)
             name = parts[1]
-            if generators is None or name not in {g.name for g in generators}:
+            if name not in names:
                 raise InputFormatError(f"action for undeclared generator {name!r}", lineno)
             actions[name] = (_parse_matrix(value, lineno), lineno)
         elif key == "form":

@@ -2,9 +2,11 @@
 
 Cohomology is crossed homomorphisms modulo principal ones; homology comes
 from the chain complex of the presentation 2-complex with local
-coefficients. Both are computed as integer lattice quotients: Z/n
+coefficients, which is the transposed cochain complex of the dual action
+g -> (M_g^-1)^T. Every group is one subquotient ker(outgoing) / im(incoming)
+through one helper, computed as an integer lattice quotient: Z/n
 coefficients never need elimination over Z/n: the lattice of cocycles mod
-n is read off the SNF over Z of the cocycle matrix J alone, as the columns
+n is read off the SNF over Z of the outgoing matrix alone, as the columns
 of V * diag(n / gcd(d_j, n)) where U*J*V = D, and n times the identity
 joins the subgroup of each quotient. Smith normal form over Z is the single
 trusted kernel of the whole engine, and each quotient factors its ambient
@@ -74,19 +76,14 @@ def _require_trivial_relators(p: Presentation, rep: Representation):
         raise ValueError(f"cocycle condition is ill-posed: {details}")
 
 
-def _difference_blocks(rep: Representation, inverse: bool) -> list[IntMatrix]:
-    identity = IntMatrix.identity(rep.rank)
-    source = rep.inverse_matrices if inverse else rep.matrices
-    return [(m - identity).mod(rep.ring.modulus) for m in source]
-
-
 def principal_map(rep: Representation) -> PrincipalMap:
     """The map sending u to the cocycle g -> action(g)u - u, as one matrix.
 
     Block g of column u is (action(g) - 1)u; its image is the lattice of
     principal cocycles.
     """
-    blocks = _difference_blocks(rep, inverse=False)
+    identity = IntMatrix.identity(rep.rank)
+    blocks = [(m - identity).mod(rep.ring.modulus) for m in rep.matrices]
     matrix = vstack(*blocks) if blocks else IntMatrix.zeros(0, rep.rank)
     return PrincipalMap(matrix)
 
@@ -94,20 +91,12 @@ def principal_map(rep: Representation) -> PrincipalMap:
 def coinvariants(rep: Representation) -> AbelianGroupStructure:
     """Degree-zero homology: the module modulo all g*m - m.
 
-    Generators suffice: the subgroup spanned by g*m - m over group elements
-    g equals the one spanned over the generators alone.
+    This is ker(0) / im(d1). Generators suffice: the subgroup spanned by
+    g*m - m over group elements g equals the one spanned over the generators
+    alone, and the blocks g^-1*m - m of d1 span the same subgroup.
     """
-    blocks = _difference_blocks(rep, inverse=False)
-    columns = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
-    subgroup = _with_multiples(columns, rep.ring.modulus)
-    return quotient_generators(IntMatrix.identity(rep.rank), subgroup, generators=False)[0]
-
-
-def _with_multiples(columns: IntMatrix, modulus: int) -> IntMatrix:
-    """The columns, joined over Z/n by n times the standard basis."""
-    if modulus == 0:
-        return columns
-    return hstack(columns, IntMatrix.identity(columns.rows).scale(modulus))
+    d1 = principal_map(dual(rep)).matrix.transpose()
+    return _homology(IntMatrix.zeros(0, rep.rank), d1, rep.ring)[0]
 
 
 def _kernel_over_ring(matrix: IntMatrix, modulus: int) -> IntMatrix:
@@ -131,12 +120,20 @@ def _kernel_over_ring(matrix: IntMatrix, modulus: int) -> IntMatrix:
     )
 
 
-def _cohomology(ring: CoefficientRing, K: IntMatrix, subgroup: IntMatrix) -> CohomologyResult:
-    """span(K) modulo the subgroup, with witnesses reduced into the ring."""
-    h1, witnesses = quotient_generators(K, subgroup)
-    if ring.modulus:
-        witnesses = tuple(tuple(x % ring.modulus for x in vec) for vec in witnesses)
-    return CohomologyResult(ring, K, h1, witnesses)
+def _homology(outgoing: IntMatrix, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
+    """ker(outgoing) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z.
+
+    Returns (group, kernel basis, generators): the generators, one kernel
+    vector per cyclic factor reduced mod n, only when asked for, else ().
+    """
+    n = ring.modulus
+    K = _kernel_over_ring(outgoing, n)
+    if n:
+        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
+    group, witnesses = quotient_generators(K, incoming, generators)
+    if n:
+        witnesses = tuple(tuple(x % n for x in vec) for vec in witnesses)
+    return group, K, witnesses
 
 
 def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
@@ -148,10 +145,8 @@ def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
     n times the standard basis.
     """
     _require_trivial_relators(p, rep)
-    J = cocycle_matrix(p, rep)
-    P = principal_map(rep).matrix
-    n = rep.ring.modulus
-    return _cohomology(rep.ring, _kernel_over_ring(J, n), _with_multiples(P, n))
+    h1, K, witnesses = _homology(cocycle_matrix(p, rep), principal_map(rep).matrix, rep.ring, generators=True)
+    return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
 def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, IntMatrix]:
@@ -164,17 +159,12 @@ def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, I
     checks: the boundaries compose to zero, and the cokernel of the first
     boundary is the coinvariants.
 
-    The dual action g -> (M_g^-1)^T sends a word w to M(w^-1)^T, so the
-    (g, r) block of the second boundary is the transposed (r, g) block of
-    the cocycle matrix of the dual action, which is linear in relator length.
+    So the chain complex is the transposed cochain complex of the dual
+    action g -> (M_g^-1)^T, which sends a word w to M(w^-1)^T: d1 and d2
+    are its principal map and cocycle matrix, transposed.
     """
-    if rep.alphabet != p.generators:
-        raise ValueError("alphabet mismatch")
-    n = rep.ring.modulus
-    blocks = _difference_blocks(rep, inverse=True)
-    d1 = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
-    d2 = cocycle_matrix(p, dual(rep)).transpose()
-    return d1.mod(n), d2.mod(n)
+    co = dual(rep)
+    return principal_map(co).matrix.transpose(), cocycle_matrix(p, co).transpose()
 
 
 def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
@@ -184,7 +174,7 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     n = rep.ring.modulus
     if not (d1 * d2).mod(n).is_zero():
         raise RuntimeError("internal error: boundary maps do not compose to zero")
-    return quotient_generators(_kernel_over_ring(d1, n), _with_multiples(d2, n), generators=False)[0]
+    return _homology(d1, d2, rep.ring)[0]
 
 
 def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> CohomologyResult:
@@ -204,12 +194,9 @@ def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> Cohomo
     det = (f * P).mod(n).det()
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
-    J = cocycle_matrix(p, rep)
-    K = _kernel_over_ring(vstack(J, f.mod(n)), n)
-    if n == 0:
-        witnesses = tuple(K.column(j) for j in range(K.cols))
-        return CohomologyResult(rep.ring, K, AbelianGroupStructure.free(K.cols), witnesses)
-    return _cohomology(rep.ring, K, IntMatrix.identity(m).scale(n))
+    outgoing = vstack(cocycle_matrix(p, rep), f.mod(n))
+    h1, K, witnesses = _homology(outgoing, IntMatrix.zeros(m, 0), rep.ring, generators=True)
+    return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
 @dataclass(frozen=True)
@@ -246,19 +233,26 @@ def uct_check(
     The action must be over Z. h0 and h1 default to the computed
     coinvariants and first homology; passing explicit values is a hook for
     corruption tests.
+
+    Every ring reads H^1 off one J and P over Z: evaluating words commutes
+    with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the
+    lattices of the action rebuilt over Z/n.
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
     moduli = [int(n) for n in moduli]
     if any(n < 2 for n in moduli):
         raise ValueError("moduli must all be >= 2")
+    _require_trivial_relators(p, rep)
     if h0 is None:
         h0 = coinvariants(rep)
     if h1 is None:
         h1 = h1_homology(p, rep)
+    J = cocycle_matrix(p, rep)
+    P = principal_map(rep).matrix
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
-        computed = h1_cohomology(p, change_ring(rep, ring)).h1
+        computed = _homology(J, P, ring)[0]
         expected = AbelianGroupStructure.from_cyclic_orders(
             _ext_orders(h0, ring) + _hom_orders(h1, ring)
         )
@@ -266,15 +260,16 @@ def uct_check(
     return comparisons
 
 
-def _count_kernel_vectors(row_masks, start: int, stop: int) -> int:
-    # Chunkable enumeration: counts over disjoint ranges add up, so the scan
-    # can be partitioned across workers.
-    count = 0
-    for d in range(start, stop):
-        for mask in row_masks:
-            if (mask & d).bit_count() & 1:
-                break
-        else:
+def _kernel_size_mod2(matrix: IntMatrix) -> int:
+    """Number of v in (Z/2)^cols with matrix*v = 0 mod 2, walked in Gray-code
+    order: step k flips bit j, the lowest set bit of k, so each candidate
+    costs one XOR of column j into the syndrome matrix*v."""
+    columns = [sum((x & 1) << i for i, x in enumerate(matrix.column(j))) for j in range(matrix.cols)]
+    syndrome = 0
+    count = 1  # the zero vector
+    for k in range(1, 1 << matrix.cols):
+        syndrome ^= columns[(k & -k).bit_length() - 1]
+        if not syndrome:
             count += 1
     return count
 
@@ -292,16 +287,7 @@ def brute_force_h1_mod2(p: Presentation, rep: Representation, max_bits: int = 20
     bits = len(p.generators) * rep2.rank
     if bits > max_bits:
         raise ValueError(f"enumeration over {bits} bits exceeds the bound of {max_bits}")
-    J = cocycle_matrix(p, rep2)
-    row_masks = []
-    for i in range(J.rows):
-        mask = 0
-        for j, value in enumerate(J.row(i)):
-            if value & 1:
-                mask |= 1 << j
-        if mask:
-            row_masks.append(mask)
-    z1 = _count_kernel_vectors(row_masks, 0, 1 << bits)
+    z1 = _kernel_size_mod2(cocycle_matrix(p, rep2))
     P = principal_map(rep2).matrix
     images = set()
     for u in range(1 << rep2.rank):

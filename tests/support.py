@@ -95,6 +95,31 @@ def involuted_d2(p: Presentation, rep: Representation) -> IntMatrix:
     return hstack(*column_blocks).mod(rep.ring.modulus)
 
 
+def inverse_difference_d1(rep: Representation) -> IntMatrix:
+    """Reference first boundary: the blocks action(g)^-1 - 1 side by side, mod n."""
+    identity = IntMatrix.identity(rep.rank)
+    blocks = [m - identity for m in rep.inverse_matrices]
+    return (hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)).mod(rep.ring.modulus)
+
+
+def row_mask_kernel_count(matrix: IntMatrix) -> int:
+    """Reference count of v in (Z/2)^cols with matrix*v = 0 mod 2.
+
+    Tests every candidate against one bitmask per nonzero row: a candidate
+    is in the kernel when it meets every row mask in an even number of bits.
+    """
+    row_masks = []
+    for i in range(matrix.rows):
+        mask = sum(1 << j for j, value in enumerate(matrix.row(i)) if value & 1)
+        if mask:
+            row_masks.append(mask)
+    return sum(
+        1
+        for d in range(1 << matrix.cols)
+        if not any((mask & d).bit_count() & 1 for mask in row_masks)
+    )
+
+
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:
     """A word in the normal closure of the relators: products of conjugates."""
     word = Word(p.generators)

@@ -4,6 +4,7 @@ import pytest
 
 from twistedhom import AbelianGroupStructure, goeritz_e2
 from twistedhom.cli import (
+    MAX_GENERATORS,
     MAX_RANK,
     InputFormatError,
     JobSpec,
@@ -66,6 +67,26 @@ class TestParseInputFile:
         with pytest.raises(InputFormatError, match="word exceeds the limit") as err:
             parse_input_file(SMALL.replace("relator: a a", "relation: a = a^60000 a^60000"))
         assert err.value.line == 2
+
+    def test_relator_of_a_relation_over_the_letter_cap_names_line(self):
+        text = "generators: a b\nrelator: a a\nrelation: a^60000 = b^60000\nrank: 1\naction a: [1]\naction b: [1]\n"
+        with pytest.raises(InputFormatError, match="relator exceeds the limit of 100000 letters") as err:
+            parse_input_file(text)
+        assert err.value.line == 3
+        parsed = parse_input_file(text.replace("60000", "50000"))
+        assert len(parsed.presentation.relators[1]) == 100_000
+
+    def test_generator_count_over_the_cap_names_line(self):
+        def text(count):
+            names = [f"g{i}" for i in range(count)]
+            actions = "".join(f"action {name}: [1]\n" for name in names)
+            return "# header\ngenerators: " + " ".join(names) + "\nrank: 1\n" + actions
+
+        with pytest.raises(InputFormatError, match=f"{MAX_GENERATORS + 1} generators exceed the limit") as err:
+            parse_input_file(text(MAX_GENERATORS + 1))
+        assert err.value.line == 2
+        parsed = parse_input_file(text(MAX_GENERATORS))
+        assert len(parsed.presentation.generators) == MAX_GENERATORS == 256
 
     def test_relation_lines(self):
         text = "generators: a b\nrelation: a b = b a\nring: Z\nrank: 1\naction a: [1]\naction b: [1]\n"

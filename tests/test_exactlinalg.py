@@ -136,6 +136,27 @@ class TestSnf:
         a = IntMatrix.from_rows([[6, 4, 2], [4, 2, 4], [2, 4, 6]])
         assert snf(a) == snf(a)
 
+    def test_matches_sympy(self):
+        # sympy's Smith normal form is a second, independent implementation.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(103)
+        for trial in range(150):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            if trial % 3 == 0 and rows > 1:
+                # rank deficient: one row repeats another up to sign, or is zero
+                i, j = rng.sample(range(rows), 2)
+                entries[i] = [rng.choice((-1, 0, 1)) * x for x in entries[j]]
+            a = IntMatrix(rows, cols, tuple(x for row in entries for x in row))
+            res = snf(a)
+            reference = smith_normal_form(sympy.Matrix(rows, cols, list(a.entries)), domain=sympy.ZZ)
+            assert res.diagonal() == tuple(int(reference[i, i]) for i in range(min(rows, cols)))
+            assert res.U * a * res.V == res.D
+            assert res.U.det() in (1, -1) and res.V.det() in (1, -1)
+            assert _diag_ok(res.diagonal())
+
 
 class TestKernel:
     def test_coordinate_projection(self):

@@ -28,9 +28,19 @@ from twistedhom import (
     uct_check,
 )
 
-from twistedhom.homology import _kernel_over_ring
+from twistedhom import homology
+from twistedhom.homology import _kernel_over_ring, _kernel_size_mod2
 
-from support import adjugate, gf_rank, involuted_d2, perturbed_pair, random_int_matrix, random_word
+from support import (
+    adjugate,
+    gf_rank,
+    inverse_difference_d1,
+    involuted_d2,
+    perturbed_pair,
+    random_int_matrix,
+    random_word,
+    row_mask_kernel_count,
+)
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -242,6 +252,19 @@ class TestH1Homology:
             p = Presentation(ABGD, relators)
             assert chain_boundaries(p, rep)[1] == involuted_d2(p, rep)
 
+    def test_d1_matches_inverse_difference_reference(self):
+        for example in [E2, *TOYS.values()]:
+            for n in (0, 2, 3, 4, 8):
+                rep = rep_over(example, n)
+                assert chain_boundaries(example.presentation, rep)[0] == inverse_difference_d1(rep)
+        rng = random.Random(41)
+        for _ in range(20):
+            p, rep = perturbed_pair(rng)
+            for n in (0, 2, 3, 4, 8):
+                if rep.ring.modulus in (0, n):
+                    ring_rep = change_ring(rep, CoefficientRing(n))
+                    assert chain_boundaries(p, ring_rep)[0] == inverse_difference_d1(ring_rep)
+
     def test_cokernel_of_d1_is_coinvariants(self):
         for example in [E2, *TOYS.values()]:
             d1, _ = chain_boundaries(example.presentation, example.representation)
@@ -331,6 +354,24 @@ class TestKerfReduction:
         with pytest.raises(ValueError, match="must be 4x16"):
             kerf_reduction(E2.presentation, E2.representation, IntMatrix.zeros(4, 4))
 
+    def test_free_group_over_z_is_free_on_the_kernel(self):
+        # With no relators every assignment is a cocycle, and f*P = 1 splits
+        # Z^4 as ker f + im P, so H^1 = ker f, generated by its basis.
+        gens = (Generator("a"), Generator("b"))
+        rep = Representation.build(
+            CoefficientRing.integers(),
+            gens,
+            (IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[1, 0], [1, 1]])),
+        )
+        p = Presentation(gens, ())
+        f = IntMatrix.from_rows([[0, 0, 0, 1], [1, 0, 0, 0]])
+        assert f * principal_map(rep).matrix == IntMatrix.identity(2)
+        result = kerf_reduction(p, rep, f)
+        K = result.z1_basis
+        assert (K.rows, K.cols) == (4, 2) and (f * K).is_zero()
+        assert result.h1 == AbelianGroupStructure.free(2) == h1_cohomology(p, rep).h1
+        assert result.witnesses == (K.column(0), K.column(1))
+
     def test_witnesses_are_cocycles(self):
         rep = rep_over(E2, 2)
         result = kerf_reduction(E2.presentation, rep, E2.kerf)
@@ -362,6 +403,40 @@ class TestUct:
         )
         assert not all(c.match for c in comparisons)
 
+    def test_matches_per_ring_route(self):
+        moduli = (2, 3, 4, 8, 9)
+        examples = [(ex.presentation, ex.representation) for ex in [E2, *TOYS.values()]]
+        rng = random.Random(43)
+        while len(examples) < 13:
+            p, rep = perturbed_pair(rng)
+            if rep.ring.modulus == 0:
+                examples.append((p, rep))
+        for p, rep in examples:
+            comparisons = uct_check(p, rep, moduli)
+            assert [c.ring.modulus for c in comparisons] == [0, *moduli]
+            for c in comparisons:
+                assert c.computed == h1_cohomology(p, change_ring(rep, c.ring)).h1
+
+    def test_one_cocycle_matrix_and_no_rebuild(self, monkeypatch):
+        h0 = coinvariants(E2.representation)
+        h1 = h1_homology(E2.presentation, E2.representation)
+        calls = {"cocycle_matrix": 0, "change_ring": 0, "build": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(homology, "cocycle_matrix", counted("cocycle_matrix", homology.cocycle_matrix))
+        monkeypatch.setattr(homology, "change_ring", counted("change_ring", homology.change_ring))
+        build = Representation.__dict__["build"].__func__
+        monkeypatch.setattr(Representation, "build", classmethod(counted("build", build)))
+        comparisons = uct_check(E2.presentation, E2.representation, [2, 3, 4, 8], h0=h0, h1=h1)
+        assert all(c.match for c in comparisons)
+        assert calls == {"cocycle_matrix": 1, "change_ring": 0, "build": 0}
+
     def test_requires_integer_action(self):
         with pytest.raises(ValueError, match="over Z"):
             uct_check(E2.presentation, rep_over(E2, 2), [2])
@@ -391,6 +466,20 @@ class TestBruteForceOracle:
             counts = brute_force_h1_mod2(example.presentation, example.representation)
             engine = h1_cohomology(example.presentation, rep_over(example, 2))
             assert counts.h1_count == engine.h1.order()
+
+    def test_gray_code_count_matches_row_mask_reference(self):
+        rng = random.Random(47)
+        matrices = [IntMatrix.zeros(0, 5), IntMatrix.zeros(3, 0), IntMatrix.zeros(4, 6)]
+        for bits in range(15):
+            for _ in range(3):
+                rows = rng.randint(0, 6)
+                entries = [rng.choice((0, 0, 1, 2, 3, -1)) for _ in range(rows * bits)]
+                if rows:
+                    zero_row = rng.randrange(rows)
+                    entries[zero_row * bits : (zero_row + 1) * bits] = [0] * bits
+                matrices.append(IntMatrix(rows, bits, tuple(entries)))
+        for matrix in matrices:
+            assert _kernel_size_mod2(matrix) == row_mask_kernel_count(matrix), matrix
 
     def test_dimension_bound_refusal(self):
         gens = tuple(Generator(f"g{i}") for i in range(21))
