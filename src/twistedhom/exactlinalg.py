@@ -5,12 +5,20 @@ unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere.
+
+The SNF builds only the transforms its caller reads (``transforms``), and
+takes the first unit of the working block as its pivot without scanning
+further; neither changes the pivot sequence, so D and every transform
+that is built are the same whatever is asked for. Matrices this module
+computes itself skip the entry checks of the public constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,19 @@ class IntMatrix:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+        """A matrix from a tuple of rows*cols ints, taken as is.
+
+        For results computed in this module only; IntMatrix(...) checks and
+        converts its entries.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
+
+    @classmethod
     def from_rows(cls, rows) -> IntMatrix:
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -49,11 +70,15 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values) -> IntMatrix:
@@ -74,11 +99,9 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(j, i) for i in range(self.cols) for j in range(self.rows)),
-        )
+        return IntMatrix._trusted(self.cols, self.rows, tuple(chain.from_iterable(
+            self.entries[j :: self.cols] for j in range(self.cols)
+        )))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -86,18 +109,19 @@ class IntMatrix:
     def __add__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix._trusted(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix._trusted(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return IntMatrix._trusted(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c: int) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        c = index(c)
+        return IntMatrix._trusted(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -115,7 +139,7 @@ class IntMatrix:
                     for j in range(other.cols):
                         row[j] += a * rk[j]
             out.append(row)
-        return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
+        return IntMatrix._trusted(self.rows, other.cols, tuple(chain.from_iterable(out)))
 
     def apply(self, vector) -> tuple[int, ...]:
         vector = tuple(int(x) for x in vector)
@@ -129,7 +153,8 @@ class IntMatrix:
     def mod(self, n: int) -> IntMatrix:
         if n == 0:
             return self
-        return IntMatrix(self.rows, self.cols, tuple(a % n for a in self.entries))
+        n = index(n)
+        return IntMatrix._trusted(self.rows, self.cols, tuple(a % n for a in self.entries))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -163,8 +188,8 @@ def hstack(*matrices: IntMatrix) -> IntMatrix:
     nrows = matrices[0].rows
     if any(m.rows != nrows for m in matrices):
         raise ValueError("row count mismatch")
-    rows = [sum((list(m.row(i)) for m in matrices), []) for i in range(nrows)]
-    return IntMatrix(nrows, sum(m.cols for m in matrices), tuple(x for r in rows for x in r))
+    entries = tuple(chain.from_iterable(m.row(i) for i in range(nrows) for m in matrices))
+    return IntMatrix._trusted(nrows, sum(m.cols for m in matrices), entries)
 
 
 def vstack(*matrices: IntMatrix) -> IntMatrix:
@@ -174,7 +199,7 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     ncols = matrices[0].cols
     if any(m.cols != ncols for m in matrices):
         raise ValueError("column count mismatch")
-    return IntMatrix(sum(m.rows for m in matrices), ncols, tuple(x for m in matrices for x in m.entries))
+    return IntMatrix._trusted(sum(m.rows for m in matrices), ncols, tuple(chain.from_iterable(m.entries for m in matrices)))
 
 
 @dataclass(frozen=True)
@@ -189,59 +214,92 @@ class SnfResult:
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
 
 
-def snf(matrix: IntMatrix) -> SnfResult:
+TRANSFORMS = ("UV", "U", "V", "")
+# The placeholder for a transform that was not built: any use of it as U or
+# V fails on shape.
+_NOT_BUILT = IntMatrix._trusted(0, 0, ())
+
+
+def _first_unit(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry +-1 of the block d[t:][t:] in row-major order.
+
+    Rows from t on are zero left of column t, so whole rows are searched.
+    """
+    for i in range(t, len(d)):
+        row = d[i]
+        if not any(row):  # zero rows are common; any() passes them quickly
+            continue
+        found = [row.index(x) for x in (1, -1) if x in row]
+        if found:
+            return i, min(found)
+    return None
+
+
+def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     """Smith normal form with transforms.
 
     Returns U, D, V with U*matrix*V = D, both transforms unimodular, and D
     diagonal with nonnegative entries forming a divisibility chain. Pivots
     are always the nonzero entry of least absolute value in the working
     block, ties broken by lowest (row, column), so the reduction is
-    deterministic.
+    deterministic. The search for a pivot stops at the first unit in
+    row-major order, the entry that rule picks, and a pivot of 1 divides
+    the rest of the block without a check.
+
+    ``transforms`` names the transforms to build, one of "UV" (the
+    default), "U", "V" and "". One that is not built is the 0x0 matrix;
+    the ones that are built, and D, do not depend on the choice.
     """
+    if transforms not in TRANSFORMS:
+        raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
     m, n = matrix.rows, matrix.cols
     d = matrix.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    u = IntMatrix.identity(m).to_rows() if "U" in transforms else None
+    v = IntMatrix.identity(n).to_rows() if "V" in transforms else None
 
     def swap_rows(i1, i2):
         if i1 != i2:
             d[i1], d[i2] = d[i2], d[i1]
-            u[i1], u[i2] = u[i2], u[i1]
+            if u is not None:
+                u[i1], u[i2] = u[i2], u[i1]
 
     def swap_cols(j1, j2):
         if j1 != j2:
             for row in d:
                 row[j1], row[j2] = row[j2], row[j1]
-            for row in v:
-                row[j1], row[j2] = row[j2], row[j1]
+            if v is not None:
+                for row in v:
+                    row[j1], row[j2] = row[j2], row[j1]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     def add_row(src, dst, c):
-        drow, ddst = d[src], d[dst]
-        for j in range(n):
-            ddst[j] += c * drow[j]
-        urow, udst = u[src], u[dst]
-        for j in range(m):
-            udst[j] += c * urow[j]
+        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
+        if u is not None:
+            u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for row in d:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += c * row[src]
 
     t = 0
     while t < min(m, n):
-        best = None
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(d[i][j])
-                if val and (best is None or val < best):
-                    best, pivot = val, (i, j)
+        pivot = _first_unit(d, t)
+        if pivot is None:
+            best = 0
+            for i in range(t, m):
+                for j, x in enumerate(d[i]):
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if not best or x < best:
+                            best, pivot = x, (i, j)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -249,44 +307,47 @@ def snf(matrix: IntMatrix) -> SnfResult:
         if d[t][t] < 0:
             negate_row(t)
         while True:
+            p = d[t][t]
             for i in range(t + 1, m):
-                q = d[i][t] // d[t][t]
+                q = d[i][t] // p
                 if q:
                     add_row(t, i, -q)
-            rest = [(abs(d[i][t]), i) for i in range(t + 1, m) if d[i][t]]
+            # With p > 0 the remainders left by floor division lie in
+            # [0, p), so the least nonzero one is the next pivot as is.
+            rest = [(d[i][t], i) for i in range(t + 1, m) if d[i][t]]
             if rest:
                 swap_rows(t, min(rest)[1])
-                if d[t][t] < 0:
-                    negate_row(t)
                 continue
+            row = d[t]
             for j in range(t + 1, n):
-                q = d[t][j] // d[t][t]
+                q = row[j] // p
                 if q:
                     add_col(t, j, -q)
-            rest = [(abs(d[t][j]), j) for j in range(t + 1, n) if d[t][j]]
+            rest = [(row[j], j) for j in range(t + 1, n) if row[j]]
             if rest:
                 swap_cols(t, min(rest)[1])
-                if d[t][t] < 0:
-                    negate_row(t)
                 continue
             break
         # The pivot must divide every remaining entry; if it does not, fold
         # the offending row into row t and redo this position. The pivot
-        # shrinks strictly each round, so this terminates.
-        bad = next(
-            (i for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % d[t][t]),
-            None,
-        )
+        # shrinks strictly each round, so this terminates. Rows past t are
+        # zero up to column t, so a whole row's gcd is that of its block part.
+        p = d[t][t]
+        bad = None
+        if p != 1:
+            bad = next((i for i in range(t + 1, m) if gcd(*d[i]) % p), None)
         if bad is None:
             t += 1
         else:
             add_row(bad, t, 1)
 
-    flat = lambda rows: tuple(x for r in rows for x in r)
+    def flat(rows, size, cols):
+        return IntMatrix._trusted(size, cols, tuple(chain.from_iterable(rows)))
+
     return SnfResult(
-        U=IntMatrix(m, m, flat(u)),
-        D=IntMatrix(m, n, flat(d)),
-        V=IntMatrix(n, n, flat(v)),
+        U=_NOT_BUILT if u is None else flat(u, m, m),
+        D=flat(d, m, n),
+        V=_NOT_BUILT if v is None else flat(v, n, n),
     )
 
 
@@ -297,7 +358,7 @@ def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     diagonal positions; V being unimodular makes the returned sublattice
     saturated (a direct summand of Z^cols).
     """
-    res = snf(matrix)
+    res = snf(matrix, transforms="V")
     diag = res.diagonal()
     keep = [j for j in range(matrix.cols) if j >= len(diag) or diag[j] == 0]
     return IntMatrix.from_columns(matrix.cols, [res.V.column(j) for j in keep])
@@ -319,7 +380,7 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
         targets = IntMatrix(len(target), 1, target)
     if targets.rows != basis.rows:
         raise ValueError("target length mismatch")
-    res = snf(basis)
+    res = snf(basis, transforms="UV")
     diag = [d for d in res.diagonal() if d]
     rank, width = len(diag), targets.cols
     # U*basis*V = D with the nonzero diagonal d_1..d_r first, so basis*x = t
@@ -334,7 +395,7 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
         for i in range(basis.cols)
         for j in range(width)
     )
-    x = res.V * IntMatrix(basis.cols, width, y)
+    x = res.V * IntMatrix._trusted(basis.cols, width, y)
     solutions = [x.column(j) if solvable[j] else None for j in range(width)]
     return solutions if isinstance(target, IntMatrix) else solutions[0]
 
@@ -354,7 +415,7 @@ def quotient_generators(ambient_basis: IntMatrix, subgroup_gens: IntMatrix, gene
     for j, x in enumerate(coords):
         if x is None:
             raise ValueError(f"subgroup generator {j} lies outside the ambient lattice")
-    res = snf(IntMatrix.from_columns(k, coords))
+    res = snf(IntMatrix.from_columns(k, coords), transforms="U" if generators else "")
     orders = list(res.diagonal()) + [0] * (k - min(k, subgroup_gens.cols))
     structure = AbelianGroupStructure(orders.count(0), tuple(x for x in orders if x >= 2))
     if not generators:
@@ -374,7 +435,7 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
     """
     if subgroup_gens.cols and subgroup_gens.rows != ambient_basis.rows:
         raise ValueError("ambient and subgroup generators live in different spaces")
-    ambient_rank = sum(1 for x in snf(ambient_basis).diagonal() if x)
+    ambient_rank = sum(1 for x in snf(ambient_basis, transforms="").diagonal() if x)
     if ambient_rank != ambient_basis.cols:
         raise ValueError("ambient basis columns are linearly dependent")
     return quotient_generators(ambient_basis, subgroup_gens, generators=False)[0]
@@ -393,7 +454,7 @@ def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
     """
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
-    res = snf(matrix)
+    res = snf(matrix, transforms="UV")
     diag = res.diagonal()
     det = prod(diag)
     # gcd(det, 0) = det, so over Z this asks for det = 1.
@@ -445,7 +506,7 @@ class AbelianGroupStructure:
         finite = [x for x in orders if x >= 2]
         if not finite:
             return cls(free, ())
-        diag = snf(IntMatrix.diagonal(finite)).diagonal()
+        diag = snf(IntMatrix.diagonal(finite), transforms="").diagonal()
         return cls(free, tuple(x for x in diag if x >= 2))
 
     def is_trivial(self) -> bool:

@@ -8,7 +8,8 @@ through one helper, computed as an integer lattice quotient: Z/n
 coefficients never need elimination over Z/n: the lattice of cocycles mod
 n is read off the SNF over Z of the outgoing matrix alone, as the columns
 of V * diag(n / gcd(d_j, n)) where U*J*V = D, and n times the identity
-joins the subgroup of each quotient. Smith normal form over Z is the single
+joins the subgroup of each quotient. That SNF builds V only, and one
+factorization serves every ring. Smith normal form over Z is the single
 trusted kernel of the whole engine, and each quotient factors its ambient
 basis once, whatever the number of subgroup generators.
 """
@@ -22,8 +23,8 @@ from typing import NamedTuple
 from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
+    SnfResult,
     hstack,
-    kernel_basis,
     quotient_generators,
     snf,
     solve_in_lattice,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
@@ -96,32 +97,35 @@ def coinvariants(rep: Representation) -> AbelianGroupStructure:
     alone, and the blocks g^-1*m - m of d1 span the same subgroup.
     """
     d1 = principal_map(dual(rep)).matrix.transpose()
-    return _homology(IntMatrix.zeros(0, rep.rank), d1, rep.ring)[0]
+    return _homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
 
 
-def _kernel_over_ring(matrix: IntMatrix, modulus: int) -> IntMatrix:
-    """Basis of {v : matrix*v = 0} over Z, or of {v in Z^cols : matrix*v = 0 mod n}.
+def _kernel_over_ring(factored: SnfResult, modulus: int) -> IntMatrix:
+    """Basis of {v : A*v = 0} over Z, or of {v in Z^cols : A*v = 0 mod n},
+    read off U*A*V = D, one SNF of A over Z; only V and D are read.
 
-    With U*matrix*V = D from one SNF over Z, v = V*y satisfies
-    matrix*v = 0 mod n iff d_j*y_j = 0 mod n for every j, because U is
-    unimodular. So the mod-n lattice has the basis V * diag(n / gcd(d_j, n)),
-    where d_j = 0 past the diagonal and gcd(0, n) = n; V unimodular makes
-    the columns independent.
+    v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
+    because U is unimodular. So the mod-n lattice has the basis
+    V * diag(n / gcd(d_j, n)), where d_j = 0 past the diagonal and
+    gcd(0, n) = n; V unimodular makes the columns independent. Over Z the
+    basis is the columns of V with d_j = 0.
     """
+    V = factored.V
+    diag = factored.diagonal()
+    diag += (0,) * (V.cols - len(diag))
     if modulus == 0:
-        return kernel_basis(matrix)
-    res = snf(matrix)
-    diag = res.diagonal()
-    scales = [modulus // gcd(diag[j] if j < len(diag) else 0, modulus) for j in range(matrix.cols)]
+        return IntMatrix.from_columns(V.rows, [V.column(j) for j, x in enumerate(diag) if x == 0])
+    scales = [modulus // gcd(x, modulus) for x in diag]
     return IntMatrix(
-        matrix.cols,
-        matrix.cols,
-        tuple(x * scale for i in range(matrix.cols) for x, scale in zip(res.V.row(i), scales)),
+        V.rows,
+        V.cols,
+        tuple(x * scale for i in range(V.rows) for x, scale in zip(V.row(i), scales)),
     )
 
 
-def _homology(outgoing: IntMatrix, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
-    """ker(outgoing) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z.
+def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
+    """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
+    outgoing is the factorization snf(A, transforms="V").
 
     Returns (group, kernel basis, generators): the generators, one kernel
     vector per cyclic factor reduced mod n, only when asked for, else ().
@@ -145,7 +149,8 @@ def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
     n times the standard basis.
     """
     _require_trivial_relators(p, rep)
-    h1, K, witnesses = _homology(cocycle_matrix(p, rep), principal_map(rep).matrix, rep.ring, generators=True)
+    factored = snf(cocycle_matrix(p, rep), transforms="V")
+    h1, K, witnesses = _homology(factored, principal_map(rep).matrix, rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -174,7 +179,7 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     n = rep.ring.modulus
     if not (d1 * d2).mod(n).is_zero():
         raise RuntimeError("internal error: boundary maps do not compose to zero")
-    return _homology(d1, d2, rep.ring)[0]
+    return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
 
 
 def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> CohomologyResult:
@@ -195,7 +200,7 @@ def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> Cohomo
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
     outgoing = vstack(cocycle_matrix(p, rep), f.mod(n))
-    h1, K, witnesses = _homology(outgoing, IntMatrix.zeros(m, 0), rep.ring, generators=True)
+    h1, K, witnesses = _homology(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -236,7 +241,8 @@ def uct_check(
 
     Every ring reads H^1 off one J and P over Z: evaluating words commutes
     with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the
-    lattices of the action rebuilt over Z/n.
+    lattices of the action rebuilt over Z/n. J is factored once for all
+    the rings.
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
@@ -248,11 +254,11 @@ def uct_check(
         h0 = coinvariants(rep)
     if h1 is None:
         h1 = h1_homology(p, rep)
-    J = cocycle_matrix(p, rep)
+    factored = snf(cocycle_matrix(p, rep), transforms="V")
     P = principal_map(rep).matrix
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
-        computed = _homology(J, P, ring)[0]
+        computed = _homology(factored, P, ring)[0]
         expected = AbelianGroupStructure.from_cyclic_orders(
             _ext_orders(h0, ring) + _hom_orders(h1, ring)
         )

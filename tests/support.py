@@ -3,7 +3,10 @@
 Everything takes an explicit random.Random so failures reproduce.
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from twistedhom import (
     CoefficientRing,
@@ -21,6 +24,7 @@ from twistedhom import (
     unimodular_inverse,
     vstack,
 )
+from twistedhom.exactlinalg import SnfResult
 
 
 def random_word(rng: random.Random, alphabet, max_len=8) -> Word:
@@ -118,6 +122,142 @@ def row_mask_kernel_count(matrix: IntMatrix) -> int:
         for d in range(1 << matrix.cols)
         if not any((mask & d).bit_count() & 1 for mask in row_masks)
     )
+
+
+def reference_snf(matrix: IntMatrix) -> SnfResult:
+    """Reference Smith normal form: the SNF as it was before it could skip
+    building a transform or stop its pivot search at a unit, kept verbatim.
+
+    Returns U, D, V with U*matrix*V = D, both transforms unimodular, and D
+    diagonal with nonnegative entries forming a divisibility chain. Pivots
+    are always the nonzero entry of least absolute value in the working
+    block, ties broken by lowest (row, column), so the reduction is
+    deterministic.
+    """
+    m, n = matrix.rows, matrix.cols
+    d = matrix.to_rows()
+    u = IntMatrix.identity(m).to_rows()
+    v = IntMatrix.identity(n).to_rows()
+
+    def swap_rows(i1, i2):
+        if i1 != i2:
+            d[i1], d[i2] = d[i2], d[i1]
+            u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        if j1 != j2:
+            for row in d:
+                row[j1], row[j2] = row[j2], row[j1]
+            for row in v:
+                row[j1], row[j2] = row[j2], row[j1]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def add_row(src, dst, c):
+        drow, ddst = d[src], d[dst]
+        for j in range(n):
+            ddst[j] += c * drow[j]
+        urow, udst = u[src], u[dst]
+        for j in range(m):
+            udst[j] += c * urow[j]
+
+    def add_col(src, dst, c):
+        for row in d:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(d[i][j])
+                if val and (best is None or val < best):
+                    best, pivot = val, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if d[t][t] < 0:
+            negate_row(t)
+        while True:
+            for i in range(t + 1, m):
+                q = d[i][t] // d[t][t]
+                if q:
+                    add_row(t, i, -q)
+            rest = [(abs(d[i][t]), i) for i in range(t + 1, m) if d[i][t]]
+            if rest:
+                swap_rows(t, min(rest)[1])
+                if d[t][t] < 0:
+                    negate_row(t)
+                continue
+            for j in range(t + 1, n):
+                q = d[t][j] // d[t][t]
+                if q:
+                    add_col(t, j, -q)
+            rest = [(abs(d[t][j]), j) for j in range(t + 1, n) if d[t][j]]
+            if rest:
+                swap_cols(t, min(rest)[1])
+                if d[t][t] < 0:
+                    negate_row(t)
+                continue
+            break
+        # The pivot must divide every remaining entry; if it does not, fold
+        # the offending row into row t and redo this position. The pivot
+        # shrinks strictly each round, so this terminates.
+        bad = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % d[t][t]),
+            None,
+        )
+        if bad is None:
+            t += 1
+        else:
+            add_row(bad, t, 1)
+
+    flat = lambda rows: tuple(x for r in rows for x in r)
+    return SnfResult(
+        U=IntMatrix(m, m, flat(u)),
+        D=IntMatrix(m, n, flat(d)),
+        V=IntMatrix(n, n, flat(v)),
+    )
+
+
+class SnfRecorder:
+    """Stands in for snf in exactlinalg and homology, the modules that call
+    it, and records each call as (calling function, input, transforms)."""
+
+    def __init__(self, monkeypatch):
+        from twistedhom import exactlinalg, homology
+
+        self.calls = []
+        real = exactlinalg.snf
+
+        def recording(matrix, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            self.calls.append((caller, matrix, kwargs.get("transforms", "UV")))
+            return real(matrix, **kwargs)
+
+        for module in (exactlinalg, homology):
+            monkeypatch.setattr(module, "snf", recording)
+
+    def asked(self, caller: str) -> set[str]:
+        return {transforms for name, _, transforms in self.calls if name == caller}
+
+
+def chain_example(genus: int):
+    """The benchmark's chain of 2g Dehn twists, from bench/workloads.py."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].chain_example(genus)
 
 
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:

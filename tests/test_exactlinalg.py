@@ -6,7 +6,11 @@ import pytest
 from twistedhom import (
     AbelianGroupStructure,
     IntMatrix,
+    cocycle_matrix,
     exactlinalg,
+    goeritz_e2,
+    h1_cohomology,
+    h1_homology,
     hstack,
     kernel_basis,
     lattice_quotient,
@@ -15,8 +19,37 @@ from twistedhom import (
     unimodular_inverse,
     vstack,
 )
+from twistedhom.exactlinalg import TRANSFORMS, quotient_generators
 
-from support import adjugate, random_int_matrix, random_unimodular
+from support import (
+    SnfRecorder,
+    adjugate,
+    chain_example,
+    random_int_matrix,
+    random_unimodular,
+    reference_snf,
+)
+
+NOT_BUILT = IntMatrix(0, 0, ())
+
+
+def _seeded_snf_inputs():
+    """Unit-rich and unit-free matrices, with zero rows, rows repeated up to
+    sign, and 0-row or 0-column shapes."""
+    rng = random.Random(111)
+    matrices = [IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 4), IntMatrix.zeros(5, 0), IntMatrix.zeros(3, 3)]
+    pools = [(-1, 0, 0, 1, 1, 2), (0, 0, 2, -2, 3, -4, 6, 9, -15), range(-9, 10), range(-40, 41)]
+    for trial in range(240):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 10)
+        pool = pools[trial % len(pools)]
+        entries = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and trial % 2:
+            i, j = rng.sample(range(rows), 2)
+            entries[i] = [rng.choice((-1, 1)) * x for x in entries[j]]
+        if rows and trial % 3 == 0:
+            entries[rng.randrange(rows)] = [0] * cols
+        matrices.append(IntMatrix(rows, cols, tuple(x for row in entries for x in row)))
+    return matrices
 
 
 def _diag_ok(diagonal):
@@ -158,6 +191,62 @@ class TestSnf:
             assert _diag_ok(res.diagonal())
 
 
+    @pytest.mark.parametrize("transforms", TRANSFORMS)
+    def test_matches_reference_snf(self, monkeypatch, transforms):
+        # The pivot sequence does not depend on the transforms asked for, so
+        # D and each transform that is built equal the reference entry for
+        # entry; a transform not asked for is the 0x0 matrix.
+        chain, e2 = chain_example(3), goeritz_e2()
+        recorder = SnfRecorder(monkeypatch)
+        h1_homology(chain.presentation, chain.representation)
+        coordinates = [m for caller, m, _ in recorder.calls if caller == "quotient_generators"]
+        assert [(m.rows, m.cols) for m in coordinates] == [(30, 90)]
+        for example in (e2, chain):
+            h1_cohomology(example.presentation, example.representation)
+        h1_homology(e2.presentation, e2.representation)
+        J = cocycle_matrix(chain.presentation, chain.representation)
+        assert any(m == J for _, m, _ in recorder.calls)
+        monkeypatch.undo()
+        for a in _seeded_snf_inputs() + [m for _, m, _ in recorder.calls]:
+            reference = reference_snf(a)
+            res = snf(a, transforms=transforms)
+            assert res.D == reference.D
+            assert res.U == (reference.U if "U" in transforms else NOT_BUILT)
+            assert res.V == (reference.V if "V" in transforms else NOT_BUILT)
+
+    def test_default_builds_both_transforms(self):
+        a = IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])
+        assert snf(a) == snf(a, transforms="UV") == reference_snf(a)
+        with pytest.raises(ValueError, match="transforms"):
+            snf(a, transforms="VU")
+        with pytest.raises(TypeError):
+            snf(a, "V")
+
+
+class TestTransformsAsked:
+    def test_each_caller_asks_only_for_what_it_reads(self, monkeypatch):
+        recorder = SnfRecorder(monkeypatch)
+        basis = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        sub = IntMatrix.from_columns(3, [(4, 0, 2), (1, 3, 0)])
+        quotient_generators(basis, sub, generators=False)
+        assert recorder.asked("quotient_generators") == {""}
+        recorder.calls.clear()
+        quotient_generators(basis, sub)
+        assert recorder.asked("quotient_generators") == {"U"}
+        rng = random.Random(112)
+        for _ in range(10):
+            kernel_basis(random_int_matrix(rng, 3, 4))
+        lattice_quotient(basis, sub)
+        AbelianGroupStructure.from_cyclic_orders([4, 6, 0])
+        solve_in_lattice(basis, (1, 2, 3))
+        unimodular_inverse(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        assert recorder.asked("kernel_basis") == {"V"}
+        assert recorder.asked("lattice_quotient") == {""}
+        assert recorder.asked("from_cyclic_orders") == {""}
+        assert recorder.asked("solve_in_lattice") == {"UV"}
+        assert recorder.asked("unimodular_inverse") == {"UV"}
+
+
 class TestKernel:
     def test_coordinate_projection(self):
         k = kernel_basis(IntMatrix.from_rows([[1, 0]]))
@@ -288,9 +377,9 @@ class TestLatticeQuotient:
     def test_snf_count_independent_of_subgroup_size(self, monkeypatch):
         calls = []
 
-        def counting_snf(matrix):
+        def counting_snf(matrix, **kwargs):
             calls.append(matrix.cols)
-            return snf(matrix)
+            return snf(matrix, **kwargs)
 
         monkeypatch.setattr(exactlinalg, "snf", counting_snf)
         rng = random.Random(808)

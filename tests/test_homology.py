@@ -23,6 +23,7 @@ from twistedhom import (
     lattice_quotient,
     parse_word,
     principal_map,
+    snf,
     solve_in_lattice,
     toy_examples,
     uct_check,
@@ -32,7 +33,9 @@ from twistedhom import homology
 from twistedhom.homology import _kernel_over_ring, _kernel_size_mod2
 
 from support import (
+    SnfRecorder,
     adjugate,
+    chain_example,
     gf_rank,
     inverse_difference_d1,
     involuted_d2,
@@ -202,7 +205,7 @@ class TestModularKernelLattice:
                     row[column] = 2 * row[0]
             matrix = IntMatrix.from_rows(matrix)
             for n in (2, 3, 4, 6, 8, 9):
-                basis = _kernel_over_ring(matrix, n)
+                basis = _kernel_over_ring(snf(matrix, transforms="V"), n)
                 reference = _augmented_kernel_over_ring(matrix, n)
                 assert basis.rows == basis.cols == reference.cols == cols
                 assert (matrix * basis).mod(n).is_zero()
@@ -211,8 +214,8 @@ class TestModularKernelLattice:
                 assert (adjugate(reference) * basis).mod(abs(det)).is_zero()
 
     def test_zero_matrix_and_units(self):
-        assert _kernel_over_ring(IntMatrix.zeros(2, 3), 4) == IntMatrix.identity(3)
-        unit = _kernel_over_ring(IntMatrix.identity(2), 6)
+        assert _kernel_over_ring(snf(IntMatrix.zeros(2, 3), transforms="V"), 4) == IntMatrix.identity(3)
+        unit = _kernel_over_ring(snf(IntMatrix.identity(2), transforms="V"), 6)
         assert abs(unit.det()) == 36
 
 
@@ -437,6 +440,22 @@ class TestUct:
         assert all(c.match for c in comparisons)
         assert calls == {"cocycle_matrix": 1, "change_ring": 0, "build": 0}
 
+    def test_one_snf_of_the_cocycle_matrix(self, monkeypatch):
+        for example in (E2, chain_example(3)):
+            p, rep = example.presentation, example.representation
+            h0, h1 = coinvariants(rep), h1_homology(p, rep)
+            J = cocycle_matrix(p, rep)
+            built = []
+            monkeypatch.setattr(
+                homology, "cocycle_matrix", lambda *args: built.append(args) or cocycle_matrix(*args)
+            )
+            recorder = SnfRecorder(monkeypatch)
+            comparisons = uct_check(p, rep, (2, 3, 4, 8, 9), h0=h0, h1=h1)
+            monkeypatch.undo()
+            assert all(c.match for c in comparisons)
+            assert len(built) == 1
+            assert [transforms for _, m, transforms in recorder.calls if m == J] == ["V"]
+
     def test_requires_integer_action(self):
         with pytest.raises(ValueError, match="over Z"):
             uct_check(E2.presentation, rep_over(E2, 2), [2])
@@ -444,6 +463,38 @@ class TestUct:
     def test_rejects_bad_moduli(self):
         with pytest.raises(ValueError):
             uct_check(E2.presentation, E2.representation, [1])
+
+
+class TestTransformsAsked:
+    def test_kernels_and_chain_h1_build_no_u(self, monkeypatch):
+        recorder = SnfRecorder(monkeypatch)
+        factored = []
+        kernel_over_ring = homology._kernel_over_ring
+
+        def recording(res, modulus):
+            factored.append(res)
+            return kernel_over_ring(res, modulus)
+
+        monkeypatch.setattr(homology, "_kernel_over_ring", recording)
+        chain = chain_example(3)
+        assert h1_homology(chain.presentation, chain.representation) == AbelianGroupStructure(0, (2,))
+        coordinates = [t for caller, m, t in recorder.calls if caller == "quotient_generators"]
+        assert coordinates == [""]
+        for example in (E2, chain):
+            p, rep = example.presentation, example.representation
+            for ring in (CoefficientRing.integers(), CoefficientRing.modular(4)):
+                h1_cohomology(p, change_ring(rep, ring))
+            coinvariants(rep)
+            uct_check(p, rep, (2, 3))
+        kerf_reduction(E2.presentation, E2.representation, E2.kerf)
+        homology_callers = {caller for caller, _, _ in recorder.calls} - {
+            "kernel_basis", "solve_in_lattice", "quotient_generators", "lattice_quotient",
+            "from_cyclic_orders", "unimodular_inverse",
+        }
+        assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
+        assert set().union(*(recorder.asked(caller) for caller in homology_callers)) == {"V"}
+        assert factored and all(res.U == IntMatrix(0, 0, ()) for res in factored)
+        assert {t for caller, _, t in recorder.calls if caller == "quotient_generators"} <= {"", "U"}
 
 
 class TestBruteForceOracle:

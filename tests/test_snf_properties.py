@@ -1,0 +1,75 @@
+"""Property tests of the SNF for every choice of transforms, and of the
+trusted IntMatrix constructor behind the matrices exactlinalg computes."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from twistedhom import IntMatrix, hstack, snf, vstack  # noqa: E402
+from twistedhom.exactlinalg import TRANSFORMS  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_side=6, bound=30):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+def public(matrix: IntMatrix) -> IntMatrix:
+    return IntMatrix(matrix.rows, matrix.cols, tuple(matrix.entries))
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from(TRANSFORMS))
+def test_snf_invariants(a, transforms):
+    res = snf(a, transforms=transforms)
+    m, n = a.rows, a.cols
+    assert (res.D.rows, res.D.cols) == (m, n)
+    assert not any(res.D.at(i, j) for i in range(m) for j in range(n) if i != j)
+    diag = res.diagonal()
+    nonzero = [x for x in diag if x]
+    assert all(x > 0 for x in nonzero) and diag[: len(nonzero)] == tuple(nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert (res.U.rows, res.U.cols) == ((m, m) if "U" in transforms else (0, 0))
+    assert (res.V.rows, res.V.cols) == ((n, n) if "V" in transforms else (0, 0))
+    if "U" in transforms:
+        assert abs(res.U.det()) == 1
+    if "V" in transforms:
+        assert abs(res.V.det()) == 1
+    if transforms == "UV":
+        assert res.U * a * res.V == res.D
+    assert res.D == snf(a).D
+
+
+@SETTINGS
+@given(matrices(), matrices(), st.integers(-5, 5), st.integers(2, 9))
+def test_computed_matrices_equal_public_ones(a, b, c, n):
+    results = [a.transpose(), -a, a.scale(c), a.mod(n), a + a, a - a, a * a.transpose(),
+               hstack(a, a), vstack(a, a), IntMatrix.identity(a.rows), IntMatrix.zeros(a.rows, b.cols)]
+    if a.cols == b.rows:
+        results.append(a * b)
+    res = snf(a)
+    results += [res.U, res.D, res.V, snf(a, transforms="").U]
+    for matrix in results:
+        assert all(type(x) is int for x in matrix.entries)
+        assert matrix == public(matrix) and hash(matrix) == hash(public(matrix))
+
+
+@SETTINGS
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3))
+def test_public_constructor_validates(rows, cols, extra):
+    with pytest.raises(ValueError, match="entries"):
+        IntMatrix(rows, cols, (0,) * (rows * cols + extra))
+    with pytest.raises(ValueError, match="negative"):
+        IntMatrix(-extra, cols, ())
+    with pytest.raises(ValueError, match="negative"):
+        IntMatrix.zeros(rows, -extra)
+    with pytest.raises(ValueError, match="negative"):
+        IntMatrix.identity(-extra)
+    assert IntMatrix(rows, cols, [True] * (rows * cols)).entries == (1,) * (rows * cols)
