@@ -16,7 +16,7 @@ computes itself skip the entry checks of the public constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 from operator import index
 
@@ -220,19 +220,31 @@ TRANSFORMS = ("UV", "U", "V", "")
 _NOT_BUILT = IntMatrix._trusted(0, 0, ())
 
 
-def _first_unit(d: list[list[int]], t: int) -> tuple[int, int] | None:
-    """The first entry +-1 of the block d[t:][t:] in row-major order.
+def _first_index(row: list[int], x: int) -> int:
+    """Index of the first entry of row equal to x or -x."""
+    return min(row.index(y) for y in (x, -x) if y in row)
 
-    Rows from t on are zero left of column t, so whole rows are searched.
+
+def _pivot(d: list[list[int]], live: list[bool], t: int) -> tuple[int, int] | None:
+    """Position of the least |x| != 0 in the block d[t:][t:], ties broken by
+    lowest (row, column), or None when the block is zero.
+
+    The scan stops at the first row holding a unit. Rows from t on are zero
+    left of column t, so whole rows are searched. A zero row stays zero, so
+    a row found zero is marked dead in live and not read again.
     """
-    for i in range(t, len(d)):
+    best, where = 0, None
+    for i in compress(range(t, len(d)), live[t:]):
         row = d[i]
-        if not any(row):  # zero rows are common; any() passes them quickly
-            continue
-        found = [row.index(x) for x in (1, -1) if x in row]
-        if found:
-            return i, min(found)
-    return None
+        if not any(row):
+            live[i] = False
+        elif 1 in row or -1 in row:
+            return i, _first_index(row, 1)
+        else:
+            least = min(map(abs, filter(None, row)))
+            if not best or least < best:
+                best, where = least, i
+    return None if where is None else (where, _first_index(d[where], best))
 
 
 def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
@@ -260,6 +272,7 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     def swap_rows(i1, i2):
         if i1 != i2:
             d[i1], d[i2] = d[i2], d[i1]
+            live[i1], live[i2] = live[i2], live[i1]
             if u is not None:
                 u[i1], u[i2] = u[i2], u[i1]
 
@@ -288,18 +301,10 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             for row in v:
                 row[dst] += c * row[src]
 
+    live = [True] * m
     t = 0
     while t < min(m, n):
-        pivot = _first_unit(d, t)
-        if pivot is None:
-            best = 0
-            for i in range(t, m):
-                for j, x in enumerate(d[i]):
-                    if x:
-                        if x < 0:
-                            x = -x
-                        if not best or x < best:
-                            best, pivot = x, (i, j)
+        pivot = _pivot(d, live, t)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
