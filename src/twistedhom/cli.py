@@ -30,6 +30,7 @@ from .exactlinalg import AbelianGroupStructure, IntMatrix
 from .goeritzdata import NamedExample, builtin_examples
 from .homology import (
     brute_force_h1_mod2,
+    checked_cocycle_matrix,
     coinvariants,
     h1_cohomology,
     h1_homology,
@@ -307,13 +308,14 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 _attach_expectation(record, data.expected, "h0", ring, structure, failed)
                 records.append(record)
             elif computation == "coh1":
-                result = h1_cohomology(p, rep)
+                cocycles = checked_cocycle_matrix(p, rep)
+                result = h1_cohomology(p, rep, cocycles=cocycles)
                 record = _structure_record("coh1", ring, result.h1, result.witnesses)
                 _attach_expectation(record, data.expected, "coh1", ring, result.h1, failed)
                 records.append(record)
                 if data.kerf is not None:
                     try:
-                        fast = kerf_reduction(p, rep, data.kerf)
+                        fast = kerf_reduction(p, rep, data.kerf, cocycles=cocycles)
                     except (ValueError, RuntimeError) as exc:
                         records.append({"name": "coh1-kerf", "error": str(exc)})
                         failed.append("coh1-kerf")

@@ -107,22 +107,23 @@ def fox_derivative(w: Word, gen: Generator) -> GroupRingElement:
     """Free derivative of w with respect to gen.
 
     Characterized by dg/dg = 1, dh/dg = 0 for h != g, d(g^-1)/dg = -g^-1 and
-    the product rule d(uv)/dg = du/dg + u * dv/dg; computed in one pass by
-    accumulating prefix words.
+    the product rule d(uv)/dg = du/dg + u * dv/dg. The letter g at position
+    k contributes +letters[:k], the letter g^-1 there -letters[:k + 1]:
+    prefixes of a reduced word, so every term is a slice of w's letters,
+    already reduced, and no term is reduced again.
     """
     if gen not in w.alphabet:
         raise ValueError(f"generator {gen.name!r} is not in the alphabet")
-    g_index = w.alphabet.index(gen)
+    alphabet, letters = w.alphabet, w.letters
+    g_index = alphabet.index(gen)
     terms = []
-    prefix: list[tuple[int, int]] = []
-    for index, sign in w.letters:
+    for k, (index, sign) in enumerate(letters):
         if index == g_index:
             if sign > 0:
-                terms.append((Word(w.alphabet, tuple(prefix)), 1))
+                terms.append((Word._trusted(alphabet, letters[:k]), 1))
             else:
-                terms.append((Word(w.alphabet, tuple(prefix) + ((index, -1),)), -1))
-        prefix.append((index, sign))
-    return GroupRingElement(w.alphabet, terms)
+                terms.append((Word._trusted(alphabet, letters[: k + 1]), -1))
+    return GroupRingElement(alphabet, terms)
 
 
 def fundamental_identity_check(w: Word, alphabet) -> bool:

@@ -77,6 +77,17 @@ def _require_trivial_relators(p: Presentation, rep: Representation):
         raise ValueError(f"cocycle condition is ill-posed: {details}")
 
 
+def checked_cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
+    """cocycle_matrix(p, rep), after checking that every relator acts as the
+    identity (a ValueError otherwise).
+
+    The result is what h1_cohomology and kerf_reduction take as cocycles, so
+    that one J serves both, as in the coh1 stage of the CLI.
+    """
+    _require_trivial_relators(p, rep)
+    return cocycle_matrix(p, rep)
+
+
 def principal_map(rep: Representation) -> PrincipalMap:
     """The map sending u to the cocycle g -> action(g)u - u, as one matrix.
 
@@ -140,16 +151,21 @@ def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, g
     return group, K, witnesses
 
 
-def h1_cohomology(p: Presentation, rep: Representation) -> CohomologyResult:
+def h1_cohomology(
+    p: Presentation, rep: Representation, *, cocycles: IntMatrix | None = None
+) -> CohomologyResult:
     """First cohomology: cocycles modulo principal cocycles, over the ring.
 
     Over Z this is the lattice quotient of the integer kernel of the cocycle
     matrix by the principal columns. Over Z/n the cocycle lattice
     {d : J*d = 0 mod n} is quotiented by the principal columns together with
-    n times the standard basis.
+    n times the standard basis. cocycles, if given, must be
+    checked_cocycle_matrix(p, rep): J is then not built again, nor are the
+    relators checked again.
     """
-    _require_trivial_relators(p, rep)
-    factored = snf(cocycle_matrix(p, rep), transforms="V")
+    if cocycles is None:
+        cocycles = checked_cocycle_matrix(p, rep)
+    factored = snf(cocycles, transforms="V")
     h1, K, witnesses = _homology(factored, principal_map(rep).matrix, rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
@@ -182,15 +198,19 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
 
 
-def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> CohomologyResult:
+def kerf_reduction(
+    p: Presentation, rep: Representation, f: IntMatrix, *, cocycles: IntMatrix | None = None
+) -> CohomologyResult:
     """First cohomology through a splitting functional f.
 
     Requires f composed with the principal map to be invertible over the
     ring; the cocycle lattice then splits off the principal part and the
     cohomology is the group {d in Z^1 : f*d = 0}. Must agree with
-    h1_cohomology whenever the precondition holds.
+    h1_cohomology whenever the precondition holds. cocycles is as for
+    h1_cohomology; the SNF is still its own, of J stacked on f.
     """
-    _require_trivial_relators(p, rep)
+    if cocycles is None:
+        cocycles = checked_cocycle_matrix(p, rep)
     m = len(p.generators) * rep.rank
     if f.rows != rep.rank or f.cols != m:
         raise ValueError(f"f must be {rep.rank}x{m}, got {f.rows}x{f.cols}")
@@ -199,7 +219,7 @@ def kerf_reduction(p: Presentation, rep: Representation, f: IntMatrix) -> Cohomo
     det = (f * P).mod(n).det()
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
-    outgoing = vstack(cocycle_matrix(p, rep), f.mod(n))
+    outgoing = vstack(cocycles, f.mod(n))
     h1, K, witnesses = _homology(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 

@@ -70,6 +70,18 @@ class Word:
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         object.__setattr__(self, "letters", _free_reduce(letters))
 
+    @classmethod
+    def _trusted(cls, alphabet: tuple[Generator, ...], letters: tuple[tuple[int, int], ...]) -> Word:
+        """A word from a tuple alphabet and a tuple of letters, taken as is.
+
+        For letters already valid and freely reduced, such as a slice of a
+        word's letters; Word(...) checks and reduces its letters.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+        return self
+
     def __len__(self):
         return len(self.letters)
 

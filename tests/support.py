@@ -10,6 +10,8 @@ from pathlib import Path
 
 from twistedhom import (
     CoefficientRing,
+    Generator,
+    GroupRingElement,
     IntMatrix,
     Presentation,
     Representation,
@@ -83,6 +85,28 @@ def term_by_term_group_ring(rep: Representation, element) -> IntMatrix:
     for word, coeff in element.terms.items():
         total = total + evaluate_word(rep, word).scale(coeff)
     return total.mod(rep.ring.modulus)
+
+
+def reference_fox_derivative(w: Word, gen: Generator) -> GroupRingElement:
+    """Reference free derivative: every term built as Word(...) of a copied
+    prefix, so each one is validated and freely reduced again."""
+    if gen not in w.alphabet:
+        raise ValueError(f"generator {gen.name!r} is not in the alphabet")
+    g_index = w.alphabet.index(gen)
+    terms = []
+    prefix: list[tuple[int, int]] = []
+    for index, sign in w.letters:
+        if index == g_index:
+            if sign > 0:
+                terms.append((Word(w.alphabet, tuple(prefix)), 1))
+            else:
+                terms.append((Word(w.alphabet, tuple(prefix) + ((index, -1),)), -1))
+        prefix.append((index, sign))
+    return GroupRingElement(w.alphabet, terms)
+
+
+def is_freely_reduced(letters) -> bool:
+    return all(a != (b[0], -b[1]) for a, b in zip(letters, letters[1:]))
 
 
 def involuted_d2(p: Presentation, rep: Representation) -> IntMatrix:

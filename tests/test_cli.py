@@ -1,8 +1,17 @@
 import json
+import sys
 
 import pytest
 
-from twistedhom import AbelianGroupStructure, goeritz_e2
+from twistedhom import (
+    AbelianGroupStructure,
+    CoefficientRing,
+    IntMatrix,
+    change_ring,
+    goeritz_e2,
+    h1_cohomology,
+    kerf_reduction,
+)
 from twistedhom.cli import (
     MAX_GENERATORS,
     MAX_RANK,
@@ -133,6 +142,82 @@ def record_by_name(records, name):
     matches = [r for r in records if r["name"] == name]
     assert len(matches) == 1, name
     return matches[0]
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of the package function ``name`` through every
+    twistedhom module that binds it; returns the list of calls."""
+    calls = []
+    modules = [m for key, m in sorted(sys.modules.items()) if key.split(".")[0] == "twistedhom"]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def structure_record(name, ring, result):
+    return {
+        "name": name,
+        "ring": str(ring),
+        "free_rank": result.h1.free_rank,
+        "torsion": list(result.h1.torsion),
+        "structure": str(result.h1),
+        "witnesses": [list(w) for w in result.witnesses],
+    }
+
+
+class TestCoh1Stage:
+    """One coh1 stage builds J and checks the relators once, and gives the
+    records that h1_cohomology and kerf_reduction give on their own."""
+
+    @pytest.mark.parametrize("modulus", [0, 2])
+    def test_one_cocycle_matrix_and_one_relator_check(self, monkeypatch, modulus):
+        ring = CoefficientRing(modulus)
+        ex = goeritz_e2()
+        rep = change_ring(ex.representation, ring)
+        full = h1_cohomology(ex.presentation, rep)
+        fast = kerf_reduction(ex.presentation, rep, ex.kerf)
+        builds = count_calls(monkeypatch, "cocycle_matrix")
+        checks = count_calls(monkeypatch, "check_relators_trivial")
+        status, records = run(JobSpec(example="e2", ring=ring, computations=("coh1",)))
+        assert (len(builds), len(checks)) == (1, 1)
+        assert status == 0
+        coh1 = record_by_name(records, "coh1")
+        assert {k: v for k, v in coh1.items() if k not in ("expected", "match")} == structure_record("coh1", ring, full)
+        assert coh1["match"] is True
+        assert record_by_name(records, "coh1-kerf") == structure_record("coh1-kerf", ring, fast)
+
+    def test_nontrivial_relator_is_the_same_coh1_error(self, tmp_path):
+        text = "generators: a\nrelator: a a\nring: Z\nrank: 2\naction a: [0 -1; 1 0]\nkerf: [1 0]\n"
+        path = tmp_path / "bad.grp"
+        path.write_text(text)
+        parsed = parse_input_file(text)
+        with pytest.raises(ValueError) as err:
+            h1_cohomology(parsed.presentation, parsed.representation)
+        status, records = run(JobSpec(path=str(path), computations=("coh1",)))
+        assert status == 1
+        assert records == [
+            {"name": "coh1", "error": str(err.value)},
+            {"name": "summary", "exit_status": 1, "failed_stages": ["coh1"]},
+        ]
+
+    def test_kerf_of_the_wrong_shape_is_the_same_kerf_error(self, tmp_path):
+        path = tmp_path / "wide.grp"
+        path.write_text(SMALL + "kerf: [1 0]\n")
+        parsed = parse_input_file(SMALL)
+        with pytest.raises(ValueError) as err:
+            kerf_reduction(parsed.presentation, parsed.representation, IntMatrix.from_rows([[1, 0]]))
+        status, records = run(JobSpec(path=str(path), computations=("coh1",)))
+        assert status == 1
+        assert record_by_name(records, "coh1")["structure"] == "Z/2"
+        assert record_by_name(records, "coh1-kerf") == {"name": "coh1-kerf", "error": str(err.value)}
+        assert record_by_name(records, "summary")["failed_stages"] == ["coh1-kerf"]
 
 
 class TestRun:

@@ -6,6 +6,7 @@ from twistedhom import (
     Generator,
     GroupRingElement,
     Presentation,
+    Word,
     cocycle_matrix,
     fox_derivative,
     fundamental_identity_check,
@@ -15,7 +16,7 @@ from twistedhom import (
     principal_map,
 )
 
-from support import random_word
+from support import is_freely_reduced, random_word, reference_fox_derivative
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -86,6 +87,53 @@ class TestFoxDerivative:
             g = ABGD[rng.randrange(4)]
             expected = fox_derivative(u, g) + GroupRingElement.from_word(u) * fox_derivative(v, g)
             assert fox_derivative(multiply(u, v), g) == expected
+
+
+def reduced_word(rng, alphabet, length):
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randrange(len(alphabet)), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(alphabet, tuple(letters))
+
+
+class TestFoxDerivativeMatchesReference:
+    """fox_derivative slices its terms out of the word; the reference builds
+    and reduces every term again. Equal as group-ring elements, with every
+    term freely reduced. Equal term dicts mean every sliced word hashes and
+    compares like the word Word(...) builds from the same letters."""
+
+    @staticmethod
+    def assert_matches(w):
+        for gen in w.alphabet:
+            derivative = fox_derivative(w, gen)
+            assert derivative == reference_fox_derivative(w, gen)
+            assert all(is_freely_reduced(word.letters) for word in derivative.terms)
+
+    def test_empty_word(self):
+        w = Word(ABGD)
+        self.assert_matches(w)
+        assert all(fox_derivative(w, gen) == GroupRingElement.zero(ABGD) for gen in ABGD)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a^-1", "a^-1 b", "b a^-1", "a^-1 b a^-1", "a^-1 a^-1 b a", "b a a^-1 a^-1 a^-1", "a^-1 d^-1 g a^-1 d"],
+    )
+    def test_inverse_letter_at_either_end(self, text):
+        self.assert_matches(parse_word(text, ABGD))
+
+    def test_long_word(self):
+        w = reduced_word(random.Random(25), ABGD, 2000)
+        assert len(w) == 2000
+        self.assert_matches(w)
+
+    def test_seeded_words(self):
+        rng = random.Random(26)
+        for _ in range(100):
+            names = [f"g{i}" for i in range(rng.randint(1, 4))]
+            alphabet = tuple(Generator(n) for n in names)
+            self.assert_matches(random_word(rng, alphabet, 30))
 
 
 class TestFundamentalIdentity:
