@@ -34,7 +34,7 @@ print("d(adad^-1)/dd =", fox_derivative(w, d))
 #   sum_g (dw/dg)(g - 1) = w - 1,
 # which is a strong cross-check on the implementation.
 w = parse_word("g b^-1 g d a^-1 d", gens)
-print("summation identity holds:", fundamental_identity_check(w, gens))
+print("summation identity holds:", fundamental_identity_check(w))
 
 # Group-ring elements form a ring; the involution w -> w^-1 reverses
 # products and is what converts the cocycle conditions into homology

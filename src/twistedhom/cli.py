@@ -1,9 +1,10 @@
 """Command-line front end and the group-description file format.
 
 The input format is UTF-8 and line-oriented; blank lines and lines starting
-with '#' are skipped::
+with '#' are skipped. Every key but relator and relation appears at most
+once; "action a" and "expect h1" are keys of their own::
 
-    generators: a b g d           # at most MAX_GENERATORS (256)
+    generators: a b g d           # distinct names, at most MAX_GENERATORS (256)
     relator: a a                  # one relator per line, or:
     relation: a d a = d           # contributes the relator (lhs)(rhs)^-1
     ring: Z                       # or Z/4; a --ring flag overrides this
@@ -106,10 +107,10 @@ def _format_matrix(matrix: IntMatrix) -> str:
 def parse_input_file(text: str) -> ParsedInput:
     """Parse the documented format into validated objects.
 
-    Raises InputFormatError with a line number for syntax problems, a rank
-    outside 1..MAX_RANK, more than MAX_GENERATORS generators, a relator of
-    more than MAX_WORD_LETTERS letters, dimension mismatches, unknown
-    generators and non-invertible actions.
+    Raises InputFormatError with a line number for syntax problems, a
+    repeated key or generator name, a rank outside 1..MAX_RANK, more than
+    MAX_GENERATORS generators, a relator of more than MAX_WORD_LETTERS
+    letters, dimension mismatches, unknown generators and non-invertible actions.
     """
     generators: tuple[Generator, ...] | None = None
     names: set[str] = set()
@@ -119,6 +120,7 @@ def parse_input_file(text: str) -> ParsedInput:
     actions: dict[str, tuple[IntMatrix, int]] = {}
     form = kerf = None
     expected: dict[str, AbelianGroupStructure] = {}
+    first_line: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()  # '#' cannot occur in any value
@@ -129,6 +131,11 @@ def parse_input_file(text: str) -> ParsedInput:
             raise InputFormatError(f"expected 'key: value', got {line!r}", lineno)
         key = key.strip()
         value = value.strip()
+        if key not in ("relator", "relation"):
+            canonical = " ".join(key.split())
+            if canonical in first_line:
+                raise InputFormatError(f"repeated {canonical!r} line (first on line {first_line[canonical]})", lineno)
+            first_line[canonical] = lineno
 
         if key == "generators":
             tokens = value.split()
@@ -139,6 +146,9 @@ def parse_input_file(text: str) -> ParsedInput:
             except ValueError as exc:
                 raise InputFormatError(str(exc), lineno) from None
             names = {g.name for g in generators}
+            if len(names) != len(generators):
+                repeated = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
+                raise InputFormatError(f"generator {repeated!r} is declared twice", lineno)
         elif key in ("relator", "relation"):
             if generators is None:
                 raise InputFormatError("generators must be declared first", lineno)

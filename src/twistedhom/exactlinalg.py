@@ -356,6 +356,29 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     )
 
 
+def _kernel_over_ring(factored: SnfResult, modulus: int) -> IntMatrix:
+    """Basis of {v : A*v = 0} over Z, or of {v in Z^cols : A*v = 0 mod n},
+    read off U*A*V = D, one SNF of A over Z; only V and D are read.
+
+    v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
+    because U is unimodular. So the mod-n lattice has the basis
+    V * diag(n / gcd(d_j, n)), where d_j = 0 past the diagonal and
+    gcd(0, n) = n; V unimodular makes the columns independent. Over Z the
+    basis is the columns of V with d_j = 0.
+    """
+    V = factored.V
+    diag = factored.diagonal()
+    diag += (0,) * (V.cols - len(diag))
+    if modulus == 0:
+        return IntMatrix.from_columns(V.rows, [V.column(j) for j, x in enumerate(diag) if x == 0])
+    scales = [modulus // gcd(x, modulus) for x in diag]
+    return IntMatrix._trusted(
+        V.rows,
+        V.cols,
+        tuple(x * scale for i in range(V.rows) for x, scale in zip(V.row(i), scales)),
+    )
+
+
 def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {v : matrix * v = 0}, one basis vector per column.
 
@@ -363,10 +386,7 @@ def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     diagonal positions; V being unimodular makes the returned sublattice
     saturated (a direct summand of Z^cols).
     """
-    res = snf(matrix, transforms="V")
-    diag = res.diagonal()
-    keep = [j for j in range(matrix.cols) if j >= len(diag) or diag[j] == 0]
-    return IntMatrix.from_columns(matrix.cols, [res.V.column(j) for j in keep])
+    return _kernel_over_ring(snf(matrix, transforms="V"), 0)
 
 
 def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[tuple[int, ...] | None]:

@@ -17,17 +17,16 @@ from .words import Generator, Word, invert, word_to_text
 class GroupRingElement:
     """A finite integer combination of free-group words.
 
-    Immutable by convention; ``terms`` maps each word to its nonzero
-    coefficient.
+    Built from (word, coefficient) pairs and immutable by convention;
+    ``terms`` maps each word to its nonzero coefficient.
     """
 
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, terms=()):
         self.alphabet = tuple(alphabet)
-        items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[Word, int] = {}
-        for word, coeff in items:
+        for word, coeff in terms:
             if word.alphabet != self.alphabet:
                 raise ValueError("alphabet mismatch")
             c = clean.get(word, 0) + int(coeff)
@@ -126,11 +125,9 @@ def fox_derivative(w: Word, gen: Generator) -> GroupRingElement:
     return GroupRingElement(alphabet, terms)
 
 
-def fundamental_identity_check(w: Word, alphabet) -> bool:
-    """Check sum over g of (dw/dg) * (g - 1) == w - 1 in the group ring."""
-    alphabet = tuple(alphabet)
-    if w.alphabet != alphabet:
-        raise ValueError("alphabet mismatch")
+def fundamental_identity_check(w: Word) -> bool:
+    """Check sum over g in w's alphabet of (dw/dg) * (g - 1) == w - 1 in the group ring."""
+    alphabet = w.alphabet
     total = GroupRingElement.zero(alphabet)
     one = GroupRingElement.one(alphabet)
     for index, gen in enumerate(alphabet):

@@ -24,6 +24,7 @@ from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
     SnfResult,
+    _kernel_over_ring,
     hstack,
     quotient_generators,
     snf,
@@ -40,6 +41,10 @@ from .representation import (
     dual,
     evaluate_group_ring,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
 )
+
+
+# The mod-2 oracle walks 2^bits candidates; 20 bits is about a million.
+ORACLE_MAX_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -109,29 +114,6 @@ def coinvariants(rep: Representation) -> AbelianGroupStructure:
     """
     d1 = principal_map(dual(rep)).matrix.transpose()
     return _homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
-
-
-def _kernel_over_ring(factored: SnfResult, modulus: int) -> IntMatrix:
-    """Basis of {v : A*v = 0} over Z, or of {v in Z^cols : A*v = 0 mod n},
-    read off U*A*V = D, one SNF of A over Z; only V and D are read.
-
-    v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
-    because U is unimodular. So the mod-n lattice has the basis
-    V * diag(n / gcd(d_j, n)), where d_j = 0 past the diagonal and
-    gcd(0, n) = n; V unimodular makes the columns independent. Over Z the
-    basis is the columns of V with d_j = 0.
-    """
-    V = factored.V
-    diag = factored.diagonal()
-    diag += (0,) * (V.cols - len(diag))
-    if modulus == 0:
-        return IntMatrix.from_columns(V.rows, [V.column(j) for j, x in enumerate(diag) if x == 0])
-    scales = [modulus // gcd(x, modulus) for x in diag]
-    return IntMatrix(
-        V.rows,
-        V.cols,
-        tuple(x * scale for i in range(V.rows) for x, scale in zip(V.row(i), scales)),
-    )
 
 
 def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
@@ -246,18 +228,11 @@ def _ext_orders(structure: AbelianGroupStructure, ring: CoefficientRing) -> list
     return [gcd(d, ring.modulus) for d in structure.torsion]
 
 
-def uct_check(
-    p: Presentation,
-    rep: Representation,
-    moduli,
-    h0: AbelianGroupStructure | None = None,
-    h1: AbelianGroupStructure | None = None,
-) -> list[UctComparison]:
+def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctComparison]:
     """Cross-check H^1 against Ext(H_0, A) + Hom(H_1, A) for A = Z and each Z/n.
 
-    The action must be over Z. h0 and h1 default to the computed
-    coinvariants and first homology; passing explicit values is a hook for
-    corruption tests.
+    The action must be over Z. H_0 and H_1 are the computed coinvariants
+    and first homology.
 
     Every ring reads H^1 off one J and P over Z: evaluating words commutes
     with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the
@@ -269,11 +244,8 @@ def uct_check(
     moduli = [int(n) for n in moduli]
     if any(n < 2 for n in moduli):
         raise ValueError("moduli must all be >= 2")
-    _require_trivial_relators(p, rep)
-    if h0 is None:
-        h0 = coinvariants(rep)
-    if h1 is None:
-        h1 = h1_homology(p, rep)
+    h1 = h1_homology(p, rep)  # checks that every relator acts as the identity
+    h0 = coinvariants(rep)
     factored = snf(cocycle_matrix(p, rep), transforms="V")
     P = principal_map(rep).matrix
     comparisons = []
@@ -300,25 +272,20 @@ def _kernel_size_mod2(matrix: IntMatrix) -> int:
     return count
 
 
-def brute_force_h1_mod2(p: Presentation, rep: Representation, max_bits: int = 20) -> OracleCounts:
+def brute_force_h1_mod2(p: Presentation, rep: Representation) -> OracleCounts:
     """Exhaustive mod-2 oracle, independent of the lattice machinery.
 
     Enumerates every one of the 2^(#generators * rank) candidate cocycle
-    vectors, counts those annihilated by the cocycle matrix mod 2, counts
-    the distinct principal cocycles mod 2, and divides. Refuses when the
-    bit count exceeds max_bits.
+    vectors and counts those annihilated by the cocycle matrix mod 2. The
+    principal cocycles mod 2 number 2^rank over the size of the kernel of
+    the principal map mod 2, counted the same way. Refuses when the bit
+    count exceeds ORACLE_MAX_BITS.
     """
     rep2 = change_ring(rep, CoefficientRing.modular(2))
     _require_trivial_relators(p, rep2)
     bits = len(p.generators) * rep2.rank
-    if bits > max_bits:
-        raise ValueError(f"enumeration over {bits} bits exceeds the bound of {max_bits}")
+    if bits > ORACLE_MAX_BITS:
+        raise ValueError(f"enumeration over {bits} bits exceeds the bound of {ORACLE_MAX_BITS}")
     z1 = _kernel_size_mod2(cocycle_matrix(p, rep2))
-    P = principal_map(rep2).matrix
-    images = set()
-    for u in range(1 << rep2.rank):
-        vector = [(u >> j) & 1 for j in range(rep2.rank)]
-        image = P.apply(vector)
-        images.add(sum((value & 1) << i for i, value in enumerate(image)))
-    b1 = len(images)
+    b1 = (1 << rep2.rank) // _kernel_size_mod2(principal_map(rep2).matrix)
     return OracleCounts(z1, b1, z1 // b1)

@@ -41,9 +41,6 @@ class CoefficientRing:
             return cls(int(text[2:]))
         raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)")
 
-    def reduce(self, value: int) -> int:
-        return value % self.modulus if self.modulus else value
-
     def is_unit(self, value: int) -> bool:
         if self.modulus == 0:
             return value in (1, -1)
@@ -111,14 +108,22 @@ def change_ring(rep: Representation, ring: CoefficientRing) -> Representation:
     is unchanged.
 
     Allowed from Z to anything, and from Z/n to Z/m when m divides n; other
-    changes have no canonical reduction map.
+    changes have no canonical reduction map. The stored matrices and their
+    inverses are reduced mod m, and nothing is inverted again: reduction is
+    a ring map, so M^-1 mod m is the unique inverse of M mod m.
     """
     if ring == rep.ring:
         return rep
-    old = rep.ring.modulus
-    if old != 0 and (ring.modulus == 0 or old % ring.modulus):
+    old, m = rep.ring.modulus, ring.modulus
+    if old != 0 and (m == 0 or old % m):
         raise ValueError(f"cannot change coefficients from {rep.ring} to {ring}")
-    return Representation.build(ring, rep.alphabet, rep.matrices, rank=rep.rank)
+    return Representation(
+        ring,
+        rep.rank,
+        rep.alphabet,
+        tuple(matrix.mod(m) for matrix in rep.matrices),
+        tuple(matrix.mod(m) for matrix in rep.inverse_matrices),
+    )
 
 
 def dual(rep: Representation) -> Representation:

@@ -148,6 +148,17 @@ def row_mask_kernel_count(matrix: IntMatrix) -> int:
     )
 
 
+def distinct_images_mod2(matrix: IntMatrix) -> int:
+    """Number of distinct matrix*u mod 2 over every u in (Z/2)^cols, one
+    product per u: the principal count of the mod-2 oracle as it was before
+    it counted the kernel instead."""
+    images = set()
+    for u in range(1 << matrix.cols):
+        image = matrix.apply([(u >> j) & 1 for j in range(matrix.cols)])
+        images.add(sum((value & 1) << i for i, value in enumerate(image)))
+    return len(images)
+
+
 def reference_snf(matrix: IntMatrix) -> SnfResult:
     """Reference Smith normal form: the SNF as it was before it could skip
     building a transform or stop its pivot search at a unit, kept verbatim.

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -137,6 +138,33 @@ class TestParseInputFile:
     def test_comments_and_blank_lines(self):
         parse_input_file("# comment\n\n" + SMALL)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("generators: a", "repeated 'generators' line (first on line 1)"),
+            ("ring: Z/2", "repeated 'ring' line (first on line 3)"),
+            ("rank: 1", "repeated 'rank' line (first on line 4)"),
+            ("action  a: [1]", "repeated 'action a' line (first on line 5)"),
+            ("form: [1]\nform: [2]", "repeated 'form' line (first on line 6)"),
+            ("kerf: [1]\nkerf: [2]", "repeated 'kerf' line (first on line 6)"),
+            ("expect h1: 0\nexpect h1: Z", "repeated 'expect h1' line (first on line 6)"),
+        ],
+    )
+    def test_repeated_key_names_its_line(self, extra, message):
+        text = SMALL + extra + "\n"
+        with pytest.raises(InputFormatError, match=re.escape(message)) as err:
+            parse_input_file(text)
+        assert err.value.line == text.count("\n")
+
+    def test_relator_and_relation_may_repeat(self):
+        parsed = parse_input_file(SMALL + "relator: a^-2\nrelation: a = a^-1\n")
+        assert len(parsed.presentation.relators) == 3
+
+    def test_generator_declared_twice_names_its_line(self):
+        with pytest.raises(InputFormatError, match="generator 'a' is declared twice") as err:
+            parse_input_file("# header\ngenerators: a b a\nrank: 1\naction a: [1]\naction b: [1]\n")
+        assert err.value.line == 2
+
 
 def record_by_name(records, name):
     matches = [r for r in records if r["name"] == name]
@@ -236,6 +264,27 @@ class TestRun:
         monkeypatch.setattr(Representation, "build", classmethod(counting))
         status, _ = run(JobSpec(path=str(path), computations=("h1",)))
         assert status == 0 and len(builds) == 1
+
+    @pytest.mark.parametrize("computation, modulus", [("coh1", 2), ("oracle", 0)])
+    def test_a_ring_change_inverts_no_action_again(self, tmp_path, monkeypatch, computation, modulus):
+        from twistedhom import Representation, representation
+
+        path = tmp_path / "e2.grp"
+        path.write_text(E2_TEXT)
+        builds, inverses = [], []
+        build, inverse = Representation.build.__func__, representation.unimodular_inverse
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Representation, "build", classmethod(counting))
+        monkeypatch.setattr(representation, "unimodular_inverse", lambda *args: inverses.append(args) or inverse(*args))
+        job = JobSpec(path=str(path), ring=CoefficientRing(modulus), computations=(computation,))
+        status, _ = run(job)
+        assert status == 0
+        # One build when the file is parsed, inverting each of e2's four actions.
+        assert (len(builds), len(inverses)) == (1, 4)
 
     def test_e2_h1_over_z(self):
         status, records = run(JobSpec(example="e2", computations=("h1",)))

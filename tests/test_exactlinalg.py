@@ -268,6 +268,12 @@ class TestKernel:
             a = random_int_matrix(rng, rows, cols)
             k = kernel_basis(a)
             assert (a * k).is_zero()
+            # The basis is the columns of V at the zero diagonal positions
+            # of the reference SNF.
+            ref = reference_snf(a)
+            diag = ref.diagonal()
+            zero = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
+            assert k == IntMatrix.from_columns(cols, [ref.V.column(j) for j in zero])
             # Saturation: the basis extends to a basis of Z^cols, which is
             # equivalent to its SNF diagonal being all ones.
             if k.cols:

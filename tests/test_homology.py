@@ -36,6 +36,7 @@ from support import (
     SnfRecorder,
     adjugate,
     chain_example,
+    distinct_images_mod2,
     gf_rank,
     inverse_difference_d1,
     involuted_d2,
@@ -385,6 +386,15 @@ class TestKerfReduction:
             assert all(v % 2 == 0 for v in E2.kerf.apply(witness))
 
 
+def fixed_homology(monkeypatch, example):
+    """Make uct_check read H_0 and H_1 of example as computed up front, so
+    that a count of its calls sees its own work only."""
+    p, rep = example.presentation, example.representation
+    h0, h1 = coinvariants(rep), h1_homology(p, rep)
+    monkeypatch.setattr(homology, "coinvariants", lambda rep: h0)
+    monkeypatch.setattr(homology, "h1_homology", lambda p, rep: h1)
+
+
 class TestUct:
     def test_e2_consistent(self):
         comparisons = uct_check(E2.presentation, E2.representation, [2, 3, 4, 8])
@@ -397,13 +407,9 @@ class TestUct:
         assert all(c.match for c in comparisons)
         assert all(c.computed.is_trivial() for c in comparisons)
 
-    def test_corrupted_h1_reported(self):
-        comparisons = uct_check(
-            E2.presentation,
-            E2.representation,
-            [2, 3],
-            h1=AbelianGroupStructure(0, (3,)),
-        )
+    def test_corrupted_h1_reported(self, monkeypatch):
+        monkeypatch.setattr(homology, "h1_homology", lambda p, rep: AbelianGroupStructure(0, (3,)))
+        comparisons = uct_check(E2.presentation, E2.representation, [2, 3])
         assert not all(c.match for c in comparisons)
 
     def test_matches_per_ring_route(self):
@@ -421,8 +427,7 @@ class TestUct:
                 assert c.computed == h1_cohomology(p, change_ring(rep, c.ring)).h1
 
     def test_one_cocycle_matrix_and_no_rebuild(self, monkeypatch):
-        h0 = coinvariants(E2.representation)
-        h1 = h1_homology(E2.presentation, E2.representation)
+        fixed_homology(monkeypatch, E2)
         calls = {"cocycle_matrix": 0, "change_ring": 0, "build": 0}
 
         def counted(name, func):
@@ -436,21 +441,21 @@ class TestUct:
         monkeypatch.setattr(homology, "change_ring", counted("change_ring", homology.change_ring))
         build = Representation.__dict__["build"].__func__
         monkeypatch.setattr(Representation, "build", classmethod(counted("build", build)))
-        comparisons = uct_check(E2.presentation, E2.representation, [2, 3, 4, 8], h0=h0, h1=h1)
+        comparisons = uct_check(E2.presentation, E2.representation, [2, 3, 4, 8])
         assert all(c.match for c in comparisons)
         assert calls == {"cocycle_matrix": 1, "change_ring": 0, "build": 0}
 
     def test_one_snf_of_the_cocycle_matrix(self, monkeypatch):
         for example in (E2, chain_example(3)):
             p, rep = example.presentation, example.representation
-            h0, h1 = coinvariants(rep), h1_homology(p, rep)
+            fixed_homology(monkeypatch, example)
             J = cocycle_matrix(p, rep)
             built = []
             monkeypatch.setattr(
                 homology, "cocycle_matrix", lambda *args: built.append(args) or cocycle_matrix(*args)
             )
             recorder = SnfRecorder(monkeypatch)
-            comparisons = uct_check(p, rep, (2, 3, 4, 8, 9), h0=h0, h1=h1)
+            comparisons = uct_check(p, rep, (2, 3, 4, 8, 9))
             monkeypatch.undo()
             assert all(c.match for c in comparisons)
             assert len(built) == 1
@@ -517,6 +522,15 @@ class TestBruteForceOracle:
             counts = brute_force_h1_mod2(example.presentation, example.representation)
             engine = h1_cohomology(example.presentation, rep_over(example, 2))
             assert counts.h1_count == engine.h1.order()
+
+    def test_principal_count_matches_distinct_images(self):
+        rng = random.Random(48)
+        pairs = [(ex.presentation, ex.representation) for ex in [E2, *TOYS.values(), chain_example(2)]]
+        pairs += [perturbed_pair(rng) for _ in range(12)]
+        for p, rep in pairs:
+            if rep.ring.modulus % 2 == 0:  # Z, Z/2 and Z/4 reduce to Z/2
+                P = principal_map(change_ring(rep, CoefficientRing(2))).matrix
+                assert brute_force_h1_mod2(p, rep).b1_count == distinct_images_mod2(P)
 
     def test_gray_code_count_matches_row_mask_reference(self):
         rng = random.Random(47)

@@ -10,6 +10,7 @@ from twistedhom import (
     Presentation,
     Representation,
     Word,
+    builtin_examples,
     change_ring,
     check_bilinear_form_preserved,
     check_relators_trivial,
@@ -25,7 +26,7 @@ from twistedhom import (
     unimodular_inverse,
 )
 
-from support import random_unimodular, random_word, term_by_term_group_ring
+from support import chain_example, random_unimodular, random_word, term_by_term_group_ring
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -247,6 +248,18 @@ class TestChangeRing:
         assert change_ring(rep, rep.ring) is rep
         rep4 = change_ring(rep, CoefficientRing.modular(4))
         assert change_ring(rep4, CoefficientRing.modular(4)) is rep4
+
+    @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["chain3"])
+    def test_reduction_is_the_rebuild(self, name):
+        # Reduction mod m is a ring map, so reducing the stored inverses gives
+        # entry for entry the inverses a rebuild over Z/m computes.
+        rep = chain_example(3).representation if name == "chain3" else builtin_examples()[name].representation
+        for moduli in ([2], [3], [4], [8], [8, 4, 2]):
+            changed = rep
+            for modulus in moduli:
+                ring = CoefficientRing(modulus)
+                changed = change_ring(changed, ring)
+                assert changed == Representation.build(ring, rep.alphabet, rep.matrices, rank=rep.rank)
 
     def test_invalid_changes(self):
         rep3 = change_ring(E2.representation, CoefficientRing.modular(3))
