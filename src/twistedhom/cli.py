@@ -12,12 +12,13 @@ once; "action a" and "expect h1" are keys of their own::
     action a: [-1 0 0 0; 0 -1 0 0; 0 0 -1 0; 0 0 0 -1]
     form: [...]                   # optional bilinear form to check
     kerf: [...]                   # optional splitting functional
-    expect h1: Z/2 + Z/2          # optional; "expect coh1[Z/2]: ..." pins a ring
+    expect h1: Z/2 + Z/2          # optional: h0, coh1 or h1, or e.g. coh1[Z/2] to pin a ring
 
 Action matrices are written row by row ('rows separated by ;'); their
-columns are the images of the module basis vectors. Exit status is 0 only
-if every requested diagnostic passes and every applicable expectation
-matches.
+columns are the images of the module basis vectors. A rejected line,
+the library's own checks included, is reported as "line N: <reason>".
+Exit status is 0 only if every requested diagnostic passes and every
+applicable expectation matches.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .homology import (
 )
 from .presentation import Presentation, from_equations, validate
 from .representation import (
+    ActionError,
     CoefficientRing,
     Representation,
     change_ring,
     check_bilinear_form_preserved,
     check_relators_trivial,
 )
-from .words import MAX_WORD_LETTERS, Generator, ParseError, parse_word, word_to_text
+from .words import MAX_WORD_LETTERS, Generator, parse_word, word_to_text
 
 COMPUTATION_ORDER = ("check", "h0", "coh1", "h1", "uct", "oracle")
 UCT_MODULI = (2, 3, 4, 8)
@@ -84,18 +86,15 @@ class JobSpec:
     computations: tuple[str, ...] = ("check", "h0", "coh1", "h1")
 
 
-def _parse_matrix(text: str, line: int) -> IntMatrix:
-    text = text.strip()
+def _parse_matrix(text: str) -> IntMatrix:
     if not (text.startswith("[") and text.endswith("]")):
-        raise InputFormatError("matrix must be enclosed in [ ]", line)
+        raise ValueError("matrix must be enclosed in [ ]")
     rows = []
     for chunk in text[1:-1].split(";"):
         try:
             rows.append([int(tok) for tok in chunk.split()])
         except ValueError:
-            raise InputFormatError(f"bad matrix entry in {chunk.strip()!r}", line) from None
-    if len({len(r) for r in rows}) > 1:
-        raise InputFormatError("matrix rows have unequal lengths", line)
+            raise ValueError(f"bad matrix entry in {chunk.strip()!r}") from None
     return IntMatrix.from_rows(rows)
 
 
@@ -104,20 +103,31 @@ def _format_matrix(matrix: IntMatrix) -> str:
     return "[" + ";  ".join(rows) + "]"
 
 
+def _expect_name(text: str) -> str:
+    """Canonical form of an expect name: h0, coh1 or h1, optionally followed
+    by [ring] for any ring CoefficientRing.parse accepts."""
+    if not text:
+        raise ValueError("expect needs a result name")
+    name, bracket, ring = text.partition("[")
+    if name not in ("h0", "coh1", "h1") or (bracket and not ring.endswith("]")):
+        raise ValueError(f"unknown result {text!r} (expected h0, coh1 or h1, optionally followed by [ring])")
+    return f"{name}[{CoefficientRing.parse(ring[:-1])}]" if bracket else name
+
+
 def parse_input_file(text: str) -> ParsedInput:
     """Parse the documented format into validated objects.
 
     Raises InputFormatError with a line number for syntax problems, a
     repeated key or generator name, a rank outside 1..MAX_RANK, more than
     MAX_GENERATORS generators, a relator of more than MAX_WORD_LETTERS
-    letters, dimension mismatches, unknown generators and non-invertible actions.
+    letters, a bad expect name, and any value the library rejects.
     """
     generators: tuple[Generator, ...] | None = None
     names: set[str] = set()
     relators = []
     ring = CoefficientRing.integers()
     rank: int | None = None
-    actions: dict[str, tuple[IntMatrix, int]] = {}
+    actions: dict[str, IntMatrix] = {}
     form = kerf = None
     expected: dict[str, AbelianGroupStructure] = {}
     first_line: dict[str, int] = {}
@@ -126,112 +136,84 @@ def parse_input_file(text: str) -> ParsedInput:
         line = raw.split("#", 1)[0].strip()  # '#' cannot occur in any value
         if not line:
             continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise InputFormatError(f"expected 'key: value', got {line!r}", lineno)
-        key = key.strip()
-        value = value.strip()
-        if key not in ("relator", "relation"):
-            canonical = " ".join(key.split())
-            if canonical in first_line:
-                raise InputFormatError(f"repeated {canonical!r} line (first on line {first_line[canonical]})", lineno)
-            first_line[canonical] = lineno
+        try:
+            key, sep, value = line.partition(":")
+            if not sep:
+                raise ValueError(f"expected 'key: value', got {line!r}")
+            key, value = key.strip(), value.strip()
+            parts = key.split() or [""]
+            if parts[0] == "expect":
+                name = _expect_name(key[len("expect") :].strip())
+                canonical = f"expect {name}"
+            else:
+                canonical = " ".join(parts)
+            if key not in ("relator", "relation"):
+                if canonical in first_line:
+                    raise ValueError(f"repeated {canonical!r} line (first on line {first_line[canonical]})")
+                first_line[canonical] = lineno
 
-        if key == "generators":
-            tokens = value.split()
-            if len(tokens) > MAX_GENERATORS:
-                raise InputFormatError(f"{len(tokens)} generators exceed the limit of {MAX_GENERATORS}", lineno)
-            try:
+            if key == "generators":
+                tokens = value.split()
+                if len(tokens) > MAX_GENERATORS:
+                    raise ValueError(f"{len(tokens)} generators exceed the limit of {MAX_GENERATORS}")
                 generators = tuple(Generator(tok) for tok in tokens)
-            except ValueError as exc:
-                raise InputFormatError(str(exc), lineno) from None
-            names = {g.name for g in generators}
-            if len(names) != len(generators):
-                repeated = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
-                raise InputFormatError(f"generator {repeated!r} is declared twice", lineno)
-        elif key in ("relator", "relation"):
-            if generators is None:
-                raise InputFormatError("generators must be declared first", lineno)
-            try:
+                names = {g.name for g in generators}
+                if len(names) != len(generators):
+                    repeated = next(tok for i, tok in enumerate(tokens) if tok in tokens[:i])
+                    raise ValueError(f"generator {repeated!r} is declared twice")
+            elif key in ("relator", "relation"):
+                if generators is None:
+                    raise ValueError("generators must be declared first")
                 if key == "relator":
                     relators.append(parse_word(value, generators))
                 else:
                     lhs_text, eq, rhs_text = value.partition("=")
                     if not eq:
-                        raise InputFormatError("relation needs 'lhs = rhs'", lineno)
+                        raise ValueError("relation needs 'lhs = rhs'")
                     pair = (parse_word(lhs_text, generators), parse_word(rhs_text, generators))
                     relators.append(from_equations(generators, [pair]).relators[0])
-            except ParseError as exc:
-                raise InputFormatError(str(exc), lineno) from None
-            if len(relators[-1].letters) > MAX_WORD_LETTERS:
-                raise InputFormatError(f"relator exceeds the limit of {MAX_WORD_LETTERS} letters", lineno)
-        elif key == "ring":
-            try:
+                if len(relators[-1].letters) > MAX_WORD_LETTERS:
+                    raise ValueError(f"relator exceeds the limit of {MAX_WORD_LETTERS} letters")
+            elif key == "ring":
                 ring = CoefficientRing.parse(value)
-            except ValueError as exc:
-                raise InputFormatError(str(exc), lineno) from None
-        elif key == "rank":
-            try:
-                rank = int(value)
-            except ValueError:
-                raise InputFormatError(f"bad rank {value!r}", lineno) from None
-            if not 1 <= rank <= MAX_RANK:
-                raise InputFormatError(f"rank {rank} is outside 1..{MAX_RANK}", lineno)
-        elif key.split() and key.split()[0] == "action":
-            parts = key.split()
-            if len(parts) != 2:
-                raise InputFormatError("action needs a generator name", lineno)
-            name = parts[1]
-            if name not in names:
-                raise InputFormatError(f"action for undeclared generator {name!r}", lineno)
-            actions[name] = (_parse_matrix(value, lineno), lineno)
-        elif key == "form":
-            form = _parse_matrix(value, lineno)
-        elif key == "kerf":
-            kerf = _parse_matrix(value, lineno)
-        elif key.split() and key.split()[0] == "expect":
-            name = key[len("expect") :].strip()
-            if not name:
-                raise InputFormatError("expect needs a result name", lineno)
-            try:
+            elif key == "rank":
+                try:
+                    rank = int(value)
+                except ValueError:
+                    raise ValueError(f"bad rank {value!r}") from None
+                if not 1 <= rank <= MAX_RANK:
+                    raise ValueError(f"rank {rank} is outside 1..{MAX_RANK}")
+            elif parts[0] == "action":
+                if len(parts) != 2:
+                    raise ValueError("action needs a generator name")
+                if parts[1] not in names:
+                    raise ValueError(f"action for undeclared generator {parts[1]!r}")
+                actions[parts[1]] = _parse_matrix(value)
+            elif key == "form":
+                form = _parse_matrix(value)
+            elif key == "kerf":
+                kerf = _parse_matrix(value)
+            elif parts[0] == "expect":
                 expected[name] = AbelianGroupStructure.parse(value)
-            except ValueError as exc:
-                raise InputFormatError(str(exc), lineno) from None
-        else:
-            raise InputFormatError(f"unknown key {key!r}", lineno)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise InputFormatError(str(exc), lineno) from None
 
+    last = len(text.splitlines()) or 1
     if generators is None:
-        raise InputFormatError("missing 'generators:' line", len(text.splitlines()) or 1)
+        raise InputFormatError("missing 'generators:' line", last)
     if rank is None:
-        raise InputFormatError("missing 'rank:' line", len(text.splitlines()) or 1)
-    matrices, lines = [], []
+        raise InputFormatError("missing 'rank:' line", last)
     for gen in generators:
         if gen.name not in actions:
-            raise InputFormatError(f"missing action for generator {gen.name!r}", len(text.splitlines()))
-        matrix, lineno = actions[gen.name]
-        if matrix.rows != rank or matrix.cols != rank:
-            raise InputFormatError(
-                f"action for {gen.name!r} is {matrix.rows}x{matrix.cols}, expected {rank}x{rank}", lineno
-            )
-        matrices.append(matrix)
-        lines.append(lineno)
+            raise InputFormatError(f"missing action for generator {gen.name!r}", last)
     try:
-        representation = Representation.build(ring, generators, matrices, rank=rank)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), _rejected_action_line(ring, generators, matrices, lines)) from None
+        representation = Representation.build(ring, generators, [actions[g.name] for g in generators], rank=rank)
+    except ActionError as exc:
+        raise InputFormatError(str(exc), first_line[f"action {exc.generator}"]) from None
     presentation = Presentation(generators, tuple(relators))
     return ParsedInput(presentation, representation, form, kerf, expected)
-
-
-def _rejected_action_line(ring, generators, matrices, lines) -> int:
-    """Line of the first action that Representation.build rejects on its own
-    (build checks the generators in this order); 1 when none is."""
-    for gen, matrix, lineno in zip(generators, matrices, lines):
-        try:
-            Representation.build(ring, (gen,), (matrix,), rank=matrix.rows)
-        except ValueError:
-            return lineno
-    return 1
 
 
 def example_to_text(example: NamedExample) -> str:

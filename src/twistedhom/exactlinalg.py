@@ -30,9 +30,11 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", index(self.rows))
+        object.__setattr__(self, "cols", index(self.cols))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(map(index, self.entries))
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"
@@ -57,7 +59,7 @@ class IntMatrix:
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
+            raise ValueError("matrix rows have unequal lengths")
         return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
     @classmethod
@@ -142,7 +144,7 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, other.cols, tuple(chain.from_iterable(out)))
 
     def apply(self, vector) -> tuple[int, ...]:
-        vector = tuple(int(x) for x in vector)
+        vector = tuple(map(index, vector))
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
@@ -504,7 +506,8 @@ class AbelianGroupStructure:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(x) for x in self.torsion))
+        object.__setattr__(self, "free_rank", index(self.free_rank))
+        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         if any(x < 2 for x in self.torsion):
@@ -524,7 +527,7 @@ class AbelianGroupStructure:
     @classmethod
     def from_cyclic_orders(cls, orders) -> AbelianGroupStructure:
         """Canonical form of a direct sum of cyclic groups; order 0 means Z."""
-        orders = [int(x) for x in orders]
+        orders = list(map(index, orders))
         if any(x < 0 for x in orders):
             raise ValueError("cyclic orders must be nonnegative")
         free = orders.count(0)

@@ -8,6 +8,8 @@ into one integer matrix.
 
 from __future__ import annotations
 
+import operator
+
 from .exactlinalg import IntMatrix, hstack, vstack
 from .presentation import Presentation
 from .representation import Representation, evaluate_group_ring
@@ -29,7 +31,7 @@ class GroupRingElement:
         for word, coeff in terms:
             if word.alphabet != self.alphabet:
                 raise ValueError("alphabet mismatch")
-            c = clean.get(word, 0) + int(coeff)
+            c = clean.get(word, 0) + operator.index(coeff)
             if c:
                 clean[word] = c
             elif word in clean:

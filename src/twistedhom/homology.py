@@ -16,6 +16,7 @@ basis once, whatever the number of subgroup generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -241,7 +242,7 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
-    moduli = [int(n) for n in moduli]
+    moduli = [operator.index(n) for n in moduli]
     if any(n < 2 for n in moduli):
         raise ValueError("moduli must all be >= 2")
     h1 = h1_homology(p, rep)  # checks that every relator acts as the identity

@@ -6,6 +6,7 @@ basis vectors as its columns, so a word uv acts by matrix(u) * matrix(v).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,6 +22,7 @@ class CoefficientRing:
     modulus: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
         if self.modulus != 0 and self.modulus < 2:
             raise ValueError("modulus must be 0 (for Z) or an integer >= 2")
 
@@ -50,6 +52,14 @@ class CoefficientRing:
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
 
 
+class ActionError(ValueError):
+    """An action matrix that Representation.build rejects, for ``generator``."""
+
+    def __init__(self, message: str, generator: str):
+        super().__init__(message)
+        self.generator = generator
+
+
 @dataclass(frozen=True)
 class Representation:
     """A left action of a generator alphabet on A^rank by invertible matrices."""
@@ -65,7 +75,7 @@ class Representation:
         """Validate and assemble the action; matrices follow alphabet order.
 
         Rejects matrices of the wrong shape and matrices that are not
-        invertible over the ring.
+        invertible over the ring: an ActionError names the first such generator.
         """
         alphabet = tuple(alphabet)
         matrices = tuple(matrices)
@@ -81,16 +91,15 @@ class Representation:
         inverses = []
         for gen, matrix in zip(alphabet, matrices):
             if matrix.rows != rank or matrix.cols != rank:
-                raise ValueError(
-                    f"action matrix for {gen.name!r} is {matrix.rows}x{matrix.cols}, expected {rank}x{rank}"
-                )
+                shape = f"{matrix.rows}x{matrix.cols}, expected {rank}x{rank}"
+                raise ActionError(f"action matrix for {gen.name!r} is {shape}", gen.name)
             matrix = matrix.mod(ring.modulus)
             try:
                 # One SNF over Z, U*M*V = D, gives M^-1 = V*diag(d_i^-1)*U over
                 # Z and Z/n alike; it exists exactly when every d_i is a unit.
                 inverse = unimodular_inverse(matrix, ring.modulus)
             except ValueError as exc:
-                raise ValueError(f"action matrix for {gen.name!r} is not invertible: {exc}") from None
+                raise ActionError(f"action matrix for {gen.name!r} is not invertible: {exc}", gen.name) from None
             reduced.append(matrix)
             inverses.append(inverse)
         return cls(ring, rank, alphabet, tuple(reduced), tuple(inverses))

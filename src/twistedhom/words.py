@@ -7,6 +7,7 @@ values are immutable.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        letters = tuple((int(i), int(s)) for i, s in self.letters)
+        letters = tuple((operator.index(i), operator.index(s)) for i, s in self.letters)
         for index, sign in letters:
             if not 0 <= index < len(self.alphabet):
                 raise ValueError(f"letter index {index} out of range")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -13,6 +14,7 @@ from twistedhom import (
     h1_cohomology,
     kerf_reduction,
 )
+from twistedhom import cli
 from twistedhom.cli import (
     MAX_GENERATORS,
     MAX_RANK,
@@ -24,6 +26,7 @@ from twistedhom.cli import (
     render_text,
     run,
 )
+from twistedhom.homology import UctComparison
 
 E2_TEXT = example_to_text(goeritz_e2())
 
@@ -134,6 +137,70 @@ class TestParseInputFile:
         parsed = parse_input_file(SMALL + "expect coh1[Z]: Z/2\nexpect h0: Z/2\n")
         assert parsed.expected["coh1[Z]"] == AbelianGroupStructure(0, (2,))
         assert parsed.expected["h0"] == AbelianGroupStructure(0, (2,))
+
+    @pytest.mark.parametrize(
+        "text, fragment, line",
+        [
+            (SMALL.replace("[-1]", "-1"), "matrix must be enclosed in [ ]", 5),
+            (SMALL.replace("[-1]", "[1 x]"), "bad matrix entry in '1 x'", 5),
+            (SMALL.replace("[-1]", "[1 0; 1]"), "matrix rows have unequal lengths", 5),
+            (SMALL + "kerf: [1; 1 2]\n", "matrix rows have unequal lengths", 6),
+            (SMALL + "rank 1\n", "expected 'key: value', got 'rank 1'", 6),
+            ("generators: a 1a\n", "invalid generator name '1a'", 1),
+            ("relator: a\ngenerators: a\n", "generators must be declared first", 1),
+            (SMALL + "relation: a a\n", "relation needs 'lhs = rhs'", 6),
+            (SMALL.replace("ring: Z", "ring: Q"), "cannot parse ring 'Q' (expected Z or Z/n)", 3),
+            (SMALL.replace("ring: Z", "ring: Z/1"), "modulus must be 0 (for Z) or an integer >= 2", 3),
+            (SMALL + "action: [1]\n", "action needs a generator name", 6),
+            (SMALL + "action q: [1]\n", "action for undeclared generator 'q'", 6),
+            (SMALL + "expect: 0\n", "expect needs a result name", 6),
+            (SMALL + "expect h1: Q\n", "cannot parse group summand 'Q'", 6),
+            ("# header\nrank: 1\n", "missing 'generators:' line", 2),
+            ("", "missing 'generators:' line", 1),
+        ],
+    )
+    def test_each_rejection_names_its_line(self, text, fragment, line):
+        with pytest.raises(InputFormatError) as err:
+            parse_input_file(text)
+        assert str(err.value) == f"line {line}: {fragment}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "name, fragment",
+        [
+            ("hl[Z]", "unknown result 'hl[Z]'"),
+            ("h1 [Z]", "unknown result 'h1 [Z]'"),
+            ("coh1[Z/2", "unknown result 'coh1[Z/2'"),
+            ("coh1-kerf", "unknown result 'coh1-kerf'"),
+            ("coh1[Q]", "cannot parse ring 'Q'"),
+            ("h0[Z/1]", "modulus must be 0"),
+        ],
+    )
+    def test_expect_name_that_names_no_result_is_rejected_on_its_line(self, name, fragment):
+        with pytest.raises(InputFormatError, match=re.escape(fragment)) as err:
+            parse_input_file(SMALL + f"expect {name}: Z/7\n")
+        assert err.value.line == 6
+
+    def test_expect_names_are_stored_canonically(self):
+        parsed = parse_input_file(SMALL + "expect coh1[Z/02]: Z/2\nexpect h0[ Z ]: 0\nexpect  h1: 0\n")
+        assert set(parsed.expected) == {"coh1[Z/2]", "h0[Z]", "h1"}
+        repeated = "repeated 'expect coh1[Z/2]' line (first on line 6)"
+        with pytest.raises(InputFormatError, match=re.escape(repeated)) as err:
+            parse_input_file(SMALL + "expect coh1[Z/2]: 0\nexpect coh1[Z/02]: 0\n")
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize(
+        "actions, message, line",
+        [
+            ("action a: [2 0; 0 1]\naction b: [1]\n", "action matrix for 'a' is not invertible", 4),
+            ("action b: [1]\naction a: [2 0; 0 1]\n", "action matrix for 'a' is not invertible", 5),
+            ("action b: [2 0; 0 1]\naction a: [1]\n", "action matrix for 'a' is 1x1, expected 2x2", 5),
+        ],
+    )
+    def test_first_rejected_action_in_generator_order_names_its_line(self, actions, message, line):
+        with pytest.raises(InputFormatError, match=re.escape(message)) as err:
+            parse_input_file("generators: a b\nring: Z\nrank: 2\n" + actions)
+        assert err.value.line == line
 
     def test_comments_and_blank_lines(self):
         parse_input_file("# comment\n\n" + SMALL)
@@ -321,6 +388,57 @@ class TestRun:
         summary = record_by_name(records, "summary")
         assert summary["failed_stages"] == ["h1"]
         assert "MISMATCH" in render_text(records)
+
+    def test_expectation_under_a_noncanonical_ring_is_compared(self, tmp_path):
+        path = tmp_path / "e2.grp"
+        path.write_text(E2_TEXT.replace("expect coh1[Z/2]: Z/2 + Z/2", "expect coh1[Z/02]: Z/7"))
+        status, records = run(JobSpec(path=str(path), ring=CoefficientRing(2), computations=("coh1",)))
+        assert status == 1
+        assert record_by_name(records, "coh1")["match"] is False
+        assert record_by_name(records, "summary")["failed_stages"] == ["coh1"]
+
+    def test_kerf_route_that_disagrees_fails_the_run(self, monkeypatch):
+        kerf_reduction = cli.kerf_reduction
+
+        def wrong(*args, **kwargs):
+            return dataclasses.replace(kerf_reduction(*args, **kwargs), h1=AbelianGroupStructure(0, (3,)))
+
+        monkeypatch.setattr(cli, "kerf_reduction", wrong)
+        status, records = run(JobSpec(example="e2", computations=("coh1",)))
+        assert status == 1
+        assert record_by_name(records, "coh1")["structure"] == "0"
+        assert record_by_name(records, "coh1-kerf")["structure"] == "Z/3"
+        assert record_by_name(records, "summary")["failed_stages"] == ["coh1-kerf"]
+        text = render_text(records)
+        assert "H^1 (ker-f path) = Z/3\nFAILED stages: coh1-kerf" in text
+
+    def test_kerf_route_error_is_rendered(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("no splitting")
+
+        monkeypatch.setattr(cli, "kerf_reduction", failing)
+        status, records = run(JobSpec(example="e2", computations=("coh1",)))
+        assert status == 1
+        assert record_by_name(records, "coh1-kerf") == {"name": "coh1-kerf", "error": "no splitting"}
+        assert "coh1-kerf: ERROR: no splitting\nFAILED stages: coh1-kerf" in render_text(records)
+
+    def test_uct_mismatch_fails_the_run(self, monkeypatch):
+        uct_check = cli.uct_check
+
+        def wrong(*args):
+            first, *rest = uct_check(*args)
+            return [UctComparison(first.ring, first.computed, AbelianGroupStructure(0, (5,)), False), *rest]
+
+        monkeypatch.setattr(cli, "uct_check", wrong)
+        status, records = run(JobSpec(example="e2", computations=("uct",)))
+        assert status == 1
+        uct = record_by_name(records, "uct")
+        assert uct["all_match"] is False
+        assert [c["match"] for c in uct["comparisons"]] == [False, True, True, True, True]
+        assert record_by_name(records, "summary")["failed_stages"] == ["uct"]
+        text = render_text(records)
+        assert text.startswith("uct: FAILED\n  Z: computed 0, expected Z/5 (MISMATCH)\n  Z/2: ")
+        assert text.endswith("FAILED stages: uct")
 
     def test_failing_kerf_precondition_named_without_losing_coh1(self, tmp_path):
         path = tmp_path / "badkerf.grp"

@@ -479,3 +479,22 @@ class TestAbelianGroupStructure:
     def test_order(self):
         assert AbelianGroupStructure(0, (2, 4)).order() == 8
         assert AbelianGroupStructure.free(1).order() is None
+
+
+@pytest.mark.parametrize("bad", [2.7, "3"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: IntMatrix(1, 2, (bad, 3)),
+        lambda bad: IntMatrix(bad, 1, (1, 2, 3)),
+        lambda bad: IntMatrix.identity(2).apply((bad, 1)),
+        lambda bad: solve_in_lattice(IntMatrix.identity(2), (bad, 2)),
+        lambda bad: AbelianGroupStructure(bad),
+        lambda bad: AbelianGroupStructure(0, (bad,)),
+        lambda bad: AbelianGroupStructure.from_cyclic_orders((bad,)),
+    ],
+    ids=["entries", "rows", "apply", "solve_in_lattice", "free_rank", "torsion", "from_cyclic_orders"],
+)
+def test_non_integers_are_rejected_not_truncated(make, bad):
+    with pytest.raises(TypeError):
+        make(bad)

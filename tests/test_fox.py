@@ -34,6 +34,11 @@ class TestGroupRingElement:
         e = ring_elem([("a", 1), ("a", -1), ("b", 2)])
         assert e.terms == {parse_word("b", ABGD): 2}
 
+    @pytest.mark.parametrize("coeff", [1.5, "2"])
+    def test_non_integer_coefficient_is_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            GroupRingElement(ABGD, [(parse_word("a", ABGD), coeff)])
+
     def test_ring_axioms_randomized(self):
         rng = random.Random(21)
         one = GroupRingElement.one(ABGD)

@@ -55,6 +55,12 @@ def rep_over(example, modulus):
     return change_ring(example.representation, CoefficientRing(modulus))
 
 
+@pytest.mark.parametrize("modulus", [2.0, "2"])
+def test_uct_moduli_must_be_ints(modulus):
+    with pytest.raises(TypeError):
+        uct_check(E2.presentation, E2.representation, (modulus,))
+
+
 class TestCoinvariants:
     def test_e2_coinvariants_vanish(self):
         assert coinvariants(E2.representation).is_trivial()

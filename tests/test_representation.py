@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,8 @@ from twistedhom import (
     unimodular_inverse,
 )
 
+from twistedhom.representation import ActionError
+
 from support import chain_example, random_unimodular, random_word, term_by_term_group_ring
 
 E2 = goeritz_e2()
@@ -42,6 +45,11 @@ class TestCoefficientRing:
             CoefficientRing(1)
         with pytest.raises(ValueError):
             CoefficientRing(-3)
+
+    @pytest.mark.parametrize("modulus", [2.0, "2"])
+    def test_modulus_must_be_an_int(self, modulus):
+        with pytest.raises(TypeError):
+            CoefficientRing(modulus)
 
     def test_units(self):
         assert CoefficientRing(0).is_unit(-1)
@@ -75,6 +83,32 @@ class TestBuild:
                 (IntMatrix.zeros(3, 4),),
                 rank=4,
             )
+
+    @pytest.mark.parametrize(
+        "second, third, message",
+        [
+            (IntMatrix.diagonal([2, 1]), IntMatrix.zeros(1, 1), "action matrix for 'b' is not invertible"),
+            (IntMatrix.zeros(2, 3), IntMatrix.diagonal([2, 1]), "action matrix for 'b' is 2x3, expected 2x2"),
+        ],
+    )
+    def test_action_error_names_the_first_rejected_generator(self, second, third, message):
+        alphabet = tuple(Generator(name) for name in "abc")
+        with pytest.raises(ActionError, match=re.escape(message)) as err:
+            Representation.build(CoefficientRing.integers(), alphabet, (IntMatrix.identity(2), second, third))
+        assert err.value.generator == "b"
+
+    @pytest.mark.parametrize(
+        "alphabet, matrices, rank, message",
+        [
+            ((Generator("a"),), (), None, "need exactly one matrix per generator"),
+            ((), (), None, "rank is required for an empty alphabet"),
+            ((), (), 0, "module rank must be positive"),
+        ],
+    )
+    def test_rejections_of_no_one_action(self, alphabet, matrices, rank, message):
+        with pytest.raises(ValueError, match=message) as err:
+            Representation.build(CoefficientRing.integers(), alphabet, matrices, rank=rank)
+        assert not isinstance(err.value, ActionError)
 
     def test_inverses_precomputed(self):
         for m, inv in zip(E2.representation.matrices, E2.representation.inverse_matrices):

@@ -120,6 +120,12 @@ def test_construction_rejects_bad_letters():
         Word(AB, ((0, 2),))
 
 
+@pytest.mark.parametrize("letter", [(0.0, 1), (0, 1.0), ("0", 1), (0, "1")])
+def test_construction_rejects_non_integer_letters(letter):
+    with pytest.raises(TypeError):
+        Word(AB, (letter,))
+
+
 def test_eager_reduction_invariant():
     w = Word(AB, ((0, 1), (0, -1), (1, 1), (1, 1), (1, -1)))
     assert w.letters == ((1, 1),)
