@@ -562,19 +562,23 @@ class AbelianGroupStructure:
 
     @classmethod
     def parse(cls, text: str) -> AbelianGroupStructure:
-        """Inverse of str(): e.g. "0", "Z", "Z^2 + Z/4", "Z/2 + Z/2"."""
+        """Inverse of str(): e.g. "0", "Z", "Z^2 + Z/4", "Z/2 + Z/2"; Z^k adds k to the free rank."""
         text = text.strip()
         if text in ("0", "trivial"):
             return cls.trivial()
-        orders: list[int] = []
+        free, orders = 0, []
         for part in text.split("+"):
             token = part.strip()
             if token == "Z":
-                orders.append(0)
-            elif token.startswith("Z^"):
-                orders.extend([0] * int(token[2:]))
+                free += 1
+            elif token.startswith("Z^") and token[2:].isascii() and token[2:].isdigit():
+                free += int(token[2:])
             elif token.startswith("Z/"):
-                orders.append(int(token[2:]))
+                try:
+                    orders.append(int(token[2:]))
+                except ValueError:
+                    raise ValueError(f"cannot parse group summand {token!r}") from None
             else:
                 raise ValueError(f"cannot parse group summand {token!r}")
-        return cls.from_cyclic_orders(orders)
+        group = cls.from_cyclic_orders(orders)
+        return cls(group.free_rank + free, group.torsion)

@@ -1,17 +1,13 @@
 """Twisted (co)homology in degrees 0 and 1 for a presented group action.
 
 Cohomology is crossed homomorphisms modulo principal ones; homology comes
-from the chain complex of the presentation 2-complex with local
-coefficients, which is the transposed cochain complex of the dual action
-g -> (M_g^-1)^T. Every group is one subquotient ker(outgoing) / im(incoming)
-through one helper, computed as an integer lattice quotient: Z/n
-coefficients never need elimination over Z/n: the lattice of cocycles mod
-n is read off the SNF over Z of the outgoing matrix alone, as the columns
-of V * diag(n / gcd(d_j, n)) where U*J*V = D, and n times the identity
-joins the subgroup of each quotient. That SNF builds V only, and one
-factorization serves every ring. Smith normal form over Z is the single
-trusted kernel of the whole engine, and each quotient factors its ambient
-basis once, whatever the number of subgroup generators.
+from the presentation 2-complex, the transposed cochain complex of the dual
+action g -> (M_g^-1)^T. Each group is one integer lattice quotient
+ker(outgoing) / im(incoming), with no elimination over Z/n: the cocycles
+mod n are the columns of V * diag(n / gcd(d_j, n)) from one SNF U*J*V = D
+over Z for every ring, and n*I joins the subgroup. No relator is evaluated
+here: by Fox's fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r
+of J*P is M(r) - 1, so J*P, or d1*d2 (the dual's J*P transposed), checks them.
 """
 
 from __future__ import annotations
@@ -37,8 +33,8 @@ from .presentation import Presentation
 from .representation import (
     CoefficientRing,
     Representation,
+    _nontrivial_relator,
     change_ring,
-    check_relators_trivial,
     dual,
     evaluate_group_ring,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
 )
@@ -76,22 +72,26 @@ class OracleCounts(NamedTuple):
     h1_count: int
 
 
-def _require_trivial_relators(p: Presentation, rep: Representation):
-    report = check_relators_trivial(rep, p)
-    if report:
-        details = "; ".join(d.message for d in report)
-        raise ValueError(f"cocycle condition is ill-posed: {details}")
+def _require_trivial_relators(p: Presentation, rep: Representation, JP: IntMatrix):
+    """Reject each relator r whose block of JP = J*P, M(r) - 1 by Fox's formula, is nonzero mod n."""
+    entries, size = JP.mod(rep.ring.modulus).entries, rep.rank * rep.rank
+    details = [
+        _nontrivial_relator(i, r).message for i, r in enumerate(p.relators) if any(entries[i * size : (i + 1) * size])
+    ]
+    if details:
+        raise ValueError("cocycle condition is ill-posed: " + "; ".join(details))
 
 
 def checked_cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
-    """cocycle_matrix(p, rep), after checking that every relator acts as the
-    identity (a ValueError otherwise).
+    """cocycle_matrix(p, rep), after checking through J*P that every relator
+    acts as the identity (a ValueError otherwise).
 
     The result is what h1_cohomology and kerf_reduction take as cocycles, so
     that one J serves both, as in the coh1 stage of the CLI.
     """
-    _require_trivial_relators(p, rep)
-    return cocycle_matrix(p, rep)
+    J = cocycle_matrix(p, rep)
+    _require_trivial_relators(p, rep, J * principal_map(rep).matrix)
+    return J
 
 
 def principal_map(rep: Representation) -> PrincipalMap:
@@ -172,12 +172,9 @@ def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, I
 
 
 def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
-    """First homology of the presented group with coefficients in the module."""
-    _require_trivial_relators(p, rep)
+    """First homology of the presented group; its one check is d1*d2 = 0, the dual's J*P transposed."""
     d1, d2 = chain_boundaries(p, rep)
-    n = rep.ring.modulus
-    if not (d1 * d2).mod(n).is_zero():
-        raise RuntimeError("internal error: boundary maps do not compose to zero")
+    _require_trivial_relators(p, rep, (d1 * d2).transpose())
     return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
 
 
@@ -280,13 +277,12 @@ def brute_force_h1_mod2(p: Presentation, rep: Representation) -> OracleCounts:
     vectors and counts those annihilated by the cocycle matrix mod 2. The
     principal cocycles mod 2 number 2^rank over the size of the kernel of
     the principal map mod 2, counted the same way. Refuses when the bit
-    count exceeds ORACLE_MAX_BITS.
+    count exceeds ORACLE_MAX_BITS, before J is built.
     """
     rep2 = change_ring(rep, CoefficientRing.modular(2))
-    _require_trivial_relators(p, rep2)
     bits = len(p.generators) * rep2.rank
     if bits > ORACLE_MAX_BITS:
         raise ValueError(f"enumeration over {bits} bits exceeds the bound of {ORACLE_MAX_BITS}")
-    z1 = _kernel_size_mod2(cocycle_matrix(p, rep2))
+    z1 = _kernel_size_mod2(checked_cocycle_matrix(p, rep2))
     b1 = (1 << rep2.rank) // _kernel_size_mod2(principal_map(rep2).matrix)
     return OracleCounts(z1, b1, z1 // b1)

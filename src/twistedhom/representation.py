@@ -39,9 +39,11 @@ class CoefficientRing:
         text = text.strip()
         if text == "Z":
             return cls(0)
-        if text.startswith("Z/"):
-            return cls(int(text[2:]))
-        raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)")
+        try:
+            modulus = int(text[2:] if text.startswith("Z/") else "")
+        except ValueError:
+            raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)") from None
+        return cls(modulus)
 
     def is_unit(self, value: int) -> bool:
         if self.modulus == 0:
@@ -188,18 +190,16 @@ def evaluate_group_ring(rep: Representation, element) -> IntMatrix:
     return total.mod(n)
 
 
+def _nontrivial_relator(pos: int, relator: Word) -> Diagnostic:
+    return Diagnostic("error", f"relator {pos} ({word_to_text(relator) or '1'}) does not act as the identity")
+
+
 def check_relators_trivial(rep: Representation, p: Presentation) -> list[Diagnostic]:
     """Report every relator whose action matrix is not the identity."""
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
     identity = IntMatrix.identity(rep.rank)
-    report = []
-    for pos, relator in enumerate(p.relators):
-        if evaluate_word(rep, relator) != identity:
-            report.append(
-                Diagnostic("error", f"relator {pos} ({word_to_text(relator) or '1'}) does not act as the identity")
-            )
-    return report
+    return [_nontrivial_relator(i, r) for i, r in enumerate(p.relators) if evaluate_word(rep, r) != identity]
 
 
 def check_bilinear_form_preserved(rep: Representation, form: IntMatrix) -> list[Diagnostic]:

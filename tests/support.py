@@ -283,6 +283,23 @@ class SnfRecorder:
         return {transforms for name, _, transforms in self.calls if name == caller}
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls of the package function ``name`` through every
+    twistedhom module that binds it; returns the list of calls."""
+    calls = []
+    modules = [m for key, m in sorted(sys.modules.items()) if key.split(".")[0] == "twistedhom"]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def chain_example(genus: int):
     """The benchmark's chain of 2g Dehn twists, from bench/workloads.py."""
     name = "bench_workloads"

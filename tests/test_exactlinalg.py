@@ -456,13 +456,42 @@ class TestAbelianGroupStructure:
         assert str(AbelianGroupStructure(2, (4,))) == "Z^2 + Z/4"
         assert str(AbelianGroupStructure(0, (2, 2))) == "Z/2 + Z/2"
 
-    def test_parse_round_trip(self):
-        for s in (
+    @pytest.mark.parametrize(
+        "group",
+        [
             AbelianGroupStructure.trivial(),
+            AbelianGroupStructure.free(1),
             AbelianGroupStructure.free(3),
+            AbelianGroupStructure(0, (2, 2)),
             AbelianGroupStructure(1, (2, 6)),
-        ):
-            assert AbelianGroupStructure.parse(str(s)) == s
+            AbelianGroupStructure(12, (3, 9, 18)),
+            AbelianGroupStructure(10**9, (10**20,)),
+        ],
+    )
+    def test_parse_round_trip(self, group):
+        assert AbelianGroupStructure.parse(str(group)) == group
+
+    def test_parse_counts_free_rank_without_expanding_it(self):
+        assert AbelianGroupStructure.parse("Z^1000000000") == AbelianGroupStructure.free(10**9)
+        assert AbelianGroupStructure.parse("Z^2 + Z + Z/4 + Z/0") == AbelianGroupStructure(4, (4,))
+
+    @pytest.mark.parametrize(
+        "text, summand",
+        [
+            ("Z^-3 + Z/2", "Z^-3"),
+            ("Z^", "Z^"),
+            ("Z^x", "Z^x"),
+            ("Z^ 3", "Z^ 3"),
+            ("Z^1.5", "Z^1.5"),
+            ("Z/x", "Z/x"),
+            ("Z/2 + Z/", "Z/"),
+            ("Q", "Q"),
+        ],
+    )
+    def test_parse_rejects_a_malformed_summand(self, text, summand):
+        with pytest.raises(ValueError) as err:
+            AbelianGroupStructure.parse(text)
+        assert str(err.value) == f"cannot parse group summand {summand!r}"
 
     def test_from_cyclic_orders_canonicalizes(self):
         # Z/2 + Z/3 = Z/6, and Z/4 + Z/6 = Z/2 + Z/12.

@@ -12,6 +12,7 @@ from twistedhom import (
     brute_force_h1_mod2,
     chain_boundaries,
     change_ring,
+    check_relators_trivial,
     cocycle_matrix,
     coinvariants,
     goeritz_e2,
@@ -27,6 +28,7 @@ from twistedhom import (
     solve_in_lattice,
     toy_examples,
     uct_check,
+    Word,
 )
 
 from twistedhom import homology
@@ -36,6 +38,7 @@ from support import (
     SnfRecorder,
     adjugate,
     chain_example,
+    count_calls,
     distinct_images_mod2,
     gf_rank,
     inverse_difference_d1,
@@ -182,6 +185,34 @@ class TestH1Cohomology:
         p = Presentation(gens, (parse_word("a a", gens),))
         with pytest.raises(ValueError, match="ill-posed"):
             h1_cohomology(p, rep)
+
+
+class TestRelatorCheckParity:
+    """Every stage rejects an action whose relators do not hold with the
+    findings of check_relators_trivial, although none of them evaluates a
+    relator: they read J*P or d1*d2."""
+
+    STAGES = {
+        "h1_cohomology": lambda p, rep: h1_cohomology(p, rep),
+        "kerf_reduction": lambda p, rep: kerf_reduction(p, rep, IntMatrix.zeros(2, 4)),
+        "h1_homology": lambda p, rep: h1_homology(p, rep),
+        "uct_check": lambda p, rep: uct_check(p, rep, (2, 3)),
+        "brute_force_h1_mod2": lambda p, rep: brute_force_h1_mod2(p, rep),
+    }
+
+    @pytest.mark.parametrize("relators", [("a b^-1", "a"), ("a", "a b^-1", "b a")], ids=["one", "two"])
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_same_message_as_check_relators_trivial(self, stage, relators):
+        gens = (Generator("a"), Generator("b"))
+        m = IntMatrix.from_rows([[0, 1], [1, 1]])  # neither m nor m^2 is 1, over Z or mod 2
+        rep = Representation.build(CoefficientRing.integers(), gens, (m, m))
+        p = Presentation(gens, tuple(parse_word(r, gens) for r in relators))
+        checked = change_ring(rep, CoefficientRing(2)) if stage == "brute_force_h1_mod2" else rep
+        messages = [d.message for d in check_relators_trivial(checked, p)]
+        assert len(messages) == len(relators) - 1
+        with pytest.raises(ValueError) as err:
+            self.STAGES[stage](p, rep)
+        assert str(err.value) == "cocycle condition is ill-posed: " + "; ".join(messages)
 
 
 def _augmented_kernel_over_ring(matrix, n):
@@ -551,6 +582,18 @@ class TestBruteForceOracle:
                 matrices.append(IntMatrix(rows, bits, tuple(entries)))
         for matrix in matrices:
             assert _kernel_size_mod2(matrix) == row_mask_kernel_count(matrix), matrix
+
+    def test_bit_bound_comes_before_j_and_the_relator_check(self, monkeypatch):
+        ex = chain_example(3)
+        p, rep = ex.presentation, ex.representation
+        failing = Presentation(p.generators, p.relators + (Word(p.generators, ((0, 1),)),))
+        assert check_relators_trivial(change_ring(rep, CoefficientRing(2)), failing)
+        builds = count_calls(monkeypatch, "cocycle_matrix")
+        for presentation in (p, failing):
+            with pytest.raises(ValueError) as err:
+                brute_force_h1_mod2(presentation, rep)
+            assert str(err.value) == "enumeration over 36 bits exceeds the bound of 20"
+        assert builds == []
 
     def test_dimension_bound_refusal(self):
         gens = tuple(Generator(f"g{i}") for i in range(21))

@@ -46,6 +46,12 @@ class TestCoefficientRing:
         with pytest.raises(ValueError):
             CoefficientRing(-3)
 
+    @pytest.mark.parametrize("text", ["Q", "Z/x", "Z/", "Z/2.0", "Z/Z/2"])
+    def test_parse_names_the_ring_it_could_not_read(self, text):
+        with pytest.raises(ValueError) as err:
+            CoefficientRing.parse(text)
+        assert str(err.value) == f"cannot parse ring {text!r} (expected Z or Z/n)"
+
     @pytest.mark.parametrize("modulus", [2.0, "2"])
     def test_modulus_must_be_an_int(self, modulus):
         with pytest.raises(TypeError):
