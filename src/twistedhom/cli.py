@@ -26,13 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlinalg import AbelianGroupStructure, IntMatrix
 from .goeritzdata import NamedExample, builtin_examples
 from .homology import (
     brute_force_h1_mod2,
-    checked_cocycle_matrix,
+    checked_cochains,
     coinvariants,
     h1_cohomology,
     h1_homology,
@@ -65,15 +65,6 @@ class InputFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True)
-class ParsedInput:
-    presentation: Presentation
-    representation: Representation
-    form: IntMatrix | None
-    kerf: IntMatrix | None
-    expected: dict[str, AbelianGroupStructure] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -114,8 +105,8 @@ def _expect_name(text: str) -> str:
     return f"{name}[{CoefficientRing.parse(ring[:-1])}]" if bracket else name
 
 
-def parse_input_file(text: str) -> ParsedInput:
-    """Parse the documented format into validated objects.
+def parse_input_file(text: str) -> NamedExample:
+    """Parse the documented format into a NamedExample named "".
 
     Raises InputFormatError with a line number for syntax problems, a
     repeated key or generator name, a rank outside 1..MAX_RANK, more than
@@ -213,7 +204,7 @@ def parse_input_file(text: str) -> ParsedInput:
     except ActionError as exc:
         raise InputFormatError(str(exc), first_line[f"action {exc.generator}"]) from None
     presentation = Presentation(generators, tuple(relators))
-    return ParsedInput(presentation, representation, form, kerf, expected)
+    return NamedExample("", presentation, representation, form, kerf, expected)
 
 
 def example_to_text(example: NamedExample) -> str:
@@ -234,7 +225,7 @@ def example_to_text(example: NamedExample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(job: JobSpec) -> ParsedInput:
+def _load(job: JobSpec) -> NamedExample:
     if (job.path is None) == (job.example is None):
         raise ValueError("exactly one of an input path or --example is required")
     if job.example is not None:
@@ -242,8 +233,7 @@ def _load(job: JobSpec) -> ParsedInput:
         if job.example not in examples:
             known = ", ".join(sorted(examples))
             raise ValueError(f"unknown example {job.example!r} (known: {known})")
-        ex = examples[job.example]
-        return ParsedInput(ex.presentation, ex.representation, ex.form, ex.kerf, dict(ex.expected))
+        return examples[job.example]
     with open(job.path, encoding="utf-8") as handle:
         return parse_input_file(handle.read())
 
@@ -300,14 +290,14 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 _attach_expectation(record, data.expected, "h0", ring, structure, failed)
                 records.append(record)
             elif computation == "coh1":
-                cocycles = checked_cocycle_matrix(p, rep)
-                result = h1_cohomology(p, rep, cocycles=cocycles)
+                cochains = checked_cochains(p, rep)
+                result = h1_cohomology(p, rep, cochains=cochains)
                 record = _structure_record("coh1", ring, result.h1, result.witnesses)
                 _attach_expectation(record, data.expected, "coh1", ring, result.h1, failed)
                 records.append(record)
                 if data.kerf is not None:
                     try:
-                        fast = kerf_reduction(p, rep, data.kerf, cocycles=cocycles)
+                        fast = kerf_reduction(p, rep, data.kerf, cochains=cochains)
                     except (ValueError, RuntimeError) as exc:
                         records.append({"name": "coh1-kerf", "error": str(exc)})
                         failed.append("coh1-kerf")

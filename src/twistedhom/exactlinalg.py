@@ -569,16 +569,14 @@ class AbelianGroupStructure:
         free, orders = 0, []
         for part in text.split("+"):
             token = part.strip()
+            head, digits = token[:2], token[2:]
             if token == "Z":
                 free += 1
-            elif token.startswith("Z^") and token[2:].isascii() and token[2:].isdigit():
-                free += int(token[2:])
-            elif token.startswith("Z/"):
-                try:
-                    orders.append(int(token[2:]))
-                except ValueError:
-                    raise ValueError(f"cannot parse group summand {token!r}") from None
-            else:
+            elif head not in ("Z^", "Z/") or not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"cannot parse group summand {token!r}")
+            elif head == "Z^":
+                free += int(digits)
+            else:
+                orders.append(int(digits))
         group = cls.from_cyclic_orders(orders)
         return cls(group.free_rank + free, group.torsion)

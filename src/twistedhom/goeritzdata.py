@@ -20,10 +20,12 @@ from .words import Generator, parse_word
 
 @dataclass(frozen=True)
 class NamedExample:
-    """A presentation with a Z-representation, optional extras and expected results.
+    """A presentation with a representation, optional extras and expected results.
 
-    Expected results are keyed "name[ring]" (for example "coh1[Z/2]"); a key
-    without a ring qualifier applies to any coefficient ring.
+    The built-in examples act over Z; cli.parse_input_file returns one over
+    the file's ring, Z or Z/n, with the name "". Expected results are keyed
+    "name[ring]" (for example "coh1[Z/2]"); a key without a ring qualifier
+    applies to any coefficient ring.
     """
 
     name: str

@@ -7,7 +7,8 @@ ker(outgoing) / im(incoming), with no elimination over Z/n: the cocycles
 mod n are the columns of V * diag(n / gcd(d_j, n)) from one SNF U*J*V = D
 over Z for every ring, and n*I joins the subgroup. No relator is evaluated
 here: by Fox's fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r
-of J*P is M(r) - 1, so J*P, or d1*d2 (the dual's J*P transposed), checks them.
+of J*P is M(r) - 1, so checked_cochains checks them through J*P when it
+builds the cochain pair (J, P) that every stage reads, H_1 that of the dual.
 """
 
 from __future__ import annotations
@@ -72,26 +73,20 @@ class OracleCounts(NamedTuple):
     h1_count: int
 
 
-def _require_trivial_relators(p: Presentation, rep: Representation, JP: IntMatrix):
-    """Reject each relator r whose block of JP = J*P, M(r) - 1 by Fox's formula, is nonzero mod n."""
-    entries, size = JP.mod(rep.ring.modulus).entries, rep.rank * rep.rank
+def checked_cochains(p: Presentation, rep: Representation) -> tuple[IntMatrix, IntMatrix]:
+    """The cocycle matrix J and principal map P of rep, checked: block r of
+    J*P is M(r) - 1 by Fox's formula, so a relator whose block is nonzero
+    mod n is a ValueError. h1_cohomology and kerf_reduction take the pair as
+    cochains, so that one J and one P serve both, as in the coh1 stage.
+    """
+    J, P = cocycle_matrix(p, rep), principal_map(rep).matrix
+    entries, size = (J * P).mod(rep.ring.modulus).entries, rep.rank * rep.rank
     details = [
         _nontrivial_relator(i, r).message for i, r in enumerate(p.relators) if any(entries[i * size : (i + 1) * size])
     ]
     if details:
         raise ValueError("cocycle condition is ill-posed: " + "; ".join(details))
-
-
-def checked_cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
-    """cocycle_matrix(p, rep), after checking through J*P that every relator
-    acts as the identity (a ValueError otherwise).
-
-    The result is what h1_cohomology and kerf_reduction take as cocycles, so
-    that one J serves both, as in the coh1 stage of the CLI.
-    """
-    J = cocycle_matrix(p, rep)
-    _require_trivial_relators(p, rep, J * principal_map(rep).matrix)
-    return J
+    return J, P
 
 
 def principal_map(rep: Representation) -> PrincipalMap:
@@ -135,21 +130,19 @@ def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, g
 
 
 def h1_cohomology(
-    p: Presentation, rep: Representation, *, cocycles: IntMatrix | None = None
+    p: Presentation, rep: Representation, *, cochains: tuple[IntMatrix, IntMatrix] | None = None
 ) -> CohomologyResult:
     """First cohomology: cocycles modulo principal cocycles, over the ring.
 
     Over Z this is the lattice quotient of the integer kernel of the cocycle
     matrix by the principal columns. Over Z/n the cocycle lattice
     {d : J*d = 0 mod n} is quotiented by the principal columns together with
-    n times the standard basis. cocycles, if given, must be
-    checked_cocycle_matrix(p, rep): J is then not built again, nor are the
+    n times the standard basis. cochains, if given, must be
+    checked_cochains(p, rep): J and P are then not built again, nor are the
     relators checked again.
     """
-    if cocycles is None:
-        cocycles = checked_cocycle_matrix(p, rep)
-    factored = snf(cocycles, transforms="V")
-    h1, K, witnesses = _homology(factored, principal_map(rep).matrix, rep.ring, generators=True)
+    J, P = cochains or checked_cochains(p, rep)
+    h1, K, witnesses = _homology(snf(J, transforms="V"), P, rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -172,34 +165,32 @@ def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, I
 
 
 def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
-    """First homology of the presented group; its one check is d1*d2 = 0, the dual's J*P transposed."""
-    d1, d2 = chain_boundaries(p, rep)
-    _require_trivial_relators(p, rep, (d1 * d2).transpose())
-    return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
+    """First homology of the presented group, ker d1 / im d2, with d1 = P^T
+    and d2 = J^T of checked_cochains(p, dual(rep)), as in chain_boundaries."""
+    J, P = checked_cochains(p, dual(rep))
+    return _homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
 
 
 def kerf_reduction(
-    p: Presentation, rep: Representation, f: IntMatrix, *, cocycles: IntMatrix | None = None
+    p: Presentation, rep: Representation, f: IntMatrix, *, cochains: tuple[IntMatrix, IntMatrix] | None = None
 ) -> CohomologyResult:
     """First cohomology through a splitting functional f.
 
     Requires f composed with the principal map to be invertible over the
     ring; the cocycle lattice then splits off the principal part and the
     cohomology is the group {d in Z^1 : f*d = 0}. Must agree with
-    h1_cohomology whenever the precondition holds. cocycles is as for
+    h1_cohomology whenever the precondition holds. cochains is as for
     h1_cohomology; the SNF is still its own, of J stacked on f.
     """
-    if cocycles is None:
-        cocycles = checked_cocycle_matrix(p, rep)
+    J, P = cochains or checked_cochains(p, rep)
     m = len(p.generators) * rep.rank
     if f.rows != rep.rank or f.cols != m:
         raise ValueError(f"f must be {rep.rank}x{m}, got {f.rows}x{f.cols}")
     n = rep.ring.modulus
-    P = principal_map(rep).matrix
     det = (f * P).mod(n).det()
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
-    outgoing = vstack(cocycles, f.mod(n))
+    outgoing = vstack(J, f.mod(n))
     h1, K, witnesses = _homology(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), rep.ring, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
@@ -242,10 +233,10 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     moduli = [operator.index(n) for n in moduli]
     if any(n < 2 for n in moduli):
         raise ValueError("moduli must all be >= 2")
-    h1 = h1_homology(p, rep)  # checks that every relator acts as the identity
+    J, P = checked_cochains(p, rep)
+    h1 = h1_homology(p, rep)
     h0 = coinvariants(rep)
-    factored = snf(cocycle_matrix(p, rep), transforms="V")
-    P = principal_map(rep).matrix
+    factored = snf(J, transforms="V")
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
         computed = _homology(factored, P, ring)[0]
@@ -283,6 +274,7 @@ def brute_force_h1_mod2(p: Presentation, rep: Representation) -> OracleCounts:
     bits = len(p.generators) * rep2.rank
     if bits > ORACLE_MAX_BITS:
         raise ValueError(f"enumeration over {bits} bits exceeds the bound of {ORACLE_MAX_BITS}")
-    z1 = _kernel_size_mod2(checked_cocycle_matrix(p, rep2))
-    b1 = (1 << rep2.rank) // _kernel_size_mod2(principal_map(rep2).matrix)
+    J, P = checked_cochains(p, rep2)
+    z1 = _kernel_size_mod2(J)
+    b1 = (1 << rep2.rank) // _kernel_size_mod2(P)
     return OracleCounts(z1, b1, z1 // b1)

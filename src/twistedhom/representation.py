@@ -39,11 +39,10 @@ class CoefficientRing:
         text = text.strip()
         if text == "Z":
             return cls(0)
-        try:
-            modulus = int(text[2:] if text.startswith("Z/") else "")
-        except ValueError:
-            raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)") from None
-        return cls(modulus)
+        digits = text[2:]
+        if not (text.startswith("Z/") and digits.isascii() and digits.isdigit()):
+            raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)")
+        return cls(int(digits))
 
     def is_unit(self, value: int) -> bool:
         if self.modulus == 0:

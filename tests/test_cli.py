@@ -8,6 +8,7 @@ from twistedhom import (
     AbelianGroupStructure,
     CoefficientRing,
     IntMatrix,
+    builtin_examples,
     change_ring,
     goeritz_e2,
     h1_cohomology,
@@ -41,11 +42,10 @@ action a: [-1]
 
 
 class TestParseInputFile:
-    def test_e2_round_trip_objects(self):
-        parsed = parse_input_file(E2_TEXT)
-        ex = goeritz_e2()
-        assert parsed.presentation == ex.presentation
-        assert parsed.representation == ex.representation
+    @pytest.mark.parametrize("name", sorted(builtin_examples()))
+    def test_round_trip_objects(self, name):
+        ex = builtin_examples()[name]
+        assert parse_input_file(example_to_text(ex)) == dataclasses.replace(ex, name="")
 
     def test_dimension_mismatch_names_line(self):
         text = SMALL.replace("action a: [-1]", "action a: [-1 0; 0 1; 1 1]")
@@ -159,6 +159,8 @@ class TestParseInputFile:
             (SMALL + "expect h1: Z^-3 + Z/2\n", "cannot parse group summand 'Z^-3'", 6),
             (SMALL + "expect h0: Z/x\n", "cannot parse group summand 'Z/x'", 6),
             (SMALL.replace("ring: Z", "ring: Z/x"), "cannot parse ring 'Z/x' (expected Z or Z/n)", 3),
+            (SMALL.replace("ring: Z", "ring: Z/1_0"), "cannot parse ring 'Z/1_0' (expected Z or Z/n)", 3),
+            (SMALL + "expect h1: Z/1_0\n", "cannot parse group summand 'Z/1_0'", 6),
             ("# header\nrank: 1\n", "missing 'generators:' line", 2),
             ("", "missing 'generators:' line", 1),
         ],
@@ -177,6 +179,7 @@ class TestParseInputFile:
             ("coh1[Z/2", "unknown result 'coh1[Z/2'"),
             ("coh1-kerf", "unknown result 'coh1-kerf'"),
             ("coh1[Q]", "cannot parse ring 'Q'"),
+            ("coh1[Z/1_0]", "cannot parse ring 'Z/1_0'"),
             ("h0[Z/1]", "modulus must be 0"),
         ],
     )
@@ -255,20 +258,22 @@ def structure_record(name, ring, result):
 
 
 class TestCoh1Stage:
-    """One coh1 stage builds J once and checks the relators through J*P, and
-    gives the records that h1_cohomology and kerf_reduction give on their own."""
+    """One coh1 stage builds one cochain pair (J, P) and checks the relators
+    through J*P, and gives the records that h1_cohomology and kerf_reduction
+    give on their own."""
 
     @pytest.mark.parametrize("modulus", [0, 2])
-    def test_one_cocycle_matrix_and_no_relator_evaluation(self, monkeypatch, modulus):
+    def test_one_cochain_pair_and_no_relator_evaluation(self, monkeypatch, modulus):
         ring = CoefficientRing(modulus)
         ex = goeritz_e2()
         rep = change_ring(ex.representation, ring)
         full = h1_cohomology(ex.presentation, rep)
         fast = kerf_reduction(ex.presentation, rep, ex.kerf)
         builds = count_calls(monkeypatch, "cocycle_matrix")
+        principals = count_calls(monkeypatch, "principal_map")
         checks = count_calls(monkeypatch, "check_relators_trivial")
         status, records = run(JobSpec(example="e2", ring=ring, computations=("coh1",)))
-        assert (len(builds), len(checks)) == (1, 0)
+        assert (len(builds), len(principals), len(checks)) == (1, 1, 0)
         assert status == 0
         coh1 = record_by_name(records, "coh1")
         assert {k: v for k, v in coh1.items() if k not in ("expected", "match")} == structure_record("coh1", ring, full)
@@ -303,6 +308,13 @@ class TestCoh1Stage:
 
 
 class TestRun:
+    def test_oracle_builds_one_cochain_pair(self, monkeypatch):
+        builds = count_calls(monkeypatch, "cocycle_matrix")
+        principals = count_calls(monkeypatch, "principal_map")
+        status, records = run(JobSpec(example="e2", computations=("oracle",)))
+        assert (len(builds), len(principals)) == (1, 1)
+        assert status == 0 and record_by_name(records, "oracle")["h1_count"] == 4
+
     def test_h1_builds_the_action_once(self, tmp_path, monkeypatch):
         from twistedhom import Representation
 
@@ -508,6 +520,10 @@ class TestMain:
     def test_ring_flag(self, capsys):
         assert main(["--example", "e2", "--ring", "Z/5", "--compute", "coh1"]) == 0
         assert "H^1 = 0" in capsys.readouterr().out
+
+    def test_ring_flag_takes_ascii_digits_only(self, capsys):
+        assert main(["--example", "e2", "--ring", "Z/1_0", "--compute", "coh1"]) == 2
+        assert "cannot parse ring 'Z/1_0'" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.grp"

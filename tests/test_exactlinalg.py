@@ -486,6 +486,11 @@ class TestAbelianGroupStructure:
             ("Z/x", "Z/x"),
             ("Z/2 + Z/", "Z/"),
             ("Q", "Q"),
+            ("Z/+5", "Z/"),
+            ("Z/ 5", "Z/ 5"),
+            ("Z/1_0", "Z/1_0"),
+            ("Z/\uff15", "Z/\uff15"),
+            ("Z/-2", "Z/-2"),
         ],
     )
     def test_parse_rejects_a_malformed_summand(self, text, summand):

@@ -46,7 +46,7 @@ class TestCoefficientRing:
         with pytest.raises(ValueError):
             CoefficientRing(-3)
 
-    @pytest.mark.parametrize("text", ["Q", "Z/x", "Z/", "Z/2.0", "Z/Z/2"])
+    @pytest.mark.parametrize("text", ["Q", "Z/x", "Z/", "Z/2.0", "Z/Z/2", "Z/+5", "Z/ 5", "Z/1_0", "Z/\uff15", "Z/-2"])
     def test_parse_names_the_ring_it_could_not_read(self, text):
         with pytest.raises(ValueError) as err:
             CoefficientRing.parse(text)
