@@ -33,7 +33,6 @@ from .homology import (
     PrincipalMap,
     UctComparison,
     brute_force_h1_mod2,
-    chain_boundaries,
     coinvariants,
     h1_cohomology,
     h1_homology,
@@ -84,7 +83,6 @@ __all__ = [
     "Word",
     "brute_force_h1_mod2",
     "builtin_examples",
-    "chain_boundaries",
     "change_ring",
     "check_bilinear_form_preserved",
     "check_relators_trivial",

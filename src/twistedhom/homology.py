@@ -146,27 +146,11 @@ def h1_cohomology(
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
-def chain_boundaries(p: Presentation, rep: Representation) -> tuple[IntMatrix, IntMatrix]:
-    """Boundary maps M^#relators -> M^#generators -> M of the presentation complex.
-
-    The left module is turned into a right module through w -> w^-1, so the
-    generator block of the first boundary is action(g)^-1 - 1 and the
-    (g, r) block of the second is the substituted derivative dr/dg with the
-    involution applied first. This is the convention pinned down by the two
-    checks: the boundaries compose to zero, and the cokernel of the first
-    boundary is the coinvariants.
-
-    So the chain complex is the transposed cochain complex of the dual
-    action g -> (M_g^-1)^T, which sends a word w to M(w^-1)^T: d1 and d2
-    are its principal map and cocycle matrix, transposed.
-    """
-    co = dual(rep)
-    return principal_map(co).matrix.transpose(), cocycle_matrix(p, co).transpose()
-
-
 def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
-    """First homology of the presented group, ker d1 / im d2, with d1 = P^T
-    and d2 = J^T of checked_cochains(p, dual(rep)), as in chain_boundaries."""
+    """First homology of the presented group, ker d1 / im d2. With the module
+    made a right one through w -> w^-1, the chain complex is the transposed
+    cochain complex of the dual action g -> (M_g^-1)^T, so d1 = P^T and
+    d2 = J^T of checked_cochains(p, dual(rep))."""
     J, P = checked_cochains(p, dual(rep))
     return _homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
 

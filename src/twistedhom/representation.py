@@ -10,7 +10,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .exactlinalg import IntMatrix, unimodular_inverse
+from .exactlinalg import IntMatrix, _read_integer, unimodular_inverse
 from .presentation import Diagnostic, Presentation
 from .words import Generator, Word, word_to_text
 
@@ -39,10 +39,10 @@ class CoefficientRing:
         text = text.strip()
         if text == "Z":
             return cls(0)
-        digits = text[2:]
-        if not (text.startswith("Z/") and digits.isascii() and digits.isdigit()):
+        modulus = _read_integer(text[2:])
+        if not text.startswith("Z/") or modulus is None or text.startswith("Z/-"):
             raise ValueError(f"cannot parse ring {text!r} (expected Z or Z/n)")
-        return cls(int(digits))
+        return cls(modulus)
 
     def is_unit(self, value: int) -> bool:
         if self.modulus == 0:

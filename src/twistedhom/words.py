@@ -11,14 +11,13 @@ import operator
 import re
 from dataclasses import dataclass
 
+from .exactlinalg import _read_integer
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Largest |k| accepted in a token name^k. The token expands to |k| letters,
-# so an unbounded exponent lets one short line exhaust memory.
-MAX_EXPONENT = 100_000
 # Largest number of letters a parsed word may expand to, counted before free
-# reduction, so that many capped tokens on one line cannot exhaust memory
-# either. Equal to MAX_EXPONENT, so a single name^k token always fits.
+# reduction and checked before each token name^k expands to |k| letters, so
+# that no short line can exhaust memory.
 MAX_WORD_LETTERS = 100_000
 
 
@@ -112,9 +111,10 @@ def invert(w: Word) -> Word:
 def parse_word(text: str, alphabet) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^-1`` or ``name^k``.
 
-    A token ``name^k`` with nonzero integer k, |k| <= MAX_EXPONENT, expands
-    to |k| copies of the signed letter; the result is freely reduced. The
-    tokens together may expand to at most MAX_WORD_LETTERS letters.
+    A token ``name^k``, with k a nonzero integer written as an optional '-'
+    and at most MAX_INPUT_DIGITS ASCII digits, expands to |k| copies of the
+    signed letter; the result is freely reduced. The tokens together may
+    expand to at most MAX_WORD_LETTERS letters.
     """
     alphabet = tuple(alphabet)
     index_of = {gen.name: i for i, gen in enumerate(alphabet)}
@@ -122,14 +122,11 @@ def parse_word(text: str, alphabet) -> Word:
     for position, token in enumerate(text.split()):
         name, caret, exponent_text = token.partition("^")
         if caret:
-            try:
-                exponent = int(exponent_text)
-            except ValueError:
-                raise ParseError(f"malformed exponent {exponent_text!r}", position) from None
+            exponent = _read_integer(exponent_text)
+            if exponent is None:
+                raise ParseError(f"malformed exponent {exponent_text!r}", position)
             if exponent == 0:
                 raise ParseError("zero exponent", position)
-            if abs(exponent) > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}", position)
         else:
             exponent = 1
         if name not in index_of:

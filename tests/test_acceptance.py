@@ -14,10 +14,10 @@ from twistedhom import (
     Presentation,
     Representation,
     brute_force_h1_mod2,
-    chain_boundaries,
     change_ring,
     cocycle_matrix,
     coinvariants,
+    dual,
     fundamental_identity_check,
     goeritz_e2,
     h1_cohomology,
@@ -35,6 +35,7 @@ from twistedhom import (
     solve_in_lattice,
     uct_check,
 )
+from twistedhom.homology import checked_cochains
 from twistedhom.words import Generator
 
 from support import perturbed_pair, random_int_matrix, random_word
@@ -216,7 +217,8 @@ def test_criterion_8_property_suites():
             J = cocycle_matrix(p, rep)
             P = principal_map(rep).matrix
             assert (J * P).mod(n).is_zero()
-            d1, d2 = chain_boundaries(p, rep)
+            dual_J, dual_P = checked_cochains(p, dual(rep))
+            d1, d2 = dual_P.transpose(), dual_J.transpose()
             assert (d1 * d2).mod(n).is_zero()
             columns = d1 if n == 0 else hstack(d1, IntMatrix.identity(d1.rows).scale(n))
             cokernel = lattice_quotient(IntMatrix.identity(d1.rows), columns)

@@ -26,7 +26,9 @@ from twistedhom.cli import (
     render_text,
     run,
 )
+from twistedhom.exactlinalg import MAX_INPUT_DIGITS
 from twistedhom.homology import UctComparison
+from twistedhom.words import MAX_WORD_LETTERS
 
 from support import count_calls
 
@@ -39,6 +41,21 @@ ring: Z
 rank: 1
 action a: [-1]
 """
+
+# Spellings that no site reads as an integer, each rejected with the site's
+# own message on its line.
+NOT_INTEGERS = {
+    "plus": "+1",
+    "underscore": "1_0",
+    "arabic-indic": "\u0663",
+    "fullwidth": "\uff15",
+    "double-minus": "--1",
+    "minus": "-",
+    "exponent": "1e3",
+    "hex": "0x10",
+    "41-digits": "9" * (MAX_INPUT_DIGITS + 1),
+    "minus-41-digits": "-" + "9" * (MAX_INPUT_DIGITS + 1),
+}
 
 
 class TestParseInputFile:
@@ -170,6 +187,86 @@ class TestParseInputFile:
             parse_input_file(text)
         assert str(err.value) == f"line {line}: {fragment}"
         assert err.value.line == line
+
+    @pytest.mark.parametrize("spelling", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    @pytest.mark.parametrize(
+        "site, line, message",
+        [
+            pytest.param(lambda x: SMALL.replace("rank: 1", f"rank: {x}"), 4, "bad rank {!r}", id="rank"),
+            pytest.param(lambda x: SMALL.replace("[-1]", f"[0 {x}]"), 5, "bad matrix entry in '0 {}'", id="action"),
+            pytest.param(lambda x: SMALL + f"form: [1; {x}]\n", 6, "bad matrix entry in {!r}", id="form"),
+            pytest.param(lambda x: SMALL + f"kerf: [{x} 1]\n", 6, "bad matrix entry in '{} 1'", id="kerf"),
+            pytest.param(
+                lambda x: SMALL.replace("relator: a a", f"relator: a a^{x}"),
+                2,
+                "token 1: malformed exponent {!r}",
+                id="relator",
+            ),
+            pytest.param(
+                lambda x: SMALL.replace("relator: a a", f"relation: a^{x} = a"),
+                2,
+                "token 0: malformed exponent {!r}",
+                id="relation",
+            ),
+            pytest.param(
+                lambda x: SMALL.replace("ring: Z", f"ring: Z/{x}"),
+                3,
+                "cannot parse ring 'Z/{}' (expected Z or Z/n)",
+                id="ring",
+            ),
+            pytest.param(
+                lambda x: SMALL + f"expect h1[Z/{x}]: 0\n",
+                6,
+                "cannot parse ring 'Z/{}' (expected Z or Z/n)",
+                id="expect-ring",
+            ),
+            pytest.param(
+                lambda x: SMALL + f"expect h1: Z + Z/{x}\n",
+                6,
+                "cannot parse group summand 'Z/{}'",
+                id="expect-value",
+            ),
+        ],
+    )
+    def test_one_integer_rule_at_every_site(self, spelling, site, line, message):
+        with pytest.raises(InputFormatError) as err:
+            parse_input_file(site(spelling))
+        # '+' separates the summands of an expect value, so its message shows
+        # the summand before the '+'.
+        shown = spelling.partition("+")[0] if "summand" in message else spelling
+        assert str(err.value) == f"line {line}: " + message.format(shown)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [("-1", -1), ("0", 0), ("007", 7), ("-12", -12), ("9" * MAX_INPUT_DIGITS, 10**MAX_INPUT_DIGITS - 1)],
+        ids=["-1", "0", "007", "-12", "40-digits"],
+    )
+    def test_integers_keep_their_values(self, spelling, value):
+        parsed = parse_input_file(SMALL + f"form: [{spelling}]\nkerf: [{spelling}]\n")
+        assert parsed.form == parsed.kerf == IntMatrix.from_rows([[value]])
+        rank_text = f"generators:\nrank: {spelling}\n"
+        if 1 <= value <= MAX_RANK:
+            assert parse_input_file(rank_text).representation.rank == value
+        else:
+            with pytest.raises(InputFormatError, match=f"^line 2: rank {value} is outside 1..{MAX_RANK}$"):
+                parse_input_file(rank_text)
+        relator_text = SMALL + f"relator: a^{spelling}\n"
+        if value == 0 or abs(value) > MAX_WORD_LETTERS:
+            with pytest.raises(InputFormatError, match="^line 6: token 0: (zero exponent|word exceeds the limit)"):
+                parse_input_file(relator_text)
+        else:
+            relator = parse_input_file(relator_text).presentation.relators[-1]
+            assert relator.letters == ((0, 1 if value > 0 else -1),) * abs(value)
+        ring_text = SMALL.replace("ring: Z", f"ring: Z/{spelling}") + f"expect h1[Z/{spelling}]: Z/{spelling}\n"
+        if value < 0:
+            with pytest.raises(InputFormatError, match=f"^line 3: cannot parse ring 'Z/{spelling}'"):
+                parse_input_file(ring_text)
+        else:
+            parsed = parse_input_file(ring_text)
+            assert parsed.representation.ring == CoefficientRing(value)
+            expected = AbelianGroupStructure.from_cyclic_orders([value])
+            assert parsed.expected == {f"h1[{CoefficientRing(value)}]": expected}
 
     @pytest.mark.parametrize(
         "name, fragment",
@@ -413,7 +510,7 @@ class TestRun:
 
     def test_kerf_route_error_is_rendered(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise RuntimeError("no splitting")
+            raise ValueError("no splitting")
 
         monkeypatch.setattr(cli, "kerf_reduction", failing)
         status, records = run(JobSpec(example="e2", computations=("coh1",)))

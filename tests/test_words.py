@@ -12,7 +12,7 @@ from twistedhom import (
     parse_word,
     word_to_text,
 )
-from twistedhom.words import MAX_EXPONENT, MAX_WORD_LETTERS
+from twistedhom.words import MAX_WORD_LETTERS
 
 from support import random_word
 
@@ -46,24 +46,22 @@ def test_parse_exponent_expansion():
 
 
 def test_parse_caps_the_exponent():
-    assert len(parse_word(f"a^{MAX_EXPONENT}", AB)) == MAX_EXPONENT
-    assert len(parse_word(f"b^-{MAX_EXPONENT}", AB)) == MAX_EXPONENT
+    assert len(parse_word(f"b^-{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
     # Rejected before expansion: a billion letters would exhaust memory.
-    for token in (f"a^{MAX_EXPONENT + 1}", "a^-1000000000"):
-        with pytest.raises(ParseError, match="exceeds the limit") as err:
+    for token in (f"a^{MAX_WORD_LETTERS + 1}", "a^-1000000000"):
+        with pytest.raises(ParseError, match=f"word exceeds the limit of {MAX_WORD_LETTERS} letters") as err:
             parse_word(f"b {token}", AB)
         assert err.value.position == 1
 
 
 def test_parse_caps_the_letters_of_a_word():
-    assert MAX_WORD_LETTERS == MAX_EXPONENT
     assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
-    # Each token is within its own cap; the second would take the word past
-    # the total, so it is rejected before it expands.
+    # Each token fits alone; the second would take the word past the
+    # total, so it is rejected before it expands.
     with pytest.raises(ParseError, match=f"limit of {MAX_WORD_LETTERS} letters") as err:
         parse_word("a^60000 a^60000", AB)
     assert err.value.position == 1
-    # About 10 kB of capped tokens would ask for 10^8 letters.
+    # About 10 kB of tokens would ask for 10^8 letters.
     with pytest.raises(ParseError, match="letters") as err:
         parse_word("a^100000 " * 1000, AB)
     assert err.value.position == 1
