@@ -20,8 +20,8 @@ entry, exponent, modulus, order) is an optional '-' and at most
 MAX_INPUT_DIGITS (40) ASCII decimal digits; a modulus or an order takes no
 '-'. A rejected line, the library's own checks included, is reported as
 "line N: <reason>".
-Exit status is 0 only if every requested diagnostic passes and every
-applicable expectation matches.
+Every result record states its own verdict, and the exit status is 0
+exactly when no record reports an error, a failed check or a mismatch.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def parse_input_file(text: str) -> NamedExample:
     Raises InputFormatError with a line number for syntax problems, a
     repeated key or generator name, a rank outside 1..MAX_RANK, more than
     MAX_GENERATORS generators, a relator of more than MAX_WORD_LETTERS
-    letters, a bad expect name, and any value the library rejects.
+    letters, a bad expect name, a form that is not rank x rank, a kerf that
+    is not rank x (generators * rank), and any value the library rejects.
     """
     generators: tuple[Generator, ...] | None = None
     names: set[str] = set()
@@ -205,6 +206,10 @@ def parse_input_file(text: str) -> NamedExample:
         representation = Representation.build(ring, generators, [actions[g.name] for g in generators], rank=rank)
     except ActionError as exc:
         raise InputFormatError(str(exc), first_line[f"action {exc.generator}"]) from None
+    for key, matrix, cols in (("form", form, rank), ("kerf", kerf, len(generators) * rank)):
+        if matrix is not None and (matrix.rows, matrix.cols) != (rank, cols):
+            shape = f"{matrix.rows}x{matrix.cols}, expected {rank}x{cols}"
+            raise InputFormatError(f"{key} is {shape}", first_line[key])
     presentation = Presentation(generators, tuple(relators))
     return NamedExample("", presentation, representation, form, kerf, expected)
 
@@ -240,8 +245,8 @@ def _load(job: JobSpec) -> NamedExample:
         return parse_input_file(handle.read())
 
 
-def _structure_record(name, ring, structure, witnesses=()):
-    return {
+def _structure_record(name, ring, structure, witnesses=(), expected=None):
+    record = {
         "name": name,
         "ring": str(ring),
         "free_rank": structure.free_rank,
@@ -249,19 +254,25 @@ def _structure_record(name, ring, structure, witnesses=()):
         "structure": str(structure),
         "witnesses": [list(w) for w in witnesses],
     }
+    if expected is not None:
+        record["expected"] = str(expected)
+        record["match"] = structure == expected
+    return record
 
 
-def _expectation(expected, name, ring):
-    """Expected structure for a computation under a ring, or None."""
-    return expected.get(f"{name}[{ring}]", expected.get(name))
+def _failed(record) -> bool:
+    """A record fails when it carries an error or a false verdict."""
+    return "error" in record or any(record.get(key) is False for key in ("passed", "match", "all_match"))
 
 
 def run(job: JobSpec) -> tuple[int, list[dict]]:
     """Execute the selected computations in a fixed order.
 
-    Returns the exit status and one self-describing record per computation.
-    Status 0 means every diagnostic passed and every expectation that
-    applies to a computed result matched.
+    Returns the exit status and one self-describing record per computation,
+    then a summary. A record fails when it has an error or its passed, match
+    or all_match is false; the coh1-kerf record is matched against coh1's
+    structure. The summary lists the failed records in order, and the status
+    is 1 when there is one, else 0.
     """
     if not job.computations:
         raise ValueError("at least one computation must be selected")
@@ -270,7 +281,9 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
     rep = change_ring(data.representation, ring)
     p = data.presentation
     records: list[dict] = []
-    failed: list[str] = []
+
+    def expected(name):
+        return data.expected.get(f"{name}[{ring}]", data.expected.get(name))
 
     for computation in COMPUTATION_ORDER:
         if computation not in job.computations:
@@ -284,42 +297,28 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 findings = [f"{d.severity}: {where}: {d.message}" for where, d in diagnostics]
                 passed = not any(d.severity == "error" for _, d in diagnostics)
                 records.append({"name": "check", "ring": str(ring), "passed": passed, "findings": findings})
-                if not passed:
-                    failed.append("check")
             elif computation == "h0":
-                structure = coinvariants(rep)
-                record = _structure_record("h0", ring, structure)
-                _attach_expectation(record, data.expected, "h0", ring, structure, failed)
-                records.append(record)
+                records.append(_structure_record("h0", ring, coinvariants(rep), expected=expected("h0")))
             elif computation == "coh1":
                 cochains = checked_cochains(p, rep)
                 result = h1_cohomology(p, rep, cochains=cochains)
-                record = _structure_record("coh1", ring, result.h1, result.witnesses)
-                _attach_expectation(record, data.expected, "coh1", ring, result.h1, failed)
-                records.append(record)
+                records.append(_structure_record("coh1", ring, result.h1, result.witnesses, expected("coh1")))
                 if data.kerf is not None:
                     try:
                         fast = kerf_reduction(p, rep, data.kerf, cochains=cochains)
                     except ValueError as exc:
                         records.append({"name": "coh1-kerf", "error": str(exc)})
-                        failed.append("coh1-kerf")
                     else:
-                        records.append(_structure_record("coh1-kerf", ring, fast.h1, fast.witnesses))
-                        if fast.h1 != result.h1:
-                            failed.append("coh1-kerf")
+                        records.append(_structure_record("coh1-kerf", ring, fast.h1, fast.witnesses, result.h1))
             elif computation == "h1":
-                structure = h1_homology(p, rep)
-                record = _structure_record("h1", ring, structure)
-                _attach_expectation(record, data.expected, "h1", ring, structure, failed)
-                records.append(record)
+                records.append(_structure_record("h1", ring, h1_homology(p, rep), expected=expected("h1")))
             elif computation == "uct":
                 comparisons = uct_check(p, data.representation, UCT_MODULI)
-                all_match = all(c.match for c in comparisons)
                 records.append(
                     {
                         "name": "uct",
                         "ring": str(data.representation.ring),
-                        "all_match": all_match,
+                        "all_match": all(c.match for c in comparisons),
                         "comparisons": [
                             {
                                 "ring": str(c.ring),
@@ -331,8 +330,6 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                         ],
                     }
                 )
-                if not all_match:
-                    failed.append("uct")
             elif computation == "oracle":
                 counts = brute_force_h1_mod2(p, data.representation)
                 records.append(
@@ -346,21 +343,11 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 )
         except ValueError as exc:
             records.append({"name": computation, "error": str(exc)})
-            failed.append(computation)
 
+    failed = [record["name"] for record in records if _failed(record)]
     status = 1 if failed else 0
     records.append({"name": "summary", "exit_status": status, "failed_stages": failed})
     return status, records
-
-
-def _attach_expectation(record, expected, name, ring, structure, failed):
-    expectation = _expectation(expected, name, ring)
-    if expectation is None:
-        return
-    record["expected"] = str(expectation)
-    record["match"] = structure == expectation
-    if not record["match"]:
-        failed.append(name)
 
 
 _TEXT_LABEL = {"h0": "H_0", "coh1": "H^1", "coh1-kerf": "H^1 (ker-f path)", "h1": "H_1"}

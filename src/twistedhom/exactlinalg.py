@@ -589,7 +589,7 @@ class AbelianGroupStructure:
             if token == "Z":
                 free += 1
             elif head not in ("Z^", "Z/") or value is None or digits.startswith("-"):
-                raise ValueError(f"cannot parse group summand {token!r}")
+                raise ValueError(f"cannot parse group summand {token!r} in {text!r}")
             elif head == "Z^":
                 free += value
             else:

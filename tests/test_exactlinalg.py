@@ -487,6 +487,7 @@ class TestAbelianGroupStructure:
             ("Z/2 + Z/", "Z/"),
             ("Q", "Q"),
             ("Z/+5", "Z/"),
+            ("Z + Z/+1", "Z/"),
             ("Z/ 5", "Z/ 5"),
             ("Z/1_0", "Z/1_0"),
             ("Z/\uff15", "Z/\uff15"),
@@ -496,7 +497,7 @@ class TestAbelianGroupStructure:
     def test_parse_rejects_a_malformed_summand(self, text, summand):
         with pytest.raises(ValueError) as err:
             AbelianGroupStructure.parse(text)
-        assert str(err.value) == f"cannot parse group summand {summand!r}"
+        assert str(err.value) == f"cannot parse group summand {summand!r} in {text!r}"
 
     def test_from_cyclic_orders_canonicalizes(self):
         # Z/2 + Z/3 = Z/6, and Z/4 + Z/6 = Z/2 + Z/12.

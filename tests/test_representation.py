@@ -263,6 +263,10 @@ class TestDiagnostics:
         form = IntMatrix(3, 3, tuple(rng.randint(-4, 4) for _ in range(9)))
         assert check_bilinear_form_preserved(rep, form) == []
 
+    def test_form_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="form has the wrong shape"):
+            check_bilinear_form_preserved(E2.representation, IntMatrix.identity(3))
+
     def test_form_violation_mod_5(self):
         gens = (Generator("a"),)
         rep = Representation.build(

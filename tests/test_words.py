@@ -58,16 +58,17 @@ def test_parse_caps_the_letters_of_a_word():
     assert len(parse_word(f"a^{MAX_WORD_LETTERS}", AB)) == MAX_WORD_LETTERS
     # Each token fits alone; the second would take the word past the
     # total, so it is rejected before it expands.
+    part = MAX_WORD_LETTERS * 3 // 5
     with pytest.raises(ParseError, match=f"limit of {MAX_WORD_LETTERS} letters") as err:
-        parse_word("a^60000 a^60000", AB)
+        parse_word(f"a^{part} a^{part}", AB)
     assert err.value.position == 1
-    # About 10 kB of tokens would ask for 10^8 letters.
+    # A thousand tokens at the cap would ask for a thousand times the cap.
     with pytest.raises(ParseError, match="letters") as err:
-        parse_word("a^100000 " * 1000, AB)
+        parse_word(f"a^{MAX_WORD_LETTERS} " * 1000, AB)
     assert err.value.position == 1
-    # Letters count before free reduction: a^60000 a^-60000 is rejected too.
+    # Letters count before free reduction: a^part a^-part is rejected too.
     with pytest.raises(ParseError, match="letters"):
-        parse_word("a^60000 a^-60000", AB)
+        parse_word(f"a^{part} a^-{part}", AB)
     assert len(parse_word(f"a^{MAX_WORD_LETTERS - 1} b", AB)) == MAX_WORD_LETTERS
 
 
