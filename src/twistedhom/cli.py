@@ -271,8 +271,11 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
     Returns the exit status and one self-describing record per computation,
     then a summary. A record fails when it has an error or its passed, match
     or all_match is false; the coh1-kerf record is matched against coh1's
-    structure. The summary lists the failed records in order, and the status
-    is 1 when there is one, else 0.
+    structure. The oracle record has a verdict too when H^1 over Z/2 is
+    known: its h1_count is matched against the order of this run's coh1
+    when the ring is Z/2, else of the file's "expect coh1[Z/2]". The summary
+    lists the failed records in order, and the status is 1 when there is
+    one, else 0.
     """
     if not job.computations:
         raise ValueError("at least one computation must be selected")
@@ -281,6 +284,7 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
     rep = change_ring(data.representation, ring)
     p = data.presentation
     records: list[dict] = []
+    coh1_mod2 = data.expected.get("coh1[Z/2]")
 
     def expected(name):
         return data.expected.get(f"{name}[{ring}]", data.expected.get(name))
@@ -303,6 +307,8 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 cochains = checked_cochains(p, rep)
                 result = h1_cohomology(p, rep, cochains=cochains)
                 records.append(_structure_record("coh1", ring, result.h1, result.witnesses, expected("coh1")))
+                if ring.modulus == 2:
+                    coh1_mod2 = result.h1
                 if data.kerf is not None:
                     try:
                         fast = kerf_reduction(p, rep, data.kerf, cochains=cochains)
@@ -332,15 +338,11 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                 )
             elif computation == "oracle":
                 counts = brute_force_h1_mod2(p, data.representation)
-                records.append(
-                    {
-                        "name": "oracle",
-                        "ring": "Z/2",
-                        "z1_count": counts.z1_count,
-                        "b1_count": counts.b1_count,
-                        "h1_count": counts.h1_count,
-                    }
-                )
+                record = {"name": "oracle", "ring": "Z/2", **counts._asdict()}
+                if coh1_mod2 is not None:
+                    record["expected"] = str(coh1_mod2)
+                    record["match"] = counts.h1_count == coh1_mod2.order()
+                records.append(record)
         except ValueError as exc:
             records.append({"name": computation, "error": str(exc)})
 
@@ -353,6 +355,12 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
 _TEXT_LABEL = {"h0": "H_0", "coh1": "H^1", "coh1-kerf": "H^1 (ker-f path)", "h1": "H_1"}
 
 
+def _verdict_text(record) -> str:
+    if "match" not in record:
+        return ""
+    return "  [expected {}: {}]".format(record["expected"], "ok" if record["match"] else "MISMATCH")
+
+
 def render_text(records) -> str:
     lines = []
     for record in records:
@@ -363,19 +371,15 @@ def render_text(records) -> str:
             lines.append("check: ok" if record["passed"] else "check: FAILED")
             lines.extend(f"  {finding}" for finding in record["findings"])
         elif name in _TEXT_LABEL:
-            line = f"{_TEXT_LABEL[name]} = {record['structure']}"
-            if "match" in record:
-                line += "  [expected {}: {}]".format(record["expected"], "ok" if record["match"] else "MISMATCH")
-            lines.append(line)
+            lines.append(f"{_TEXT_LABEL[name]} = {record['structure']}" + _verdict_text(record))
         elif name == "uct":
             lines.append("uct: " + ("ok" if record["all_match"] else "FAILED"))
             for c in record["comparisons"]:
                 verdict = "ok" if c["match"] else "MISMATCH"
                 lines.append(f"  {c['ring']}: computed {c['computed']}, expected {c['expected']} ({verdict})")
         elif name == "oracle":
-            lines.append(
-                "oracle (mod 2): z1={z1_count} b1={b1_count} h1={h1_count}".format(**record)
-            )
+            line = "oracle (mod 2): z1={z1_count} b1={b1_count} h1={h1_count}".format(**record)
+            lines.append(line + _verdict_text(record))
         elif name == "summary":
             if record["failed_stages"]:
                 lines.append("FAILED stages: " + ", ".join(record["failed_stages"]))

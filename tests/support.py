@@ -148,6 +148,20 @@ def row_mask_kernel_count(matrix: IntMatrix) -> int:
     )
 
 
+def gray_code_kernel_count(matrix: IntMatrix) -> int:
+    """Number of v in (Z/2)^cols with matrix*v = 0 mod 2, walked in Gray-code
+    order: step k flips bit j, the lowest set bit of k, so each candidate
+    costs one XOR of column j into the syndrome matrix*v."""
+    columns = [sum((x & 1) << i for i, x in enumerate(matrix.column(j))) for j in range(matrix.cols)]
+    syndrome = 0
+    count = 1  # the zero vector
+    for k in range(1, 1 << matrix.cols):
+        syndrome ^= columns[(k & -k).bit_length() - 1]
+        if not syndrome:
+            count += 1
+    return count
+
+
 def distinct_images_mod2(matrix: IntMatrix) -> int:
     """Number of distinct matrix*u mod 2 over every u in (Z/2)^cols, one
     product per u: the principal count of the mod-2 oracle as it was before

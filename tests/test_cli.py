@@ -476,6 +476,45 @@ class TestRun:
         oracle = record_by_name(records, "oracle")
         order = 2 ** len(coh1["torsion"]) if coh1["free_rank"] == 0 else None
         assert order == 4 and oracle["h1_count"] == 4
+        assert (oracle["expected"], oracle["match"]) == ("Z/2 + Z/2", True)
+        assert "oracle (mod 2): z1=64 b1=16 h1=4  [expected Z/2 + Z/2: ok]" in render_text(records)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    def test_oracle_count_that_disagrees_fails_the_run(self, monkeypatch, modulus):
+        brute_force_h1_mod2 = cli.brute_force_h1_mod2
+
+        def wrong(*args):
+            return brute_force_h1_mod2(*args)._replace(h1_count=8)
+
+        monkeypatch.setattr(cli, "brute_force_h1_mod2", wrong)
+        job = JobSpec(example="e2", ring=CoefficientRing(modulus), computations=("coh1", "oracle"))
+        status, records = run(job)
+        assert status == 1
+        oracle = record_by_name(records, "oracle")
+        assert (oracle["h1_count"], oracle["expected"], oracle["match"]) == (8, "Z/2 + Z/2", False)
+        assert record_by_name(records, "summary")["failed_stages"] == ["oracle"]
+        assert "h1=8  [expected Z/2 + Z/2: MISMATCH]\nFAILED stages: oracle" in render_text(records)
+
+    def test_oracle_is_matched_against_this_runs_mod2_coh1_first(self, tmp_path):
+        path = tmp_path / "e2.grp"
+        path.write_text(E2_TEXT.replace("expect coh1[Z/2]: Z/2 + Z/2", "expect coh1[Z/2]: Z/2"))
+        status, records = run(JobSpec(path=str(path), ring=CoefficientRing(2), computations=("coh1", "oracle")))
+        assert status == 1
+        assert record_by_name(records, "coh1")["match"] is False
+        assert record_by_name(records, "oracle")["match"] is True
+        assert record_by_name(records, "summary")["failed_stages"] == ["coh1"]
+        status, records = run(JobSpec(path=str(path), computations=("coh1", "oracle")))
+        assert record_by_name(records, "oracle")["match"] is False
+        assert record_by_name(records, "summary")["failed_stages"] == ["oracle"]
+
+    def test_oracle_without_a_known_mod2_coh1_has_no_verdict(self, tmp_path):
+        path = tmp_path / "small.grp"
+        path.write_text(SMALL)
+        status, records = run(JobSpec(path=str(path), computations=("coh1", "oracle")))
+        assert status == 0
+        oracle = record_by_name(records, "oracle")
+        assert oracle == {"name": "oracle", "ring": "Z/2", "z1_count": 2, "b1_count": 1, "h1_count": 2}
+        assert render_text(records).splitlines()[1] == "oracle (mod 2): z1=2 b1=1 h1=2"
 
     def test_e2_mod5_coh1_trivial(self):
         from twistedhom import CoefficientRing

@@ -41,6 +41,7 @@ from support import (
     count_calls,
     distinct_images_mod2,
     gf_rank,
+    gray_code_kernel_count,
     inverse_difference_d1,
     involuted_d2,
     perturbed_pair,
@@ -575,10 +576,16 @@ class TestBruteForceOracle:
                 P = principal_map(change_ring(rep, CoefficientRing(2))).matrix
                 assert brute_force_h1_mod2(p, rep).b1_count == distinct_images_mod2(P)
 
+    def test_genus3_chain_counts_match_engine(self):
+        ex = chain_example(3)
+        counts = brute_force_h1_mod2(ex.presentation, ex.representation)
+        assert counts == (128, 64, 2)
+        assert counts.h1_count == h1_cohomology(ex.presentation, rep_over(ex, 2)).h1.order()
+
     def test_gray_code_count_matches_row_mask_reference(self):
         rng = random.Random(47)
-        matrices = [IntMatrix.zeros(0, 5), IntMatrix.zeros(3, 0), IntMatrix.zeros(4, 6)]
-        for bits in range(15):
+        matrices = [IntMatrix.zeros(0, 5), IntMatrix.zeros(0, 0), IntMatrix.zeros(3, 0), IntMatrix.zeros(4, 6)]
+        for bits in range(17):
             for _ in range(3):
                 rows = rng.randint(0, 6)
                 entries = [rng.choice((0, 0, 1, 2, 3, -1)) for _ in range(rows * bits)]
@@ -587,10 +594,12 @@ class TestBruteForceOracle:
                     entries[zero_row * bits : (zero_row + 1) * bits] = [0] * bits
                 matrices.append(IntMatrix(rows, bits, tuple(entries)))
         for matrix in matrices:
-            assert _kernel_size_mod2(matrix) == row_mask_kernel_count(matrix), matrix
+            expected = row_mask_kernel_count(matrix)
+            assert gray_code_kernel_count(matrix) == expected, matrix
+            assert _kernel_size_mod2(matrix) == expected, matrix
 
     def test_bit_bound_comes_before_j_and_the_relator_check(self, monkeypatch):
-        ex = chain_example(3)
+        ex = chain_example(4)
         p, rep = ex.presentation, ex.representation
         failing = Presentation(p.generators, p.relators + (Word(p.generators, ((0, 1),)),))
         assert check_relators_trivial(change_ring(rep, CoefficientRing(2)), failing)
@@ -598,13 +607,24 @@ class TestBruteForceOracle:
         for presentation in (p, failing):
             with pytest.raises(ValueError) as err:
                 brute_force_h1_mod2(presentation, rep)
-            assert str(err.value) == "enumeration over 36 bits exceeds the bound of 20"
+            assert str(err.value) == "enumeration over 64 bits exceeds the bound of 36"
         assert builds == []
 
+    def test_table_bound_comes_before_j(self, monkeypatch):
+        gens = tuple(Generator(f"g{i}") for i in range(36))
+        rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.identity(1),) * 36)
+        relators = tuple(Word(gens, ((i % 36, 1), (i % 36, -1))) for i in range(513))
+        builds = count_calls(monkeypatch, "cocycle_matrix")
+        with pytest.raises(ValueError) as err:
+            brute_force_h1_mod2(Presentation(gens, relators), rep)
+        assert str(err.value) == "2^18 syndromes of 513 bits exceed the bound of 134217728 table bits"
+        assert builds == []
+        assert brute_force_h1_mod2(Presentation(gens, relators[:512]), rep) == (1 << 36, 1, 1 << 36)
+
     def test_dimension_bound_refusal(self):
-        gens = tuple(Generator(f"g{i}") for i in range(21))
+        gens = tuple(Generator(f"g{i}") for i in range(37))
         rep = Representation.build(
-            CoefficientRing.integers(), gens, (IntMatrix.identity(1),) * 21
+            CoefficientRing.integers(), gens, (IntMatrix.identity(1),) * 37
         )
         with pytest.raises(ValueError, match="exceeds the bound"):
             brute_force_h1_mod2(Presentation(gens, ()), rep)
