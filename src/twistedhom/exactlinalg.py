@@ -293,9 +293,12 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             if u is not None:
                 u[i1], u[i2] = u[i2], u[i1]
 
+    # Column operations come only at position t, where every row above t
+    # is zero from column t on; in the column phase column t is also zero
+    # below row t. So a swap touches rows t on and an addition row t only.
     def swap_cols(j1, j2):
         if j1 != j2:
-            for row in d:
+            for row in d[t:]:
                 row[j1], row[j2] = row[j2], row[j1]
             if v is not None:
                 for row in v:
@@ -312,8 +315,7 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
+        d[t][dst] += c * d[t][src]
         if v is not None:
             for row in v:
                 row[dst] += c * row[src]

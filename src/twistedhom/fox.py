@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import operator
 
-from .exactlinalg import IntMatrix, hstack, vstack
+from .exactlinalg import IntMatrix, vstack
 from .presentation import Presentation
 from .representation import Representation, evaluate_group_ring
 from .words import Generator, Word, invert, word_to_text
+
+# Most letters of one piece of a relator in cocycle_matrix. The walk over a
+# piece holds all its prefixes at once, about 0.5 M letters at this length.
+_FOX_PIECE_LETTERS = 1024
 
 
 class GroupRingElement:
@@ -145,17 +149,36 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
     (r, g) block is the action matrix of dr/dg. A stacked coefficient vector
     (d(g1), ..., d(gk)) is annihilated by this matrix exactly when the
     assignment extends to a crossed homomorphism of the presented group.
+
+    A relator is cut into pieces r = u_1 ... u_m of at most
+    _FOX_PIECE_LETTERS letters, and one evaluate_group_ring walk over a
+    piece u gives its whole block row B(u). The product rule joins them,
+    B(r) = sum_c M(u_1 ... u_(c-1)) * B(u_c), and Fox's fundamental formula
+    advances the prefix matrix by one product per piece, M(u) = 1 + B(u)*P,
+    where P stacks the blocks M_g - 1. So the walk holds the prefixes of one
+    piece at a time, and its memory is linear in the relator's length.
     """
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
-    width = len(p.generators) * rep.rank
+    if not p.generators or not p.relators:
+        return IntMatrix.zeros(len(p.relators) * rep.rank, len(p.generators) * rep.rank)
+    n, identity = rep.ring.modulus, IntMatrix.identity(rep.rank)
+    P = None
     block_rows = []
     for relator in p.relators:
-        blocks = [
-            evaluate_group_ring(rep, fox_derivative(relator, gen))
-            for gen in p.generators
+        letters = relator.letters
+        pieces = [relator] if len(letters) <= _FOX_PIECE_LETTERS else [
+            Word._trusted(relator.alphabet, letters[i : i + _FOX_PIECE_LETTERS])
+            for i in range(0, len(letters), _FOX_PIECE_LETTERS)
         ]
-        block_rows.append(hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0))
-    if not block_rows:
-        return IntMatrix.zeros(0, width)
+        if len(pieces) > 1 and P is None:
+            P = vstack(*[(m - identity).mod(n) for m in rep.matrices])
+        prefix = row = None
+        for c, piece in enumerate(pieces):
+            block = evaluate_group_ring(rep, *[fox_derivative(piece, gen) for gen in p.generators])
+            row = block if prefix is None else (row + prefix * block).mod(n)
+            if c + 1 < len(pieces):
+                advance = (identity + block * P).mod(n)
+                prefix = advance if prefix is None else (prefix * advance).mod(n)
+        block_rows.append(row)
     return vstack(*block_rows)

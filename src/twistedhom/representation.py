@@ -164,20 +164,31 @@ def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
     return result
 
 
-def evaluate_group_ring(rep: Representation, element) -> IntMatrix:
+def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     """Matrix of a group-ring element: coefficient-weighted sum of word matrices.
 
-    Terms are taken shortest first, and a term whose letters extend the
+    Given more elements, their matrices side by side, as hstack of the
+    calls on each alone. One walk serves them all: the terms of every
+    element are taken shortest first, and a term whose letters extend the
     previous term's continues that term's matrix with the new letters only.
-    The terms of a Fox derivative dr/dg are prefixes of r, so one
-    derivative costs at most len(r) matrix products instead of the sum of
-    the prefix lengths. Any other term is evaluated from the identity.
+    The terms of the Fox derivatives dr/dg of one relator r, for all its
+    generators g, are prefixes of r, so all of them cost at most len(r)
+    matrix products together instead of the sum of the prefix lengths. Any
+    other term is evaluated from the identity. Each total is a flat list of
+    ints, to which a coefficient of +1 or -1 adds or subtracts the entries.
     """
-    n = rep.ring.modulus
-    total = IntMatrix.zeros(rep.rank, rep.rank)
+    elements = (element, *more)
+    if any(e.alphabet != rep.alphabet for e in elements):
+        raise ValueError("alphabet mismatch")
+    n, size = rep.ring.modulus, rep.rank
+    totals = [[0] * (size * size) for _ in elements]
+    terms = sorted(
+        ((word, coeff, k) for k, e in enumerate(elements) for word, coeff in e.terms.items()),
+        key=lambda term: len(term[0].letters),
+    )
     letters: tuple[tuple[int, int], ...] = ()
     matrix = None
-    for word, coeff in sorted(element.terms.items(), key=lambda item: len(item[0].letters)):
+    for word, coeff, k in terms:
         if matrix is not None and word.letters[: len(letters)] == letters:
             for index, sign in word.letters[len(letters) :]:
                 factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
@@ -185,8 +196,14 @@ def evaluate_group_ring(rep: Representation, element) -> IntMatrix:
         else:
             matrix = evaluate_word(rep, word)
         letters = word.letters
-        total = total + matrix.scale(coeff)
-    return total.mod(n)
+        if coeff == 1:
+            totals[k] = list(map(operator.add, totals[k], matrix.entries))
+        elif coeff == -1:
+            totals[k] = list(map(operator.sub, totals[k], matrix.entries))
+        else:
+            totals[k] = [a + coeff * b for a, b in zip(totals[k], matrix.entries)]
+    entries = tuple(x for i in range(0, size * size, size) for total in totals for x in total[i : i + size])
+    return IntMatrix._trusted(size, size * len(elements), entries).mod(n)
 
 
 def _nontrivial_relator(pos: int, relator: Word) -> Diagnostic:

@@ -18,6 +18,7 @@ from twistedhom import (
     Word,
     builtin_examples,
     change_ring,
+    evaluate_group_ring,
     evaluate_word,
     fox_derivative,
     hstack,
@@ -103,6 +104,24 @@ def reference_fox_derivative(w: Word, gen: Generator) -> GroupRingElement:
                 terms.append((Word(w.alphabet, tuple(prefix) + ((index, -1),)), -1))
         prefix.append((index, sign))
     return GroupRingElement(w.alphabet, terms)
+
+
+def reference_cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
+    """Reference cocycle matrix: one evaluate_group_ring call per generator
+    on the derivative of the whole relator, with no pieces."""
+    if rep.alphabet != p.generators:
+        raise ValueError("alphabet mismatch")
+    width = len(p.generators) * rep.rank
+    block_rows = []
+    for relator in p.relators:
+        blocks = [
+            evaluate_group_ring(rep, fox_derivative(relator, gen))
+            for gen in p.generators
+        ]
+        block_rows.append(hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0))
+    if not block_rows:
+        return IntMatrix.zeros(0, width)
+    return vstack(*block_rows)
 
 
 def is_freely_reduced(letters) -> bool:

@@ -3,20 +3,26 @@ import random
 import pytest
 
 from twistedhom import (
+    CoefficientRing,
     Generator,
     GroupRingElement,
+    IntMatrix,
     Presentation,
     Word,
+    change_ring,
     cocycle_matrix,
+    dual,
+    fox,
     fox_derivative,
     fundamental_identity_check,
     goeritz_e2,
+    hstack,
     multiply,
     parse_word,
     principal_map,
 )
 
-from support import is_freely_reduced, random_word, reference_fox_derivative
+from support import is_freely_reduced, random_word, reference_cocycle_matrix, reference_fox_derivative
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -192,3 +198,50 @@ class TestCocycleMatrix:
         other = Presentation((Generator("x"),), ())
         with pytest.raises(ValueError):
             cocycle_matrix(other, E2.representation)
+
+
+class TestCocycleMatrixPieces:
+    """A relator longer than _FOX_PIECE_LETTERS is walked piece by piece and
+    the block rows are joined by the product rule; J stays equal to the
+    reference, which walks each derivative of the whole relator."""
+
+    @pytest.mark.parametrize("modulus", [0, 2, 4])
+    @pytest.mark.parametrize("letters", [1023, 1024, 1025, 2055])
+    def test_equal_to_the_reference(self, letters, modulus):
+        rng = random.Random(letters)
+        p = Presentation(ABGD, (reduced_word(rng, ABGD, letters), reduced_word(rng, ABGD, 40)))
+        rep = change_ring(E2.representation, CoefficientRing(modulus))
+        for action in (rep, dual(rep)):
+            assert cocycle_matrix(p, action) == reference_cocycle_matrix(p, action)
+
+    def test_no_derivative_of_more_than_one_piece(self, monkeypatch):
+        seen = []
+
+        def recording(w, gen):
+            seen.append(len(w))
+            return fox_derivative(w, gen)
+
+        monkeypatch.setattr(fox, "fox_derivative", recording)
+        p = Presentation(ABGD, (reduced_word(random.Random(27), ABGD, 2055), parse_word("a^3077", ABGD)))
+        cocycle_matrix(p, E2.representation)
+        assert max(seen) == fox._FOX_PIECE_LETTERS
+        assert sorted(set(seen)) == [5, 7, fox._FOX_PIECE_LETTERS]
+
+    def test_products_per_piece(self, monkeypatch):
+        # One product per letter of the walk, and at most three per piece to
+        # join the pieces: B(u)*P, the prefix times M(u), the prefix times B(u).
+        products = 0
+        product = IntMatrix.__mul__
+
+        def counting(left, right):
+            nonlocal products
+            products += 1
+            return product(left, right)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+        letters = 3077
+        p = Presentation(ABGD, (parse_word(f"a^{letters}", ABGD),))
+        J = cocycle_matrix(p, E2.representation)
+        assert products <= letters + 3 * -(-letters // fox._FOX_PIECE_LETTERS)
+        # alpha acts as -1, so d(a^k)/da = 1 + a + ... + a^(k-1) is 1 for odd k.
+        assert J == hstack(IntMatrix.identity(4), IntMatrix.zeros(4, 12))

@@ -20,6 +20,7 @@ from twistedhom import (
     evaluate_word,
     fox_derivative,
     goeritz_e2,
+    hstack,
     identity_word,
     invert,
     multiply,
@@ -218,6 +219,64 @@ class TestEvaluateGroupRingReference:
         x = (Generator("x"),)
         with pytest.raises(ValueError):
             evaluate_group_ring(E2.representation, GroupRingElement.one(x))
+        with pytest.raises(ValueError):
+            evaluate_group_ring(E2.representation, GroupRingElement.one(ABGD), GroupRingElement.one(x))
+
+
+class TestEvaluateGroupRingSideBySide:
+    """Several elements in one call give the hstack of the calls on each alone."""
+
+    @staticmethod
+    def assert_side_by_side(rep, elements):
+        expected = hstack(*[evaluate_group_ring(rep, e) for e in elements])
+        assert evaluate_group_ring(rep, *elements) == expected
+        assert expected == hstack(*[term_by_term_group_ring(rep, e) for e in elements])
+
+    def test_random_elements(self):
+        rng = random.Random(45)
+        for rep in _actions_over(rng, (0, 2, 3, 4, 8)):
+            for _ in range(20):
+                self.assert_side_by_side(rep, [_random_element(rng, ABGD) for _ in range(rng.randint(1, 5))])
+
+    def test_fox_derivatives_of_one_word(self):
+        rng = random.Random(46)
+        for rep in _actions_over(rng, (0, 2, 4)):
+            for _ in range(10):
+                word = random_word(rng, ABGD, max_len=40)
+                self.assert_side_by_side(rep, [fox_derivative(word, gen) for gen in ABGD])
+
+    def test_terms_that_are_not_prefixes_of_each_other(self):
+        elements = [
+            GroupRingElement(ABGD, [(parse_word(text, ABGD), c) for text, c in terms])
+            for terms in (
+                [("a b", 1), ("b a", -1), ("g d g", 2)],
+                [("d", 1), ("a b g", -3), ("b", 1)],
+                [("g^-1 a", 1), ("a^-1", -1)],
+            )
+        ]
+        for rep in _actions_over(random.Random(47), (0, 2, 9)):
+            self.assert_side_by_side(rep, elements)
+            self.assert_side_by_side(rep, elements[::-1])
+
+    def test_equal_length_ties_across_elements(self):
+        # The same word and other words of its length in several elements,
+        # with coefficients that cancel across the elements but not within one.
+        ab, ba, gd = (parse_word(text, ABGD) for text in ("a b", "b a", "g d"))
+        elements = [
+            GroupRingElement(ABGD, [(ab, 1), (ba, 2)]),
+            GroupRingElement(ABGD, [(ab, -1), (gd, 1)]),
+            GroupRingElement(ABGD, [(ba, -2), (ab, 5), (gd, -1)]),
+        ]
+        for rep in _actions_over(random.Random(48), (0, 4)):
+            self.assert_side_by_side(rep, elements)
+
+    def test_empty_word_and_zero_elements(self):
+        zero, one = GroupRingElement.zero(ABGD), GroupRingElement.one(ABGD)
+        a = GroupRingElement.from_word(parse_word("a", ABGD), -2)
+        for rep in _actions_over(random.Random(49), (0, 3)):
+            for elements in ([zero], [zero, zero], [one], [zero, one, zero], [one, a, one - one], [a, zero, one * 4]):
+                self.assert_side_by_side(rep, elements)
+            assert evaluate_group_ring(rep, zero, zero, zero) == IntMatrix.zeros(4, 12)
 
 
 class TestDual:
