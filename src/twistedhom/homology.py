@@ -2,10 +2,14 @@
 
 Cohomology is crossed homomorphisms modulo principal ones; homology comes
 from the presentation 2-complex, the transposed cochain complex of the dual
-action g -> (M_g^-1)^T. Each group is one integer lattice quotient
-ker(outgoing) / im(incoming), with no elimination over Z/n: the cocycles
-mod n are the columns of V * diag(n / gcd(d_j, n)) from one SNF U*J*V = D
-over Z for every ring, and n*I joins the subgroup. No relator is evaluated
+action g -> (M_g^-1)^T. Nothing is eliminated over Z/n. H_0 = coker d1 on
+every ring and H_1 over Z are read off the diagonals of SNFs over Z that
+build no transform: H_0 = sum Z/gcd(d_i, n) over the diagonal of d1, and,
+since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z is
+the torsion of coker d2 plus Z^(m - rank d1 - rank d2). Every other group is
+one integer lattice quotient ker(outgoing) / im(incoming): the cocycles mod
+n are the columns of V * diag(n / gcd(d_j, n)) from one SNF U*J*V = D over
+Z for every ring, and n*I joins the subgroup. No relator is evaluated
 here: by Fox's fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r
 of J*P is M(r) - 1, so checked_cochains checks them through J*P when it
 builds the cochain pair (J, P) that every stage reads, H_1 that of the dual.
@@ -107,14 +111,25 @@ def principal_map(rep: Representation) -> PrincipalMap:
 
 
 def coinvariants(rep: Representation) -> AbelianGroupStructure:
-    """Degree-zero homology: the module modulo all g*m - m.
+    """Degree-zero homology: the module modulo all g*m - m, that is
+    coker d1 over the ring.
 
-    This is ker(0) / im(d1). Generators suffice: the subgroup spanned by
-    g*m - m over group elements g equals the one spanned over the generators
-    alone, and the blocks g^-1*m - m of d1 span the same subgroup.
+    Generators suffice: the subgroup spanned by g*m - m over group elements
+    g equals the one spanned over the generators alone, and the blocks
+    g^-1*m - m of d1 span the same subgroup. One SNF of d1 over Z, with no
+    transform, gives Z^rank / (im d1 + n*Z^rank) = sum Z/gcd(d_i, n).
     """
     d1 = principal_map(dual(rep)).matrix.transpose()
-    return _homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
+    return _cokernel(snf(d1, transforms="").diagonal(), rep.rank, rep.ring.modulus)
+
+
+def _cokernel(diagonal, size: int, n: int) -> AbelianGroupStructure:
+    """Z^size / (im A + n*Z^size) for the SNF diagonal of a matrix A with
+    size rows: the sum of Z/gcd(d_i, n), with d_i = 0 past the diagonal and
+    gcd(0, 0) = 0 giving Z. gcd(., n) keeps the divisibility chain, so the
+    orders are invariant factors as they stand."""
+    orders = [gcd(d, n) for d in diagonal] + [n] * (size - len(diagonal))
+    return AbelianGroupStructure(orders.count(0), tuple(d for d in orders if d > 1))
 
 
 def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
@@ -155,9 +170,20 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     """First homology of the presented group, ker d1 / im d2. With the module
     made a right one through w -> w^-1, the chain complex is the transposed
     cochain complex of the dual action g -> (M_g^-1)^T, so d1 = P^T and
-    d2 = J^T of checked_cochains(p, dual(rep))."""
+    d2 = J^T of checked_cochains(p, dual(rep)).
+
+    Over Z two SNFs with no transform give the answer: Z^m / ker d1 = im d1
+    is free, so coker d2 = H_1 + im d1, and H_1 is coker d2 with rank d1
+    taken off its free rank. Over Z/n the image of d1 mod n need not be
+    free, so H_1 stays ker d1 / im d2 through the kernel of d1 mod n.
+    """
     J, P = checked_cochains(p, dual(rep))
-    return _homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
+    d1, d2 = P.transpose(), J.transpose()
+    if rep.ring.modulus:
+        return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
+    rank_d1 = sum(1 for d in snf(d1, transforms="").diagonal() if d)
+    coker_d2 = _cokernel(snf(d2, transforms="").diagonal(), d2.rows, 0)
+    return AbelianGroupStructure(coker_d2.free_rank - rank_d1, coker_d2.torsion)
 
 
 def kerf_reduction(
@@ -210,7 +236,9 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     """Cross-check H^1 against Ext(H_0, A) + Hom(H_1, A) for A = Z and each Z/n.
 
     The action must be over Z. H_0 and H_1 are the computed coinvariants
-    and first homology.
+    and first homology, read off invariant factors; H^1 is the kernel
+    quotient ker J / im P, so the comparison sets two routes against each
+    other.
 
     Every ring reads H^1 off one J and P over Z: evaluating words commutes
     with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from twistedhom import (
+    AbelianGroupStructure,
     CoefficientRing,
     Generator,
     GroupRingElement,
@@ -18,16 +19,20 @@ from twistedhom import (
     Word,
     builtin_examples,
     change_ring,
+    dual,
     evaluate_group_ring,
     evaluate_word,
     fox_derivative,
     hstack,
     invert,
     multiply,
+    principal_map,
+    snf,
     unimodular_inverse,
     vstack,
 )
 from twistedhom.exactlinalg import SnfResult
+from twistedhom.homology import _homology, checked_cochains
 
 
 def random_word(rng: random.Random, alphabet, max_len=8) -> Word:
@@ -333,8 +338,8 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def chain_example(genus: int):
-    """The benchmark's chain of 2g Dehn twists, from bench/workloads.py."""
+def bench_workloads():
+    """bench/workloads.py, loaded once as the module bench_workloads."""
     name = "bench_workloads"
     if name not in sys.modules:
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -342,7 +347,31 @@ def chain_example(genus: int):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return sys.modules[name].chain_example(genus)
+    return sys.modules[name]
+
+
+def chain_example(genus: int):
+    """The benchmark's chain of 2g Dehn twists, from bench/workloads.py."""
+    return bench_workloads().chain_example(genus)
+
+
+def workload_examples(name: str, seed: int):
+    """The inputs of one benchmark workload at one seed."""
+    return bench_workloads().build(name, seed).examples
+
+
+def reference_coinvariants(rep: Representation) -> AbelianGroupStructure:
+    """H_0 as the lattice quotient ker 0 / im d1, through a kernel basis,
+    solve_in_lattice and an SNF of the coordinates."""
+    d1 = principal_map(dual(rep)).matrix.transpose()
+    return _homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
+
+
+def reference_h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
+    """H_1 as the lattice quotient ker d1 / im d2 on every ring, through a
+    kernel basis of d1, solve_in_lattice and an SNF of the coordinates."""
+    J, P = checked_cochains(p, dual(rep))
+    return _homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
 
 
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:

@@ -7,6 +7,7 @@ from twistedhom import (
     AbelianGroupStructure,
     IntMatrix,
     cocycle_matrix,
+    dual,
     exactlinalg,
     goeritz_e2,
     h1_cohomology,
@@ -20,6 +21,7 @@ from twistedhom import (
     vstack,
 )
 from twistedhom.exactlinalg import TRANSFORMS, quotient_generators
+from twistedhom.homology import checked_cochains
 
 from support import (
     SnfRecorder,
@@ -199,8 +201,10 @@ class TestSnf:
         chain, e2 = chain_example(3), goeritz_e2()
         recorder = SnfRecorder(monkeypatch)
         h1_homology(chain.presentation, chain.representation)
-        coordinates = [m for caller, m, _ in recorder.calls if caller == "quotient_generators"]
-        assert [(m.rows, m.cols) for m in coordinates] == [(30, 90)]
+        J, P = checked_cochains(chain.presentation, dual(chain.representation))
+        boundaries = [m for caller, m, _ in recorder.calls if caller == "h1_homology"]
+        assert boundaries == [P.transpose(), J.transpose()]
+        assert [(m.rows, m.cols) for m in boundaries] == [(6, 36), (36, 90)]
         for example in (e2, chain):
             h1_cohomology(example.presentation, example.representation)
         h1_homology(e2.presentation, e2.representation)

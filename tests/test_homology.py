@@ -10,6 +10,7 @@ from twistedhom import (
     Presentation,
     Representation,
     brute_force_h1_mod2,
+    builtin_examples,
     change_ring,
     check_relators_trivial,
     cocycle_matrix,
@@ -47,7 +48,10 @@ from support import (
     perturbed_pair,
     random_int_matrix,
     random_word,
+    reference_coinvariants,
+    reference_h1_homology,
     row_mask_kernel_count,
+    workload_examples,
 )
 
 E2 = goeritz_e2()
@@ -527,13 +531,16 @@ class TestTransformsAsked:
         monkeypatch.setattr(homology, "_kernel_over_ring", recording)
         chain = chain_example(3)
         assert h1_homology(chain.presentation, chain.representation) == AbelianGroupStructure(0, (2,))
-        coordinates = [t for caller, m, t in recorder.calls if caller == "quotient_generators"]
-        assert coordinates == [""]
+        assert [t for caller, _, t in recorder.calls if caller == "h1_homology"] == ["", ""]
+        recorder.calls.clear()
+        h1_homology(chain.presentation, change_ring(chain.representation, CoefficientRing.modular(4)))
+        assert recorder.asked("h1_homology") == {"V"}
+        recorder.calls.clear()
         for example in (E2, chain):
             p, rep = example.presentation, example.representation
             for ring in (CoefficientRing.integers(), CoefficientRing.modular(4)):
                 h1_cohomology(p, change_ring(rep, ring))
-            coinvariants(rep)
+                coinvariants(change_ring(rep, ring))
             uct_check(p, rep, (2, 3))
         kerf_reduction(E2.presentation, E2.representation, E2.kerf)
         homology_callers = {caller for caller, _, _ in recorder.calls} - {
@@ -541,9 +548,78 @@ class TestTransformsAsked:
             "from_cyclic_orders", "unimodular_inverse",
         }
         assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
-        assert set().union(*(recorder.asked(caller) for caller in homology_callers)) == {"V"}
+        # H_0 on every ring and H_1 over Z read only a diagonal; every
+        # kernel is read off V alone.
+        assert recorder.asked("coinvariants") == recorder.asked("h1_homology") == {""}
+        kernel_callers = homology_callers - {"coinvariants", "h1_homology"}
+        assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V"}
         assert factored and all(res.U == IntMatrix(0, 0, ()) for res in factored)
         assert {t for caller, _, t in recorder.calls if caller == "quotient_generators"} <= {"", "U"}
+
+
+def _lattice_route_pairs():
+    """Every built-in, 20 perturbed pairs, the chain at genus 2 to 6 and the
+    inputs of the three benchmark workloads at two seeds."""
+    examples = list(builtin_examples().values()) + [chain_example(genus) for genus in range(2, 7)]
+    for name in ("goeritz-pipeline", "chain-genus4", "long-relators"):
+        for seed in (5, 6):
+            examples += workload_examples(name, seed)
+    rng = random.Random(161)
+    return [(ex.presentation, ex.representation) for ex in examples] + [perturbed_pair(rng) for _ in range(20)]
+
+
+class TestInvariantFactors:
+    def test_equal_the_ker_im_route(self):
+        pairs = _lattice_route_pairs()
+        assert sum(rep.ring.modulus == 0 for _, rep in pairs) >= 60
+        for p, rep in pairs:
+            assert h1_homology(p, rep) == reference_h1_homology(p, rep)
+            for n in (0, 2, 3, 4, 8):
+                if rep.ring.modulus == 0 or (n and rep.ring.modulus % n == 0):
+                    ring_rep = change_ring(rep, CoefficientRing(n))
+                    assert coinvariants(ring_rep) == reference_coinvariants(ring_rep)
+
+    def test_cyclic_group_of_order_six_acting_trivially(self):
+        gens = (Generator("a"),)
+        p = Presentation(gens, (parse_word("a^6", gens),))
+        rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.identity(1),))
+        assert h1_homology(p, rep) == AbelianGroupStructure(0, (6,))
+        assert coinvariants(rep) == AbelianGroupStructure.free(1)
+        # Over Z/4: H_1 = Z/6 (x) Z/4 + Tor(Z, Z/4) = Z/2, and H_0 = Z/4.
+        rep4 = change_ring(rep, CoefficientRing.modular(4))
+        assert h1_homology(p, rep4) == AbelianGroupStructure(0, (2,))
+        assert coinvariants(rep4) == AbelianGroupStructure(0, (4,))
+
+    def test_free_group_of_rank_three_acting_trivially_on_z2(self):
+        gens = tuple(Generator(f"g{i}") for i in range(3))
+        rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.identity(2),) * 3)
+        assert h1_homology(Presentation(gens, ()), rep) == AbelianGroupStructure.free(6)
+        assert coinvariants(rep) == AbelianGroupStructure.free(2)
+
+    def test_no_generators_leave_the_whole_module(self):
+        # d1 has no columns, so its diagonal is empty and each of the rank
+        # entries past it gives Z/gcd(0, n).
+        for n, h0 in ((0, AbelianGroupStructure.free(2)), (4, AbelianGroupStructure(0, (4, 4)))):
+            rep = Representation.build(CoefficientRing(n), (), (), rank=2)
+            assert coinvariants(rep) == reference_coinvariants(rep) == h0
+            assert h1_homology(Presentation((), ()), rep).is_trivial()
+
+    def test_two_diagonal_snfs_over_z_and_the_lattice_over_z_mod_n(self, monkeypatch):
+        chain = chain_example(3)
+        p, rep = chain.presentation, chain.representation
+        recorder = SnfRecorder(monkeypatch)
+        solves = count_calls(monkeypatch, "solve_in_lattice")
+        quotients = count_calls(monkeypatch, "quotient_generators")
+        h1_homology(p, rep)
+        assert [(caller, t) for caller, _, t in recorder.calls] == [("h1_homology", "")] * 2
+        assert solves == quotients == []
+        for n in (0, 2, 3, 4, 8):
+            recorder.calls.clear()
+            coinvariants(change_ring(rep, CoefficientRing(n)))
+            assert [(caller, t) for caller, _, t in recorder.calls] == [("coinvariants", "")]
+        assert solves == quotients == []
+        h1_homology(p, change_ring(rep, CoefficientRing.modular(4)))
+        assert len(quotients) == 1 and len(solves) == 1
 
 
 class TestBruteForceOracle:
