@@ -30,6 +30,7 @@ from .goeritzdata import NamedExample, builtin_examples, goeritz_e2, toy_example
 from .homology import (
     CohomologyResult,
     OracleCounts,
+    OracleRefusal,
     PrincipalMap,
     UctComparison,
     brute_force_h1_mod2,
@@ -74,6 +75,7 @@ __all__ = [
     "IntMatrix",
     "NamedExample",
     "OracleCounts",
+    "OracleRefusal",
     "ParseError",
     "Presentation",
     "PrincipalMap",

@@ -21,7 +21,9 @@ MAX_INPUT_DIGITS (40) ASCII decimal digits; a modulus or an order takes no
 '-'. A rejected line, the library's own checks included, is reported as
 "line N: <reason>".
 Every result record states its own verdict, and the exit status is 0
-exactly when no record reports an error, a failed check or a mismatch.
+exactly when no record reports an error, a failed check or a mismatch. An
+oracle that declines an input past its bounds gives a record that says
+"skipped", with its reason and no verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from .exactlinalg import AbelianGroupStructure, IntMatrix, _read_integer
 from .goeritzdata import NamedExample, builtin_examples
 from .homology import (
+    OracleRefusal,
     brute_force_h1_mod2,
     checked_cochains,
     coinvariants,
@@ -275,7 +278,8 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
     known: its h1_count is matched against the order of this run's coh1
     when the ring is Z/2, else of the file's "expect coh1[Z/2]". The summary
     lists the failed records in order, and the status is 1 when there is
-    one, else 0.
+    one, else 0. An oracle refusal (OracleRefusal) is not a failure: its
+    record says "skipped" and gives the reason.
     """
     if not job.computations:
         raise ValueError("at least one computation must be selected")
@@ -337,11 +341,15 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
                     }
                 )
             elif computation == "oracle":
-                counts = brute_force_h1_mod2(p, data.representation)
-                record = {"name": "oracle", "ring": "Z/2", **counts._asdict()}
-                if coh1_mod2 is not None:
-                    record["expected"] = str(coh1_mod2)
-                    record["match"] = counts.h1_count == coh1_mod2.order()
+                try:
+                    counts = brute_force_h1_mod2(p, data.representation)
+                except OracleRefusal as exc:
+                    record = {"name": "oracle", "ring": "Z/2", "skipped": str(exc)}
+                else:
+                    record = {"name": "oracle", "ring": "Z/2", **counts._asdict()}
+                    if coh1_mod2 is not None:
+                        record["expected"] = str(coh1_mod2)
+                        record["match"] = counts.h1_count == coh1_mod2.order()
                 records.append(record)
         except ValueError as exc:
             records.append({"name": computation, "error": str(exc)})
@@ -377,6 +385,8 @@ def render_text(records) -> str:
             for c in record["comparisons"]:
                 verdict = "ok" if c["match"] else "MISMATCH"
                 lines.append(f"  {c['ring']}: computed {c['computed']}, expected {c['expected']} ({verdict})")
+        elif name == "oracle" and "skipped" in record:
+            lines.append(f"oracle (mod 2): skipped: {record['skipped']}")
         elif name == "oracle":
             line = "oracle (mod 2): z1={z1_count} b1={b1_count} h1={h1_count}".format(**record)
             lines.append(line + _verdict_text(record))

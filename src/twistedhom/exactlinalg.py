@@ -375,26 +375,33 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     )
 
 
-def _kernel_over_ring(factored: SnfResult, modulus: int) -> IntMatrix:
-    """Basis of {v : A*v = 0} over Z, or of {v in Z^cols : A*v = 0 mod n},
-    read off U*A*V = D, one SNF of A over Z; only V and D are read.
+def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tuple[int, ...]]:
+    """The lattice {v : A*v = 0} over Z, or {v in Z^cols : A*v = 0 mod n},
+    as columns B of V and their scales s: its basis is K = B * diag(s). Read
+    off U*A*V = D, one SNF of A over Z; only V and D are read.
 
     v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
-    because U is unimodular. So the mod-n lattice has the basis
-    V * diag(n / gcd(d_j, n)), where d_j = 0 past the diagonal and
-    gcd(0, n) = n; V unimodular makes the columns independent. Over Z the
-    basis is the columns of V with d_j = 0.
+    because U is unimodular. So over Z/n, B is all of V and
+    s_j = n / gcd(d_j, n), where d_j = 0 past the diagonal and gcd(0, n) = n.
+    Over Z, B is the columns of V with d_j = 0 and every s_j is 1. Either
+    way B is a set of columns of the unimodular V, so its SNF has only unit
+    pivots and the columns of K are independent.
     """
     V = factored.V
     diag = factored.diagonal()
     diag += (0,) * (V.cols - len(diag))
     if modulus == 0:
-        return IntMatrix.from_columns(V.rows, [V.column(j) for j, x in enumerate(diag) if x == 0])
-    scales = [modulus // gcd(x, modulus) for x in diag]
+        kept = [V.column(j) for j, x in enumerate(diag) if x == 0]
+        return IntMatrix.from_columns(V.rows, kept), (1,) * len(kept)
+    return V, tuple(modulus // gcd(x, modulus) for x in diag)
+
+
+def _scale_columns(matrix: IntMatrix, scales: tuple[int, ...]) -> IntMatrix:
+    """matrix * diag(scales), without a product."""
     return IntMatrix._trusted(
-        V.rows,
-        V.cols,
-        tuple(x * scale for i in range(V.rows) for x, scale in zip(V.row(i), scales)),
+        matrix.rows,
+        matrix.cols,
+        tuple(x * s for i in range(matrix.rows) for x, s in zip(matrix.row(i), scales)),
     )
 
 
@@ -405,7 +412,7 @@ def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     diagonal positions; V being unimodular makes the returned sublattice
     saturated (a direct summand of Z^cols).
     """
-    return _kernel_over_ring(snf(matrix, transforms="V"), 0)
+    return _kernel_over_ring(snf(matrix, transforms="V"), 0)[0]
 
 
 def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[tuple[int, ...] | None]:
@@ -444,28 +451,54 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
     return solutions if isinstance(target, IntMatrix) else solutions[0]
 
 
-def quotient_generators(ambient_basis: IntMatrix, subgroup_gens: IntMatrix, generators: bool = True):
-    """Structure of span(ambient_basis) / span(subgroup_gens), with generators.
+def _lattice_coordinates(
+    basis: IntMatrix, subgroup_gens: IntMatrix, scales: tuple[int, ...] | None = None
+) -> IntMatrix:
+    """The coordinates of the subgroup generators in the lattice basis K =
+    basis * diag(scales), one column per generator; scales default to 1.
 
-    The ambient columns must be independent. The subgroup is solved
-    against one factorization of the ambient basis, and the quotient is
-    read off the SNF of the resulting coordinate matrix. With
-    ``generators`` the second value holds one ambient vector per cyclic
-    factor (torsion factors first, then free ones), the SNF generators
-    mapped back through the inverse row transform; otherwise it is empty.
+    The columns of basis must be independent. solve_in_lattice factors basis
+    itself, once for all generators, and row j of its solutions is divided
+    by s_j: K*y = t iff basis*x = t with x_j = s_j*y_j, so a generator lies
+    in span K iff it is solvable and every division is exact. Raises
+    ValueError naming the first generator outside the lattice.
     """
-    k = ambient_basis.cols
-    coords = solve_in_lattice(ambient_basis, subgroup_gens) if subgroup_gens.cols else []
-    for j, x in enumerate(coords):
-        if x is None:
+    k, count = basis.cols, subgroup_gens.cols
+    scales = scales or (1,) * k
+    solutions = solve_in_lattice(basis, subgroup_gens) if count else []
+    for j, x in enumerate(solutions):
+        if x is None or any(c % s for c, s in zip(x, scales)):
             raise ValueError(f"subgroup generator {j} lies outside the ambient lattice")
-    res = snf(IntMatrix.from_columns(k, coords), transforms="U" if generators else "")
-    orders = list(res.diagonal()) + [0] * (k - min(k, subgroup_gens.cols))
+    return IntMatrix._trusted(k, count, tuple(x[i] // scales[i] for i in range(k) for x in solutions))
+
+
+def _coordinate_quotient(ambient_basis: IntMatrix, coordinates: IntMatrix, generators: bool):
+    """Structure of span(ambient_basis) / span(ambient_basis * coordinates),
+    with generators as for quotient_generators, read off the SNF of the
+    coordinate matrix."""
+    k = ambient_basis.cols
+    res = snf(coordinates, transforms="U" if generators else "")
+    orders = list(res.diagonal()) + [0] * (k - min(k, coordinates.cols))
     structure = AbelianGroupStructure(orders.count(0), tuple(x for x in orders if x >= 2))
     if not generators:
         return structure, ()
     images = ambient_basis * unimodular_inverse(res.U)
     return structure, tuple(images.column(i) for i, order in enumerate(orders) if order != 1)
+
+
+def quotient_generators(ambient_basis: IntMatrix, subgroup_gens: IntMatrix, generators: bool = True):
+    """Structure of span(ambient_basis) / span(subgroup_gens), with generators.
+
+    The ambient columns must be independent. Two steps: the subgroup is
+    solved against one factorization of the ambient basis
+    (_lattice_coordinates), and the quotient is read off the SNF of the
+    resulting coordinate matrix (_coordinate_quotient). With ``generators``
+    the second value holds one ambient vector per cyclic factor (torsion
+    factors first, then free ones), the SNF generators mapped back through
+    the inverse row transform; otherwise it is empty.
+    """
+    coordinates = _lattice_coordinates(ambient_basis, subgroup_gens)
+    return _coordinate_quotient(ambient_basis, coordinates, generators)
 
 
 def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> AbelianGroupStructure:

@@ -156,7 +156,9 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
     B(r) = sum_c M(u_1 ... u_(c-1)) * B(u_c), and Fox's fundamental formula
     advances the prefix matrix by one product per piece, M(u) = 1 + B(u)*P,
     where P stacks the blocks M_g - 1. So the walk holds the prefixes of one
-    piece at a time, and its memory is linear in the relator's length.
+    piece at a time, and its memory is linear in the relator's length. The
+    walk evaluates only the derivatives by the generators a piece contains;
+    every other block of B(u) is zero.
     """
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
@@ -175,10 +177,29 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
             P = vstack(*[(m - identity).mod(n) for m in rep.matrices])
         prefix = row = None
         for c, piece in enumerate(pieces):
-            block = evaluate_group_ring(rep, *[fox_derivative(piece, gen) for gen in p.generators])
+            block = _block_row(p, rep, piece)
             row = block if prefix is None else (row + prefix * block).mod(n)
             if c + 1 < len(pieces):
                 advance = (identity + block * P).mod(n)
                 prefix = advance if prefix is None else (prefix * advance).mod(n)
         block_rows.append(row)
     return vstack(*block_rows)
+
+
+def _block_row(p: Presentation, rep: Representation, piece: Word) -> IntMatrix:
+    """B(u), the side-by-side action matrices of du/dg for every generator g,
+    from one evaluate_group_ring walk over the derivatives by the
+    generators that occur in u; du/dg = 0 for any other g."""
+    size, count = rep.rank, len(p.generators)
+    present = sorted({index for index, _ in piece.letters})
+    if not present:
+        return IntMatrix.zeros(size, count * size)
+    walked = evaluate_group_ring(rep, *[fox_derivative(piece, p.generators[g]) for g in present])
+    start = dict(zip(present, range(0, len(present) * size, size)))
+    zero = (0,) * size
+    entries = []
+    for i in range(size):
+        row = walked.row(i)
+        for g in range(count):
+            entries.extend(row[start[g] : start[g] + size] if g in start else zero)
+    return IntMatrix._trusted(size, count * size, tuple(entries))

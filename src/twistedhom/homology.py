@@ -8,8 +8,11 @@ build no transform: H_0 = sum Z/gcd(d_i, n) over the diagonal of d1, and,
 since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z is
 the torsion of coker d2 plus Z^(m - rank d1 - rank d2). Every other group is
 one integer lattice quotient ker(outgoing) / im(incoming): the cocycles mod
-n are the columns of V * diag(n / gcd(d_j, n)) from one SNF U*J*V = D over
-Z for every ring, and n*I joins the subgroup. No relator is evaluated
+n are the columns of K = V * diag(s), s_j = n / gcd(d_j, n), from one SNF
+U*J*V = D over Z for every ring, and n*I joins the subgroup. The subgroup
+is solved in V's unimodular columns, whose SNF has only unit pivots, and
+row j of the solution is divided by s_j, exactly since the subgroup lies
+in span K; over Z the kernel is V's columns at d_j = 0. No relator is evaluated
 here: by Fox's fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r
 of J*P is M(r) - 1, so checked_cochains checks them through J*P when it
 builds the cochain pair (J, P) that every stage reads, H_1 that of the dual.
@@ -27,9 +30,11 @@ from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
     SnfResult,
+    _coordinate_quotient,
     _kernel_over_ring,
+    _lattice_coordinates,
+    _scale_columns,
     hstack,
-    quotient_generators,
     snf,
     solve_in_lattice,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
     vstack,
@@ -74,6 +79,12 @@ class CohomologyResult:
     z1_basis: IntMatrix
     h1: AbelianGroupStructure
     witnesses: tuple[tuple[int, ...], ...]
+
+
+class OracleRefusal(ValueError):
+    """brute_force_h1_mod2 declines an input past ORACLE_MAX_BITS or
+    ORACLE_MAX_TABLE_BITS, before anything is computed: the input is not
+    checked, and nothing is wrong with it."""
 
 
 class OracleCounts(NamedTuple):
@@ -136,14 +147,20 @@ def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, g
     """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
     outgoing is the factorization snf(A, transforms="V").
 
-    Returns (group, kernel basis, generators): the generators, one kernel
+    The kernel has the basis K = B * diag(s) of _kernel_over_ring. The
+    subgroup is solved in the unscaled columns B, which are columns of the
+    unimodular V, and row j of the solution is divided by s_j; over Z every
+    s_j is 1 and B = K.
+
+    Returns (group, kernel basis K, generators): the generators, one kernel
     vector per cyclic factor reduced mod n, only when asked for, else ().
     """
     n = ring.modulus
-    K = _kernel_over_ring(outgoing, n)
+    B, scales = _kernel_over_ring(outgoing, n)
     if n:
         incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
-    group, witnesses = quotient_generators(K, incoming, generators)
+    K = _scale_columns(B, scales)
+    group, witnesses = _coordinate_quotient(K, _lattice_coordinates(B, incoming, scales), generators)
     if n:
         witnesses = tuple(tuple(x % n for x in vec) for vec in witnesses)
     return group, K, witnesses
@@ -295,17 +312,18 @@ def brute_force_h1_mod2(p: Presentation, rep: Representation) -> OracleCounts:
     and looked up from those of the other half, in O(2^(b/2)) time and
     memory and with no elimination. The principal cocycles mod 2 number
     2^rank over the size of the kernel of the principal map mod 2, counted
-    the same way. Refuses, before J is built, when b exceeds ORACLE_MAX_BITS
-    (36) or when the 2^ceil(b/2) syndromes of one half, one bit per row of
-    J, exceed ORACLE_MAX_TABLE_BITS.
+    the same way. Raises OracleRefusal, before J is built, when b exceeds
+    ORACLE_MAX_BITS (36) or when the 2^ceil(b/2) syndromes of one half, one
+    bit per row of J, exceed ORACLE_MAX_TABLE_BITS. A relator that does not
+    act trivially is a plain ValueError, as in checked_cochains.
     """
     rep2 = change_ring(rep, CoefficientRing.modular(2))
     bits = len(p.generators) * rep2.rank
     if bits > ORACLE_MAX_BITS:
-        raise ValueError(f"enumeration over {bits} bits exceeds the bound of {ORACLE_MAX_BITS}")
+        raise OracleRefusal(f"enumeration over {bits} bits exceeds the bound of {ORACLE_MAX_BITS}")
     half, rows = bits - bits // 2, len(p.relators) * rep2.rank
     if rows << half > ORACLE_MAX_TABLE_BITS:
-        raise ValueError(f"2^{half} syndromes of {rows} bits exceed the bound of {ORACLE_MAX_TABLE_BITS} table bits")
+        raise OracleRefusal(f"2^{half} syndromes of {rows} bits exceed the bound of {ORACLE_MAX_TABLE_BITS} table bits")
     J, P = checked_cochains(p, rep2)
     z1 = _kernel_size_mod2(J)
     b1 = (1 << rep2.rank) // _kernel_size_mod2(P)

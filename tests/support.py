@@ -31,8 +31,8 @@ from twistedhom import (
     unimodular_inverse,
     vstack,
 )
-from twistedhom.exactlinalg import SnfResult
-from twistedhom.homology import _homology, checked_cochains
+from twistedhom.exactlinalg import SnfResult, _kernel_over_ring, _scale_columns, quotient_generators
+from twistedhom.homology import checked_cochains
 
 
 def random_word(rng: random.Random, alphabet, max_len=8) -> Word:
@@ -360,18 +360,32 @@ def workload_examples(name: str, seed: int):
     return bench_workloads().build(name, seed).examples
 
 
+def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
+    """homology._homology by solving in the scaled kernel basis: K =
+    B * diag(s) is built first and quotient_generators factors K itself,
+    pivots of s_j included, instead of V's unscaled columns B."""
+    n = ring.modulus
+    K = _scale_columns(*_kernel_over_ring(outgoing, n))
+    if n:
+        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
+    group, witnesses = quotient_generators(K, incoming, generators)
+    if n:
+        witnesses = tuple(tuple(x % n for x in vec) for vec in witnesses)
+    return group, K, witnesses
+
+
 def reference_coinvariants(rep: Representation) -> AbelianGroupStructure:
     """H_0 as the lattice quotient ker 0 / im d1, through a kernel basis,
     solve_in_lattice and an SNF of the coordinates."""
     d1 = principal_map(dual(rep)).matrix.transpose()
-    return _homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
+    return reference_homology(snf(IntMatrix.zeros(0, rep.rank), transforms="V"), d1, rep.ring)[0]
 
 
 def reference_h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     """H_1 as the lattice quotient ker d1 / im d2 on every ring, through a
     kernel basis of d1, solve_in_lattice and an SNF of the coordinates."""
     J, P = checked_cochains(p, dual(rep))
-    return _homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
+    return reference_homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
 
 
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:

@@ -14,7 +14,7 @@ from twistedhom import (
     h1_cohomology,
     kerf_reduction,
 )
-from twistedhom import cli
+from twistedhom import cli, homology
 from twistedhom.cli import (
     MAX_GENERATORS,
     MAX_RANK,
@@ -30,7 +30,7 @@ from twistedhom.exactlinalg import MAX_INPUT_DIGITS
 from twistedhom.homology import UctComparison
 from twistedhom.words import MAX_WORD_LETTERS
 
-from support import count_calls
+from support import chain_example, count_calls
 
 E2_TEXT = example_to_text(goeritz_e2())
 
@@ -515,6 +515,43 @@ class TestRun:
         oracle = record_by_name(records, "oracle")
         assert oracle == {"name": "oracle", "ring": "Z/2", "z1_count": 2, "b1_count": 1, "h1_count": 2}
         assert render_text(records).splitlines()[1] == "oracle (mod 2): z1=2 b1=1 h1=2"
+
+    def test_oracle_refusal_by_bits_is_skipped_not_failed(self, tmp_path):
+        path = tmp_path / "chain4.grp"
+        path.write_text(example_to_text(chain_example(4)))
+        status, records = run(JobSpec(path=str(path), ring=CoefficientRing(2), computations=("coh1", "oracle")))
+        assert status == 0
+        assert record_by_name(records, "coh1")["match"] is True
+        reason = "enumeration over 64 bits exceeds the bound of 36"
+        assert record_by_name(records, "oracle") == {"name": "oracle", "ring": "Z/2", "skipped": reason}
+        assert record_by_name(records, "summary")["failed_stages"] == []
+        assert render_text(records).splitlines()[1:] == [f"oracle (mod 2): skipped: {reason}", "ok"]
+
+    def test_oracle_refusal_by_table_size_is_skipped_not_failed(self, monkeypatch):
+        # e2 has 16 bits and 32 rows of J: 2^8 syndromes of 32 bits.
+        job = JobSpec(example="e2", ring=CoefficientRing(2), computations=("coh1", "oracle"))
+        monkeypatch.setattr(homology, "ORACLE_MAX_TABLE_BITS", 32 << 8)
+        status, records = run(job)
+        assert status == 0 and record_by_name(records, "oracle")["match"] is True
+        monkeypatch.setattr(homology, "ORACLE_MAX_TABLE_BITS", (32 << 8) - 1)
+        status, records = run(job)
+        assert status == 0
+        reason = "2^8 syndromes of 32 bits exceed the bound of 8191 table bits"
+        assert record_by_name(records, "oracle") == {"name": "oracle", "ring": "Z/2", "skipped": reason}
+        assert record_by_name(records, "summary")["failed_stages"] == []
+        assert f"oracle (mod 2): skipped: {reason}" in render_text(records)
+
+    def test_oracle_on_a_relator_that_fails_the_check_is_an_error(self, tmp_path):
+        # a swaps the basis vectors, so the relator a is not trivial mod 2.
+        path = tmp_path / "swap.grp"
+        path.write_text("generators: a\nrelator: a\nrank: 2\naction a: [0 1; 1 0]\n")
+        status, records = run(JobSpec(path=str(path), computations=("oracle",)))
+        assert status == 1
+        oracle = record_by_name(records, "oracle")
+        assert set(oracle) == {"name", "error"}
+        assert oracle["error"] == "cocycle condition is ill-posed: relator 0 (a) does not act as the identity"
+        assert record_by_name(records, "summary")["failed_stages"] == ["oracle"]
+        assert render_text(records).splitlines() == [f"oracle: ERROR: {oracle['error']}", "FAILED stages: oracle"]
 
     def test_e2_mod5_coh1_trivial(self):
         from twistedhom import CoefficientRing

@@ -232,11 +232,18 @@ class TestTransformsAsked:
         recorder = SnfRecorder(monkeypatch)
         basis = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
         sub = IntMatrix.from_columns(3, [(4, 0, 2), (1, 3, 0)])
+        # quotient_generators factors nothing itself: one solve of the
+        # ambient basis, then one SNF of the coordinates.
         quotient_generators(basis, sub, generators=False)
-        assert recorder.asked("quotient_generators") == {""}
+        assert [(caller, t) for caller, _, t in recorder.calls] == [
+            ("solve_in_lattice", "UV"), ("_coordinate_quotient", ""),
+        ]
         recorder.calls.clear()
         quotient_generators(basis, sub)
-        assert recorder.asked("quotient_generators") == {"U"}
+        assert [(caller, t) for caller, _, t in recorder.calls] == [
+            ("solve_in_lattice", "UV"), ("_coordinate_quotient", "U"), ("unimodular_inverse", "UV"),
+        ]
+        recorder.calls.clear()
         rng = random.Random(112)
         for _ in range(10):
             kernel_basis(random_int_matrix(rng, 3, 4))

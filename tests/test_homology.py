@@ -33,6 +33,7 @@ from twistedhom import (
 )
 
 from twistedhom import homology
+from twistedhom.exactlinalg import _scale_columns
 from twistedhom.homology import _kernel_over_ring, _kernel_size_mod2, checked_cochains
 
 from support import (
@@ -50,6 +51,7 @@ from support import (
     random_word,
     reference_coinvariants,
     reference_h1_homology,
+    reference_homology,
     row_mask_kernel_count,
     workload_examples,
 )
@@ -248,7 +250,9 @@ class TestModularKernelLattice:
                     row[column] = 2 * row[0]
             matrix = IntMatrix.from_rows(matrix)
             for n in (2, 3, 4, 6, 8, 9):
-                basis = _kernel_over_ring(snf(matrix, transforms="V"), n)
+                columns, scales = _kernel_over_ring(snf(matrix, transforms="V"), n)
+                basis = _scale_columns(columns, scales)
+                assert abs(columns.det()) == 1
                 reference = _augmented_kernel_over_ring(matrix, n)
                 assert basis.rows == basis.cols == reference.cols == cols
                 assert (matrix * basis).mod(n).is_zero()
@@ -257,9 +261,9 @@ class TestModularKernelLattice:
                 assert (adjugate(reference) * basis).mod(abs(det)).is_zero()
 
     def test_zero_matrix_and_units(self):
-        assert _kernel_over_ring(snf(IntMatrix.zeros(2, 3), transforms="V"), 4) == IntMatrix.identity(3)
-        unit = _kernel_over_ring(snf(IntMatrix.identity(2), transforms="V"), 6)
-        assert abs(unit.det()) == 36
+        assert _kernel_over_ring(snf(IntMatrix.zeros(2, 3), transforms="V"), 4) == (IntMatrix.identity(3), (1, 1, 1))
+        columns, scales = _kernel_over_ring(snf(IntMatrix.identity(2), transforms="V"), 6)
+        assert scales == (6, 6) and abs(_scale_columns(columns, scales).det()) == 36
 
 
 class TestH1Homology:
@@ -544,7 +548,7 @@ class TestTransformsAsked:
             uct_check(p, rep, (2, 3))
         kerf_reduction(E2.presentation, E2.representation, E2.kerf)
         homology_callers = {caller for caller, _, _ in recorder.calls} - {
-            "kernel_basis", "solve_in_lattice", "quotient_generators", "lattice_quotient",
+            "kernel_basis", "solve_in_lattice", "_coordinate_quotient", "lattice_quotient",
             "from_cyclic_orders", "unimodular_inverse",
         }
         assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
@@ -554,7 +558,7 @@ class TestTransformsAsked:
         kernel_callers = homology_callers - {"coinvariants", "h1_homology"}
         assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V"}
         assert factored and all(res.U == IntMatrix(0, 0, ()) for res in factored)
-        assert {t for caller, _, t in recorder.calls if caller == "quotient_generators"} <= {"", "U"}
+        assert {t for caller, _, t in recorder.calls if caller == "_coordinate_quotient"} <= {"", "U"}
 
 
 def _lattice_route_pairs():
@@ -609,7 +613,8 @@ class TestInvariantFactors:
         p, rep = chain.presentation, chain.representation
         recorder = SnfRecorder(monkeypatch)
         solves = count_calls(monkeypatch, "solve_in_lattice")
-        quotients = count_calls(monkeypatch, "quotient_generators")
+        quotients = count_calls(monkeypatch, "_coordinate_quotient")
+        composites = count_calls(monkeypatch, "quotient_generators")
         h1_homology(p, rep)
         assert [(caller, t) for caller, _, t in recorder.calls] == [("h1_homology", "")] * 2
         assert solves == quotients == []
@@ -620,6 +625,58 @@ class TestInvariantFactors:
         assert solves == quotients == []
         h1_homology(p, change_ring(rep, CoefficientRing.modular(4)))
         assert len(quotients) == 1 and len(solves) == 1
+        # The lattice mod n is solved in V's columns, not through the
+        # composite quotient_generators.
+        assert composites == []
+
+
+class TestSolveInVColumns:
+    def test_equals_solving_in_the_scaled_basis(self):
+        # Group, kernel basis and witnesses, entry for entry, on the pairs
+        # _homology is given: (J, P) on every ring, as in h1_cohomology and
+        # uct_check, and the dual's (P^T, J^T) mod n, as in h1_homology.
+        examples = list(builtin_examples().values()) + [chain_example(genus) for genus in range(2, 7)]
+        for name in ("goeritz-pipeline", "chain-genus4", "long-relators"):
+            examples += workload_examples(name, 5)
+        rng = random.Random(171)
+        pairs = [(ex.presentation, ex.representation) for ex in examples] + [perturbed_pair(rng) for _ in range(20)]
+        for p, rep in pairs:
+            for n in (0, 2, 3, 4, 8):
+                if rep.ring.modulus and (n == 0 or rep.ring.modulus % n):
+                    continue
+                ring = CoefficientRing(n)
+                J, P = checked_cochains(p, change_ring(rep, ring))
+                lattices = [(J, P, True)]
+                if n:
+                    dual_J, dual_P = checked_cochains(p, dual(change_ring(rep, ring)))
+                    lattices.append((dual_P.transpose(), dual_J.transpose(), False))
+                for outgoing, incoming, generators in lattices:
+                    factored = snf(outgoing, transforms="V")
+                    expected = reference_homology(factored, incoming, ring, generators)
+                    assert homology._homology(factored, incoming, ring, generators) == expected
+
+    def test_every_lattice_factored_mod_n_is_unimodular(self, monkeypatch):
+        # Over Z/n solve_in_lattice factors V itself, never a scaled basis,
+        # and over Z the columns of V that the kernel keeps.
+        recorder = SnfRecorder(monkeypatch)
+        factored = []
+        for example in (E2, chain_example(3), chain_example(4)):
+            p, rep = example.presentation, example.representation
+            for n in (2, 3, 4, 8):
+                ring_rep = change_ring(rep, CoefficientRing(n))
+                for compute in (h1_cohomology, h1_homology):
+                    recorder.calls.clear()
+                    compute(p, ring_rep)
+                    factored += [(n, m) for caller, m, _ in recorder.calls if caller == "solve_in_lattice"]
+            recorder.calls.clear()
+            uct_check(p, rep, (2, 3, 4, 8))
+            solves = [m for caller, m, _ in recorder.calls if caller == "solve_in_lattice"]
+            factored += zip((0, 2, 3, 4, 8), solves, strict=True)
+        monkeypatch.undo()
+        assert len(factored) == 3 * (8 + 5)
+        for n, m in factored:
+            assert snf(m, transforms="").diagonal() == (1,) * m.cols
+            assert m.rows == m.cols or n == 0
 
 
 class TestBruteForceOracle:
@@ -684,6 +741,7 @@ class TestBruteForceOracle:
             with pytest.raises(ValueError) as err:
                 brute_force_h1_mod2(presentation, rep)
             assert str(err.value) == "enumeration over 64 bits exceeds the bound of 36"
+            assert type(err.value) is homology.OracleRefusal
         assert builds == []
 
     def test_table_bound_comes_before_j(self, monkeypatch):
@@ -694,6 +752,7 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError) as err:
             brute_force_h1_mod2(Presentation(gens, relators), rep)
         assert str(err.value) == "2^18 syndromes of 513 bits exceed the bound of 134217728 table bits"
+        assert type(err.value) is homology.OracleRefusal
         assert builds == []
         assert brute_force_h1_mod2(Presentation(gens, relators[:512]), rep) == (1 << 36, 1, 1 << 36)
 
