@@ -4,7 +4,8 @@ Everything here runs on unbounded Python integers: Smith normal form with
 unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
-point anywhere.
+point anywhere. Every kernel quotient goes through _subquotient, and every
+SNF diagonal becomes a group through _cokernel.
 
 The SNF builds only the transforms its caller reads (``transforms``), and
 takes the first unit of the working block as its pivot without scanning
@@ -396,15 +397,6 @@ def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tup
     return V, tuple(modulus // gcd(x, modulus) for x in diag)
 
 
-def _scale_columns(matrix: IntMatrix, scales: tuple[int, ...]) -> IntMatrix:
-    """matrix * diag(scales), without a product."""
-    return IntMatrix._trusted(
-        matrix.rows,
-        matrix.cols,
-        tuple(x * s for i in range(matrix.rows) for x, s in zip(matrix.row(i), scales)),
-    )
-
-
 def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {v : matrix * v = 0}, one basis vector per column.
 
@@ -472,33 +464,42 @@ def _lattice_coordinates(
     return IntMatrix._trusted(k, count, tuple(x[i] // scales[i] for i in range(k) for x in solutions))
 
 
-def _coordinate_quotient(ambient_basis: IntMatrix, coordinates: IntMatrix, generators: bool):
-    """Structure of span(ambient_basis) / span(ambient_basis * coordinates),
-    with generators as for quotient_generators, read off the SNF of the
-    coordinate matrix."""
-    k = ambient_basis.cols
-    res = snf(coordinates, transforms="U" if generators else "")
-    orders = list(res.diagonal()) + [0] * (k - min(k, coordinates.cols))
-    structure = AbelianGroupStructure(orders.count(0), tuple(x for x in orders if x >= 2))
-    if not generators:
-        return structure, ()
-    images = ambient_basis * unimodular_inverse(res.U)
-    return structure, tuple(images.column(i) for i, order in enumerate(orders) if order != 1)
+def _cokernel(diagonal, size: int, n: int) -> AbelianGroupStructure:
+    """Z^size / (im A + n*Z^size) for the SNF diagonal of a matrix A with
+    size rows: the sum of Z/gcd(d_i, n), with d_i = 0 past the diagonal and
+    gcd(0, 0) = 0 giving Z. gcd(., n) keeps the divisibility chain, so the
+    orders are invariant factors as they stand."""
+    orders = [gcd(d, n) for d in diagonal] + [n] * (size - len(diagonal))
+    return AbelianGroupStructure(orders.count(0), tuple(d for d in orders if d > 1))
 
 
-def quotient_generators(ambient_basis: IntMatrix, subgroup_gens: IntMatrix, generators: bool = True):
-    """Structure of span(ambient_basis) / span(subgroup_gens), with generators.
+def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
+    """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
+    outgoing is the factorization snf(A, transforms="V").
 
-    The ambient columns must be independent. Two steps: the subgroup is
-    solved against one factorization of the ambient basis
-    (_lattice_coordinates), and the quotient is read off the SNF of the
-    resulting coordinate matrix (_coordinate_quotient). With ``generators``
-    the second value holds one ambient vector per cyclic factor (torsion
-    factors first, then free ones), the SNF generators mapped back through
-    the inverse row transform; otherwise it is empty.
+    The kernel has the basis K = B * diag(s) of _kernel_over_ring. The
+    subgroup is solved in the unscaled columns B, which are columns of the
+    unimodular V, and row j of the solution is divided by s_j; over Z every
+    s_j is 1 and B = K. The group is the cokernel of the coordinates.
+
+    Returns (group, kernel basis K, generators): the generators, only when
+    asked for, else (), are one kernel vector per cyclic factor (torsion
+    first, then free), K * U^-1 from the coordinates' SNF, reduced mod n.
     """
-    coordinates = _lattice_coordinates(ambient_basis, subgroup_gens)
-    return _coordinate_quotient(ambient_basis, coordinates, generators)
+    B, scales = _kernel_over_ring(outgoing, n)
+    if n:
+        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
+    K = IntMatrix._trusted(
+        B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
+    )
+    res = snf(_lattice_coordinates(B, incoming, scales), transforms="U" if generators else "")
+    group = _cokernel(res.diagonal(), K.cols, 0)
+    if not generators:
+        return group, K, ()
+    # The diagonal is 1, ..., 1 and then one order per cyclic factor.
+    images = (K * unimodular_inverse(res.U)).mod(n)
+    units = K.cols - group.free_rank - len(group.torsion)
+    return group, K, tuple(images.column(i) for i in range(units, K.cols))
 
 
 def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> AbelianGroupStructure:
@@ -515,7 +516,8 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
     ambient_rank = sum(1 for x in snf(ambient_basis, transforms="").diagonal() if x)
     if ambient_rank != ambient_basis.cols:
         raise ValueError("ambient basis columns are linearly dependent")
-    return quotient_generators(ambient_basis, subgroup_gens, generators=False)[0]
+    coordinates = _lattice_coordinates(ambient_basis, subgroup_gens)
+    return _cokernel(snf(coordinates, transforms="").diagonal(), ambient_basis.cols, 0)
 
 
 def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:

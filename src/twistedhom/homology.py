@@ -2,20 +2,19 @@
 
 Cohomology is crossed homomorphisms modulo principal ones; homology comes
 from the presentation 2-complex, the transposed cochain complex of the dual
-action g -> (M_g^-1)^T. Nothing is eliminated over Z/n. H_0 = coker d1 on
-every ring and H_1 over Z are read off the diagonals of SNFs over Z that
-build no transform: H_0 = sum Z/gcd(d_i, n) over the diagonal of d1, and,
-since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z is
-the torsion of coker d2 plus Z^(m - rank d1 - rank d2). Every other group is
-one integer lattice quotient ker(outgoing) / im(incoming): the cocycles mod
-n are the columns of K = V * diag(s), s_j = n / gcd(d_j, n), from one SNF
-U*J*V = D over Z for every ring, and n*I joins the subgroup. The subgroup
-is solved in V's unimodular columns, whose SNF has only unit pivots, and
-row j of the solution is divided by s_j, exactly since the subgroup lies
-in span K; over Z the kernel is V's columns at d_j = 0. No relator is evaluated
-here: by Fox's fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r
-of J*P is M(r) - 1, so checked_cochains checks them through J*P when it
-builds the cochain pair (J, P) that every stage reads, H_1 that of the dual.
+action g -> (M_g^-1)^T. This module is the chain-complex bookkeeping: which
+matrices are J, P, d1 and d2, and how they are checked. The groups are read
+by two routines of exactlinalg. _cokernel reads a group off the diagonal of
+an SNF over Z that builds no transform: H_0 = coker d1 = sum Z/gcd(d_i, n)
+on every ring, with d1 = [M_g^-1 - 1 | ...] over the generators, and,
+since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z
+is the torsion of coker d2 plus Z^(m - rank d1 - rank d2). _subquotient
+reads every other group, one integer lattice quotient ker(outgoing) /
+(im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring.
+Nothing is eliminated over Z/n. No relator is evaluated here: by Fox's
+fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r of J*P is
+M(r) - 1, so checked_cochains checks them through J*P when it builds the
+cochain pair (J, P) that every stage reads, H_1 that of the dual.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from typing import NamedTuple
 from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
-    SnfResult,
-    _coordinate_quotient,
-    _kernel_over_ring,
-    _lattice_coordinates,
-    _scale_columns,
+    _cokernel,
+    _subquotient,
     hstack,
     snf,
     solve_in_lattice,  # noqa: F401 -- re-exported; bench/test_bench.py looks it up here
@@ -127,43 +123,15 @@ def coinvariants(rep: Representation) -> AbelianGroupStructure:
 
     Generators suffice: the subgroup spanned by g*m - m over group elements
     g equals the one spanned over the generators alone, and the blocks
-    g^-1*m - m of d1 span the same subgroup. One SNF of d1 over Z, with no
-    transform, gives Z^rank / (im d1 + n*Z^rank) = sum Z/gcd(d_i, n).
+    g^-1*m - m of d1 = [M_g^-1 - 1 | ...], P^T of the dual action, span
+    the same subgroup. One SNF of d1 over Z, with no transform, gives
+    Z^rank / (im d1 + n*Z^rank) = sum Z/gcd(d_i, n).
     """
-    d1 = principal_map(dual(rep)).matrix.transpose()
-    return _cokernel(snf(d1, transforms="").diagonal(), rep.rank, rep.ring.modulus)
-
-
-def _cokernel(diagonal, size: int, n: int) -> AbelianGroupStructure:
-    """Z^size / (im A + n*Z^size) for the SNF diagonal of a matrix A with
-    size rows: the sum of Z/gcd(d_i, n), with d_i = 0 past the diagonal and
-    gcd(0, 0) = 0 giving Z. gcd(., n) keeps the divisibility chain, so the
-    orders are invariant factors as they stand."""
-    orders = [gcd(d, n) for d in diagonal] + [n] * (size - len(diagonal))
-    return AbelianGroupStructure(orders.count(0), tuple(d for d in orders if d > 1))
-
-
-def _homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
-    """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
-    outgoing is the factorization snf(A, transforms="V").
-
-    The kernel has the basis K = B * diag(s) of _kernel_over_ring. The
-    subgroup is solved in the unscaled columns B, which are columns of the
-    unimodular V, and row j of the solution is divided by s_j; over Z every
-    s_j is 1 and B = K.
-
-    Returns (group, kernel basis K, generators): the generators, one kernel
-    vector per cyclic factor reduced mod n, only when asked for, else ().
-    """
-    n = ring.modulus
-    B, scales = _kernel_over_ring(outgoing, n)
-    if n:
-        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
-    K = _scale_columns(B, scales)
-    group, witnesses = _coordinate_quotient(K, _lattice_coordinates(B, incoming, scales), generators)
-    if n:
-        witnesses = tuple(tuple(x % n for x in vec) for vec in witnesses)
-    return group, K, witnesses
+    n = rep.ring.modulus
+    identity = IntMatrix.identity(rep.rank)
+    blocks = [(m - identity).mod(n) for m in rep.inverse_matrices]
+    d1 = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
+    return _cokernel(snf(d1, transforms="").diagonal(), rep.rank, n)
 
 
 def h1_cohomology(
@@ -179,7 +147,7 @@ def h1_cohomology(
     relators checked again.
     """
     J, P = cochains or checked_cochains(p, rep)
-    h1, K, witnesses = _homology(snf(J, transforms="V"), P, rep.ring, generators=True)
+    h1, K, witnesses = _subquotient(snf(J, transforms="V"), P, rep.ring.modulus, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -197,7 +165,7 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     J, P = checked_cochains(p, dual(rep))
     d1, d2 = P.transpose(), J.transpose()
     if rep.ring.modulus:
-        return _homology(snf(d1, transforms="V"), d2, rep.ring)[0]
+        return _subquotient(snf(d1, transforms="V"), d2, rep.ring.modulus)[0]
     rank_d1 = sum(1 for d in snf(d1, transforms="").diagonal() if d)
     coker_d2 = _cokernel(snf(d2, transforms="").diagonal(), d2.rows, 0)
     return AbelianGroupStructure(coker_d2.free_rank - rank_d1, coker_d2.torsion)
@@ -223,7 +191,7 @@ def kerf_reduction(
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
     outgoing = vstack(J, f.mod(n))
-    h1, K, witnesses = _homology(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), rep.ring, generators=True)
+    h1, K, witnesses = _subquotient(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), n, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -273,7 +241,7 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     factored = snf(J, transforms="V")
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
-        computed = _homology(factored, P, ring)[0]
+        computed = _subquotient(factored, P, ring.modulus)[0]
         expected = AbelianGroupStructure.from_cyclic_orders(
             _ext_orders(h0, ring) + _hom_orders(h1, ring)
         )

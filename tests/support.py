@@ -6,6 +6,7 @@ Everything takes an explicit random.Random so failures reproduce.
 import importlib.util
 import random
 import sys
+from math import gcd
 from pathlib import Path
 
 from twistedhom import (
@@ -28,10 +29,11 @@ from twistedhom import (
     multiply,
     principal_map,
     snf,
+    solve_in_lattice,
     unimodular_inverse,
     vstack,
 )
-from twistedhom.exactlinalg import SnfResult, _kernel_over_ring, _scale_columns, quotient_generators
+from twistedhom.exactlinalg import SnfResult
 from twistedhom.homology import checked_cochains
 
 
@@ -361,17 +363,28 @@ def workload_examples(name: str, seed: int):
 
 
 def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
-    """homology._homology by solving in the scaled kernel basis: K =
-    B * diag(s) is built first and quotient_generators factors K itself,
-    pivots of s_j included, instead of V's unscaled columns B."""
-    n = ring.modulus
-    K = _scale_columns(*_kernel_over_ring(outgoing, n))
+    """exactlinalg._subquotient by solving in the scaled kernel basis. K is
+    built first from outgoing = snf(A, transforms="V"): V * diag(n / gcd(d_j,
+    n)) over Z/n, with n*I joined to the subgroup, or V's columns at d_j = 0
+    over Z. The subgroup is solved in K itself, pivots of s_j included, and
+    the quotient is the cokernel of the coordinates, read through
+    from_cyclic_orders. Returns (group, K, generators) as _subquotient does."""
+    n, V = ring.modulus, outgoing.V
+    diagonal = outgoing.diagonal() + (0,) * (V.cols - len(outgoing.diagonal()))
     if n:
+        K = V * IntMatrix.diagonal(n // gcd(d, n) for d in diagonal)
         incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
-    group, witnesses = quotient_generators(K, incoming, generators)
-    if n:
-        witnesses = tuple(tuple(x % n for x in vec) for vec in witnesses)
-    return group, K, witnesses
+    else:
+        K = IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0])
+    solutions = solve_in_lattice(K, incoming) if incoming.cols else []
+    assert None not in solutions, "the subgroup lies outside the kernel"
+    res = snf(IntMatrix.from_columns(K.cols, solutions), transforms="U")
+    orders = list(res.diagonal()) + [0] * (K.cols - len(res.diagonal()))
+    group = AbelianGroupStructure.from_cyclic_orders(orders)
+    if not generators:
+        return group, K, ()
+    images = (K * unimodular_inverse(res.U)).mod(n)
+    return group, K, tuple(images.column(i) for i, order in enumerate(orders) if order != 1)
 
 
 def reference_coinvariants(rep: Representation) -> AbelianGroupStructure:
@@ -386,6 +399,34 @@ def reference_h1_homology(p: Presentation, rep: Representation) -> AbelianGroupS
     kernel basis of d1, solve_in_lattice and an SNF of the coordinates."""
     J, P = checked_cochains(p, dual(rep))
     return reference_homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
+
+
+def add_generator(p: Presentation, rep: Representation, w: Word) -> tuple[Presentation, Representation]:
+    """Tietze move: a new last generator x with the relator x*w^-1 and the
+    action M_x = M(w). The group and the module do not change."""
+    names = {g.name for g in p.generators}
+    name = next(f"x{k}" for k in range(len(names) + 1) if f"x{k}" not in names)
+    alphabet = p.generators + (Generator(name),)
+    relators = tuple(Word(alphabet, r.letters) for r in p.relators)
+    extra = Word(alphabet, ((len(p.generators), 1),) + invert(w).letters)
+    matrices = rep.matrices + (evaluate_word(rep, w),)
+    return Presentation(alphabet, relators + (extra,)), Representation.build(rep.ring, alphabet, matrices, rank=rep.rank)
+
+
+def nielsen_move(p: Presentation, rep: Representation, i: int, j: int) -> tuple[Presentation, Representation]:
+    """Nielsen move g_i -> g_i*g_j, i != j: every relator is rewritten with
+    g_i = g_i'*g_j^-1, and M_i' = M_i*M_j. The group and the module do not
+    change."""
+    if i == j:
+        raise ValueError("a Nielsen move needs two distinct generators")
+    rewrite = {(i, 1): ((i, 1), (j, -1)), (i, -1): ((j, 1), (i, -1))}
+    relators = tuple(
+        Word(p.generators, tuple(x for letter in r.letters for x in rewrite.get(letter, (letter,))))
+        for r in p.relators
+    )
+    matrices = list(rep.matrices)
+    matrices[i] = matrices[i] * matrices[j]
+    return Presentation(p.generators, relators), Representation.build(rep.ring, p.generators, matrices, rank=rep.rank)
 
 
 def random_redundant_relator(rng: random.Random, p: Presentation) -> Word:

@@ -16,6 +16,7 @@ from twistedhom import (
 )
 from twistedhom import cli, homology
 from twistedhom.cli import (
+    MAX_COCYCLE_COLUMNS,
     MAX_GENERATORS,
     MAX_RANK,
     InputFormatError,
@@ -122,6 +123,24 @@ class TestParseInputFile:
         assert err.value.line == 2
         parsed = parse_input_file(text(MAX_GENERATORS))
         assert len(parsed.presentation.generators) == MAX_GENERATORS == 256
+
+    def test_cocycle_columns_at_the_cap_parse(self):
+        names = [f"g{i}" for i in range(MAX_GENERATORS)]
+        actions = "".join(f"action {name}: [1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1]\n" for name in names)
+        parsed = parse_input_file("generators: " + " ".join(names) + "\nrank: 4\n" + actions)
+        rep = parsed.representation
+        assert len(rep.matrices) * rep.rank == MAX_COCYCLE_COLUMNS == 1024
+
+    @pytest.mark.parametrize("rank_first", [False, True], ids=["generators-first", "rank-first"])
+    def test_cocycle_columns_over_the_cap_name_the_completing_line(self, rank_first):
+        # 41 * 25 = 1025 columns, completed on the last line. With the
+        # generators first, g0's singular action comes before it, so the
+        # error is raised before any action is inverted.
+        generators = "generators: " + " ".join(f"g{i}" for i in range(41))
+        lines = ["rank: 25", "ring: Z", generators] if rank_first else [generators, "action g0: [0]", "ring: Z", "rank: 25"]
+        message = f"^line {len(lines)}: 41 generators x rank 25 = 1025 cocycle columns exceed the limit of {MAX_COCYCLE_COLUMNS}$"
+        with pytest.raises(InputFormatError, match=message):
+            parse_input_file("\n".join(lines) + "\naction g1: [1]\n")
 
     def test_relation_lines(self):
         text = "generators: a b\nrelation: a b = b a\nring: Z\nrank: 1\naction a: [1]\naction b: [1]\n"
@@ -419,6 +438,15 @@ class TestRun:
         status, records = run(JobSpec(example="e2", computations=("oracle",)))
         assert (len(builds), len(principals)) == (1, 1)
         assert status == 0 and record_by_name(records, "oracle")["h1_count"] == 4
+
+    @pytest.mark.parametrize("computations", [JobSpec.computations, ("uct",)], ids=["default", "uct"])
+    def test_one_dual_action_per_job(self, monkeypatch, computations):
+        # H_0 reads d1 off the inverse matrices, so only H_1 builds the dual,
+        # and P is built for the action's pair and the dual's.
+        duals = count_calls(monkeypatch, "dual")
+        principals = count_calls(monkeypatch, "principal_map")
+        status, _ = run(JobSpec(example="e2", computations=computations))
+        assert status == 0 and (len(duals), len(principals)) == (1, 2)
 
     def test_h1_builds_the_action_once(self, tmp_path, monkeypatch):
         from twistedhom import Representation

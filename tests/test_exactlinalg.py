@@ -20,7 +20,7 @@ from twistedhom import (
     unimodular_inverse,
     vstack,
 )
-from twistedhom.exactlinalg import TRANSFORMS, quotient_generators
+from twistedhom.exactlinalg import TRANSFORMS, _subquotient
 from twistedhom.homology import checked_cochains
 
 from support import (
@@ -232,16 +232,26 @@ class TestTransformsAsked:
         recorder = SnfRecorder(monkeypatch)
         basis = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
         sub = IntMatrix.from_columns(3, [(4, 0, 2), (1, 3, 0)])
-        # quotient_generators factors nothing itself: one solve of the
-        # ambient basis, then one SNF of the coordinates.
-        quotient_generators(basis, sub, generators=False)
+        # lattice_quotient checks the rank of the ambient basis, solves the
+        # subgroup against one factorization of it, then reads the diagonal
+        # of the coordinates.
+        lattice_quotient(basis, sub)
         assert [(caller, t) for caller, _, t in recorder.calls] == [
-            ("solve_in_lattice", "UV"), ("_coordinate_quotient", ""),
+            ("lattice_quotient", ""), ("solve_in_lattice", "UV"), ("lattice_quotient", ""),
+        ]
+        # _subquotient factors nothing but the coordinates: one solve in the
+        # kernel's columns of V, then one SNF of the coordinates, with U and
+        # its inverse only when generators are asked for.
+        outgoing = snf(IntMatrix.zeros(1, 3), transforms="V")
+        recorder.calls.clear()
+        _subquotient(outgoing, sub, 4)
+        assert [(caller, t) for caller, _, t in recorder.calls] == [
+            ("solve_in_lattice", "UV"), ("_subquotient", ""),
         ]
         recorder.calls.clear()
-        quotient_generators(basis, sub)
+        _subquotient(outgoing, sub, 4, generators=True)
         assert [(caller, t) for caller, _, t in recorder.calls] == [
-            ("solve_in_lattice", "UV"), ("_coordinate_quotient", "U"), ("unimodular_inverse", "UV"),
+            ("solve_in_lattice", "UV"), ("_subquotient", "U"), ("unimodular_inverse", "UV"),
         ]
         recorder.calls.clear()
         rng = random.Random(112)

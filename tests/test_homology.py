@@ -32,9 +32,9 @@ from twistedhom import (
     Word,
 )
 
-from twistedhom import homology
-from twistedhom.exactlinalg import _scale_columns
-from twistedhom.homology import _kernel_over_ring, _kernel_size_mod2, checked_cochains
+from twistedhom import exactlinalg, homology
+from twistedhom.exactlinalg import _kernel_over_ring, _subquotient
+from twistedhom.homology import _kernel_size_mod2, checked_cochains
 
 from support import (
     SnfRecorder,
@@ -251,7 +251,7 @@ class TestModularKernelLattice:
             matrix = IntMatrix.from_rows(matrix)
             for n in (2, 3, 4, 6, 8, 9):
                 columns, scales = _kernel_over_ring(snf(matrix, transforms="V"), n)
-                basis = _scale_columns(columns, scales)
+                basis = columns * IntMatrix.diagonal(scales)
                 assert abs(columns.det()) == 1
                 reference = _augmented_kernel_over_ring(matrix, n)
                 assert basis.rows == basis.cols == reference.cols == cols
@@ -263,7 +263,7 @@ class TestModularKernelLattice:
     def test_zero_matrix_and_units(self):
         assert _kernel_over_ring(snf(IntMatrix.zeros(2, 3), transforms="V"), 4) == (IntMatrix.identity(3), (1, 1, 1))
         columns, scales = _kernel_over_ring(snf(IntMatrix.identity(2), transforms="V"), 6)
-        assert scales == (6, 6) and abs(_scale_columns(columns, scales).det()) == 36
+        assert scales == (6, 6) and abs((columns * IntMatrix.diagonal(scales)).det()) == 36
 
 
 class TestH1Homology:
@@ -526,13 +526,13 @@ class TestTransformsAsked:
     def test_kernels_and_chain_h1_build_no_u(self, monkeypatch):
         recorder = SnfRecorder(monkeypatch)
         factored = []
-        kernel_over_ring = homology._kernel_over_ring
+        kernel_over_ring = exactlinalg._kernel_over_ring
 
         def recording(res, modulus):
             factored.append(res)
             return kernel_over_ring(res, modulus)
 
-        monkeypatch.setattr(homology, "_kernel_over_ring", recording)
+        monkeypatch.setattr(exactlinalg, "_kernel_over_ring", recording)
         chain = chain_example(3)
         assert h1_homology(chain.presentation, chain.representation) == AbelianGroupStructure(0, (2,))
         assert [t for caller, _, t in recorder.calls if caller == "h1_homology"] == ["", ""]
@@ -548,7 +548,7 @@ class TestTransformsAsked:
             uct_check(p, rep, (2, 3))
         kerf_reduction(E2.presentation, E2.representation, E2.kerf)
         homology_callers = {caller for caller, _, _ in recorder.calls} - {
-            "kernel_basis", "solve_in_lattice", "_coordinate_quotient", "lattice_quotient",
+            "kernel_basis", "solve_in_lattice", "_subquotient", "lattice_quotient",
             "from_cyclic_orders", "unimodular_inverse",
         }
         assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
@@ -558,7 +558,7 @@ class TestTransformsAsked:
         kernel_callers = homology_callers - {"coinvariants", "h1_homology"}
         assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V"}
         assert factored and all(res.U == IntMatrix(0, 0, ()) for res in factored)
-        assert {t for caller, _, t in recorder.calls if caller == "_coordinate_quotient"} <= {"", "U"}
+        assert {t for caller, _, t in recorder.calls if caller == "_subquotient"} <= {"", "U"}
 
 
 def _lattice_route_pairs():
@@ -613,8 +613,7 @@ class TestInvariantFactors:
         p, rep = chain.presentation, chain.representation
         recorder = SnfRecorder(monkeypatch)
         solves = count_calls(monkeypatch, "solve_in_lattice")
-        quotients = count_calls(monkeypatch, "_coordinate_quotient")
-        composites = count_calls(monkeypatch, "quotient_generators")
+        quotients = count_calls(monkeypatch, "_subquotient")
         h1_homology(p, rep)
         assert [(caller, t) for caller, _, t in recorder.calls] == [("h1_homology", "")] * 2
         assert solves == quotients == []
@@ -625,15 +624,16 @@ class TestInvariantFactors:
         assert solves == quotients == []
         h1_homology(p, change_ring(rep, CoefficientRing.modular(4)))
         assert len(quotients) == 1 and len(solves) == 1
-        # The lattice mod n is solved in V's columns, not through the
-        # composite quotient_generators.
-        assert composites == []
+        # The lattice mod n is solved in all of V's columns, not in a
+        # scaled basis: the one basis solved in is square and unimodular.
+        basis = solves[0][0]
+        assert basis.rows == basis.cols == quotients[0][0].V.cols and abs(basis.det()) == 1
 
 
 class TestSolveInVColumns:
     def test_equals_solving_in_the_scaled_basis(self):
         # Group, kernel basis and witnesses, entry for entry, on the pairs
-        # _homology is given: (J, P) on every ring, as in h1_cohomology and
+        # _subquotient is given: (J, P) on every ring, as in h1_cohomology and
         # uct_check, and the dual's (P^T, J^T) mod n, as in h1_homology.
         examples = list(builtin_examples().values()) + [chain_example(genus) for genus in range(2, 7)]
         for name in ("goeritz-pipeline", "chain-genus4", "long-relators"):
@@ -653,7 +653,7 @@ class TestSolveInVColumns:
                 for outgoing, incoming, generators in lattices:
                     factored = snf(outgoing, transforms="V")
                     expected = reference_homology(factored, incoming, ring, generators)
-                    assert homology._homology(factored, incoming, ring, generators) == expected
+                    assert _subquotient(factored, incoming, n, generators) == expected
 
     def test_every_lattice_factored_mod_n_is_unimodular(self, monkeypatch):
         # Over Z/n solve_in_lattice factors V itself, never a scaled basis,
