@@ -15,7 +15,9 @@ once; "action a" and "expect h1" are keys of their own::
     expect h1: Z/2 + Z/2          # optional: h0, coh1 or h1, or e.g. coh1[Z/2] to pin a ring
 
 The number of generators times the rank, the column count of the cocycle
-matrix, is at most MAX_COCYCLE_COLUMNS (1024). Action matrices are written
+matrix, is at most MAX_COCYCLE_COLUMNS (1024), and the number of relators
+times the rank, its row count, at most MAX_COCYCLE_ROWS (16384). Each cap
+is an error on the line that crosses it. Action matrices are written
 row by row ('rows separated by ;'); their columns are the images of the
 module basis vectors. Every integer (rank, entry, exponent, modulus,
 order) is an optional '-' and at most MAX_INPUT_DIGITS (40) ASCII decimal
@@ -70,6 +72,12 @@ MAX_GENERATORS = 256
 # at 1600 (Python 3.11, 2 vCPUs). The cap admits the genus-16 chain
 # (32 x 32); the largest shipped or generated input has 400 columns.
 MAX_COCYCLE_COLUMNS = 1024
+# Rows of J, relators * rank. coh1 over Z with identity actions and
+# commutator relators at 1024 columns took 2.6 s and 179 MB of peak RSS at
+# 4096 rows and 4.7 s and 440 MB at 16384 (Python 3.11, 2 vCPUs). The cap
+# admits the genus-16 chain (496 x 32 = 15872); the largest shipped or
+# generated input has 3800 rows.
+MAX_COCYCLE_ROWS = 16384
 
 
 class InputFormatError(ValueError):
@@ -124,8 +132,8 @@ def parse_input_file(text: str) -> NamedExample:
     Raises InputFormatError with a line number for syntax problems, a
     repeated key or generator name, a rank outside 1..MAX_RANK, more than
     MAX_GENERATORS generators, more than MAX_COCYCLE_COLUMNS generators *
-    rank (on the line of the two that completes the product, before any
-    action is inverted), a relator of more than MAX_WORD_LETTERS
+    rank or MAX_COCYCLE_ROWS relators * rank (on the line that crosses the
+    cap, before any action is inverted), a relator of more than MAX_WORD_LETTERS
     letters, a bad expect name, a form that is not rank x rank, a kerf that
     is not rank x (generators * rank), and any value the library rejects.
     """
@@ -208,6 +216,12 @@ def parse_input_file(text: str) -> NamedExample:
                 raise ValueError(
                     f"{len(generators)} generators x rank {rank} = {columns} cocycle columns"
                     f" exceed the limit of {MAX_COCYCLE_COLUMNS}"
+                )
+            rows = len(relators) * (rank or 0)
+            if rows > MAX_COCYCLE_ROWS:
+                raise ValueError(
+                    f"{len(relators)} relators x rank {rank} = {rows} cocycle rows"
+                    f" exceed the limit of {MAX_COCYCLE_ROWS}"
                 )
         except ValueError as exc:
             raise InputFormatError(str(exc), lineno) from None

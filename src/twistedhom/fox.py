@@ -158,48 +158,34 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
     where P stacks the blocks M_g - 1. So the walk holds the prefixes of one
     piece at a time, and its memory is linear in the relator's length. The
     walk evaluates only the derivatives by the generators a piece contains;
-    every other block of B(u) is zero.
+    every other generator is given one shared zero element, whose block
+    evaluate_group_ring writes as zeros. An empty relator is one empty piece.
     """
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
     if not p.generators or not p.relators:
         return IntMatrix.zeros(len(p.relators) * rep.rank, len(p.generators) * rep.rank)
     n, identity = rep.ring.modulus, IntMatrix.identity(rep.rank)
+    zero = GroupRingElement.zero(p.generators)
     P = None
     block_rows = []
     for relator in p.relators:
         letters = relator.letters
-        pieces = [relator] if len(letters) <= _FOX_PIECE_LETTERS else [
+        pieces = [
             Word._trusted(relator.alphabet, letters[i : i + _FOX_PIECE_LETTERS])
-            for i in range(0, len(letters), _FOX_PIECE_LETTERS)
+            for i in range(0, len(letters) or 1, _FOX_PIECE_LETTERS)
         ]
         if len(pieces) > 1 and P is None:
             P = vstack(*[(m - identity).mod(n) for m in rep.matrices])
         prefix = row = None
         for c, piece in enumerate(pieces):
-            block = _block_row(p, rep, piece)
+            present = {index for index, _ in piece.letters}
+            block = evaluate_group_ring(
+                rep, *[fox_derivative(piece, g) if i in present else zero for i, g in enumerate(p.generators)]
+            )
             row = block if prefix is None else (row + prefix * block).mod(n)
             if c + 1 < len(pieces):
                 advance = (identity + block * P).mod(n)
                 prefix = advance if prefix is None else (prefix * advance).mod(n)
         block_rows.append(row)
     return vstack(*block_rows)
-
-
-def _block_row(p: Presentation, rep: Representation, piece: Word) -> IntMatrix:
-    """B(u), the side-by-side action matrices of du/dg for every generator g,
-    from one evaluate_group_ring walk over the derivatives by the
-    generators that occur in u; du/dg = 0 for any other g."""
-    size, count = rep.rank, len(p.generators)
-    present = sorted({index for index, _ in piece.letters})
-    if not present:
-        return IntMatrix.zeros(size, count * size)
-    walked = evaluate_group_ring(rep, *[fox_derivative(piece, p.generators[g]) for g in present])
-    start = dict(zip(present, range(0, len(present) * size, size)))
-    zero = (0,) * size
-    entries = []
-    for i in range(size):
-        row = walked.row(i)
-        for g in range(count):
-            entries.extend(row[start[g] : start[g] + size] if g in start else zero)
-    return IntMatrix._trusted(size, count * size, tuple(entries))

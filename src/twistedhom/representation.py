@@ -176,12 +176,15 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     matrix products together instead of the sum of the prefix lengths. Any
     other term is evaluated from the identity. Each total is a flat list of
     ints, to which a coefficient of +1 or -1 adds or subtracts the entries.
+    An element with no terms gets no total: its block is written from one
+    shared zero row, so the zero blocks of a Fox block row cost no walk
+    and no reduction.
     """
     elements = (element, *more)
     if any(e.alphabet != rep.alphabet for e in elements):
         raise ValueError("alphabet mismatch")
     n, size = rep.ring.modulus, rep.rank
-    totals = [[0] * (size * size) for _ in elements]
+    totals = [[0] * (size * size) if e.terms else None for e in elements]
     terms = sorted(
         ((word, coeff, k) for k, e in enumerate(elements) for word, coeff in e.terms.items()),
         key=lambda term: len(term[0].letters),
@@ -202,8 +205,13 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
             totals[k] = list(map(operator.sub, totals[k], matrix.entries))
         else:
             totals[k] = [a + coeff * b for a, b in zip(totals[k], matrix.entries)]
-    entries = tuple(x for i in range(0, size * size, size) for total in totals for x in total[i : i + size])
-    return IntMatrix._trusted(size, size * len(elements), entries).mod(n)
+    if n:
+        totals = [total and [x % n for x in total] for total in totals]
+    zero, entries = [0] * size, []
+    for i in range(0, size * size, size):
+        for total in totals:
+            entries += zero if total is None else total[i : i + size]
+    return IntMatrix._trusted(size, size * len(elements), tuple(entries))
 
 
 def _nontrivial_relator(pos: int, relator: Word) -> Diagnostic:

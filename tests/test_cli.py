@@ -17,6 +17,7 @@ from twistedhom import (
 from twistedhom import cli, homology
 from twistedhom.cli import (
     MAX_COCYCLE_COLUMNS,
+    MAX_COCYCLE_ROWS,
     MAX_GENERATORS,
     MAX_RANK,
     InputFormatError,
@@ -141,6 +142,25 @@ class TestParseInputFile:
         message = f"^line {len(lines)}: 41 generators x rank 25 = 1025 cocycle columns exceed the limit of {MAX_COCYCLE_COLUMNS}$"
         with pytest.raises(InputFormatError, match=message):
             parse_input_file("\n".join(lines) + "\naction g1: [1]\n")
+
+    def test_cocycle_rows_at_the_cap_parse(self):
+        relators = "relator: a a\n" * MAX_COCYCLE_ROWS
+        parsed = parse_input_file("generators: a\nrank: 1\n" + relators + "action a: [-1]\n")
+        rows = len(parsed.presentation.relators) * parsed.representation.rank
+        assert rows == MAX_COCYCLE_ROWS == 16384
+
+    @pytest.mark.parametrize("rank_first", [True, False], ids=["rank-first", "relators-first"])
+    def test_cocycle_rows_over_the_cap_name_the_crossing_line(self, rank_first):
+        # One row over: 16385 relators x rank 1, crossed by the last relator
+        # line or by the rank line after all relators. a's singular action
+        # comes first, so the error is raised before any action is inverted.
+        relators = ["relator: a a"] * (MAX_COCYCLE_ROWS + 1)
+        head = ["generators: a", "action a: [0]"]
+        lines = head + (["rank: 1"] + relators if rank_first else relators + ["rank: 1"])
+        count = MAX_COCYCLE_ROWS + 1
+        message = f"^line {len(lines)}: {count} relators x rank 1 = {count} cocycle rows exceed the limit of {MAX_COCYCLE_ROWS}$"
+        with pytest.raises(InputFormatError, match=message):
+            parse_input_file("\n".join(lines) + "\n")
 
     def test_relation_lines(self):
         text = "generators: a b\nrelation: a b = b a\nring: Z\nrank: 1\naction a: [1]\naction b: [1]\n"

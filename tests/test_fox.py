@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,13 @@ from twistedhom import (
     principal_map,
 )
 
-from support import is_freely_reduced, random_word, reference_cocycle_matrix, reference_fox_derivative
+from support import (
+    chain_example,
+    is_freely_reduced,
+    random_word,
+    reference_cocycle_matrix,
+    reference_fox_derivative,
+)
 
 E2 = goeritz_e2()
 ABGD = E2.presentation.generators
@@ -198,6 +205,48 @@ class TestCocycleMatrix:
         other = Presentation((Generator("x"),), ())
         with pytest.raises(ValueError):
             cocycle_matrix(other, E2.representation)
+
+
+class TestCocycleMatrixZeroBlocks:
+    """A generator that does not occur in a relator is given a zero element,
+    whose block evaluate_group_ring writes as zeros; J stays equal to the
+    reference, which derives the relator by every generator."""
+
+    @pytest.mark.parametrize("modulus", [0, 2, 4])
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_chain_equal_to_the_reference(self, genus, modulus):
+        # Each relator of the chain contains 2 of its 2g generators.
+        example = chain_example(genus)
+        rep = change_ring(example.representation, CoefficientRing(modulus))
+        for action in (rep, dual(rep)):
+            assert cocycle_matrix(example.presentation, action) == reference_cocycle_matrix(example.presentation, action)
+
+    @pytest.mark.parametrize("modulus", [0, 2, 4])
+    def test_empty_relator_equal_to_the_reference(self, modulus):
+        empty, (first, second) = Word(ABGD), E2.presentation.relators[:2]
+        rep = change_ring(E2.representation, CoefficientRing(modulus))
+        for relators in ((empty,), (empty, first), (first, empty, second)):
+            p = Presentation(ABGD, relators)
+            for action in (rep, dual(rep)):
+                J = cocycle_matrix(p, action)
+                assert J == reference_cocycle_matrix(p, action)
+                row = relators.index(empty) * 4
+                assert all(J.row(i) == (0,) * 16 for i in range(row, row + 4))
+
+    def test_derivatives_only_by_the_generators_of_a_relator(self, monkeypatch):
+        seen = Counter()
+
+        def recording(w, gen):
+            seen[w.letters, gen] += 1
+            return fox_derivative(w, gen)
+
+        monkeypatch.setattr(fox, "fox_derivative", recording)
+        example = chain_example(4)
+        p = example.presentation
+        cocycle_matrix(p, example.representation)
+        expected = Counter((r.letters, p.generators[i]) for r in p.relators for i in {index for index, _ in r.letters})
+        assert seen == expected
+        assert sum(seen.values()) == 2 * len(p.relators)
 
 
 class TestCocycleMatrixPieces:

@@ -238,6 +238,19 @@ class TestEvaluateGroupRingSideBySide:
             for _ in range(20):
                 self.assert_side_by_side(rep, [_random_element(rng, ABGD) for _ in range(rng.randint(1, 5))])
 
+    def test_zero_elements_among_nonzero_ones(self):
+        # The layout of a Fox block row: zero elements, each written from the
+        # shared zero row, between elements that are walked.
+        rng = random.Random(50)
+        zero = GroupRingElement.zero(ABGD)
+        for rep in _actions_over(rng, (0, 2, 3, 4, 8)):
+            for _ in range(20):
+                nonzero = [e for e in (_random_element(rng, ABGD) for _ in range(8)) if e][: rng.randint(1, 3)]
+                assert nonzero
+                elements = nonzero + [zero] * rng.randint(1, 4)
+                rng.shuffle(elements)
+                self.assert_side_by_side(rep, elements)
+
     def test_fox_derivatives_of_one_word(self):
         rng = random.Random(46)
         for rep in _actions_over(rng, (0, 2, 4)):
