@@ -10,8 +10,11 @@ SNF diagonal becomes a group through _cokernel.
 The SNF builds only the transforms its caller reads (``transforms``), and
 takes the first unit of the working block as its pivot without scanning
 further; neither changes the pivot sequence, so D and every transform
-that is built are the same whatever is asked for. Matrices this module
-computes itself skip the entry checks of the public constructor.
+that is built are the same whatever is asked for. Besides U and V it can
+build W = U^-1 (the letter W) by the inverse column operation of each row
+operation on U, so the witnesses of a quotient need no second SNF.
+Matrices this module computes itself skip the entry checks of the public
+constructor.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, prod
-from operator import index
+from operator import add, index, neg, sub
 
 # Most digits of an integer in input text, which leaves room for 128-bit
 # moduli. Across the 965 shipped and generated inputs (the built-ins plus
@@ -90,7 +93,9 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         if n < 0:
             raise ValueError("negative matrix dimensions")
-        return cls._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[:: n + 1] = [1] * n
+        return cls._trusted(n, n, tuple(entries))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
@@ -102,7 +107,9 @@ class IntMatrix:
     def diagonal(cls, values) -> IntMatrix:
         values = list(values)
         n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[:: n + 1] = values
+        return cls(n, n, entries)
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -220,22 +227,26 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(sum(m.rows for m in matrices), ncols, tuple(chain.from_iterable(m.entries for m in matrices)))
 
 
+# The placeholder for a transform that was not built: any use of it as U,
+# V or U^-1 fails on shape.
+_NOT_BUILT = IntMatrix._trusted(0, 0, ())
+
+
 @dataclass(frozen=True)
 class SnfResult:
-    """Transforms U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """Transforms U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...,
+    and W = U^-1 when it is asked for."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    W: IntMatrix = _NOT_BUILT
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
 
 
-TRANSFORMS = ("UV", "U", "V", "")
-# The placeholder for a transform that was not built: any use of it as U or
-# V fails on shape.
-_NOT_BUILT = IntMatrix._trusted(0, 0, ())
+TRANSFORMS = ("UV", "U", "V", "", "W")
 
 
 def _first_index(row: list[int], x: int) -> int:
@@ -265,6 +276,15 @@ def _pivot(d: list[list[int]], live: list[bool], t: int) -> tuple[int, int] | No
     return None if where is None else (where, _first_index(d[where], best))
 
 
+def _combined(a, b, c: int) -> list[int]:
+    """a + c*b entry by entry; c = +-1 adds or subtracts without a multiply."""
+    if c == 1:
+        return list(map(add, a, b))
+    if c == -1:
+        return list(map(sub, a, b))
+    return [x + c * y for x, y in zip(a, b)]
+
+
 def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     """Smith normal form with transforms.
 
@@ -277,49 +297,65 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     the rest of the block without a check.
 
     ``transforms`` names the transforms to build, one of "UV" (the
-    default), "U", "V" and "". One that is not built is the 0x0 matrix;
-    the ones that are built, and D, do not depend on the choice.
+    default), "U", "V", "" and "W", where W = U^-1. One that is not built
+    is the 0x0 matrix; the ones that are built, and D, do not depend on the
+    choice. W needs neither U nor a second SNF: each row operation on U is
+    mirrored by the inverse column operation on W, so W*U = I throughout.
     """
     if transforms not in TRANSFORMS:
         raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
     m, n = matrix.rows, matrix.cols
     d = matrix.to_rows()
     u = IntMatrix.identity(m).to_rows() if "U" in transforms else None
+    # V and W are held as lists of their columns, so that a column
+    # operation on them is one list operation.
     v = IntMatrix.identity(n).to_rows() if "V" in transforms else None
+    w = IntMatrix.identity(m).to_rows() if "W" in transforms else None
 
+    # Each row operation on U is mirrored on W by its inverse column
+    # operation, so that W*U = I throughout.
     def swap_rows(i1, i2):
         if i1 != i2:
             d[i1], d[i2] = d[i2], d[i1]
             live[i1], live[i2] = live[i2], live[i1]
             if u is not None:
                 u[i1], u[i2] = u[i2], u[i1]
+            if w is not None:
+                w[i1], w[i2] = w[i2], w[i1]
 
     # Column operations come only at position t, where every row above t
     # is zero from column t on; in the column phase column t is also zero
-    # below row t. So a swap touches rows t on and an addition row t only.
+    # below row t. So a swap touches the live rows t on, and an addition
+    # row t only.
     def swap_cols(j1, j2):
         if j1 != j2:
-            for row in d[t:]:
+            for row in compress(d[t:], live[t:]):
                 row[j1], row[j2] = row[j2], row[j1]
             if v is not None:
-                for row in v:
-                    row[j1], row[j2] = row[j2], row[j1]
+                v[j1], v[j2] = v[j2], v[j1]
 
+    # Row operations come only among rows t on, which are zero left of
+    # column t, so a negation or an addition touches columns t on only.
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
+        row = d[i]
+        row[t:] = map(neg, row[t:])
         if u is not None:
-            u[i] = [-x for x in u[i]]
+            u[i] = list(map(neg, u[i]))
+        if w is not None:
+            w[i] = list(map(neg, w[i]))
 
     def add_row(src, dst, c):
-        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
+        row = d[dst]
+        row[t:] = _combined(row[t:], d[src][t:], c)
         if u is not None:
-            u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
+            u[dst] = _combined(u[dst], u[src], c)
+        if w is not None:
+            w[src] = _combined(w[src], w[dst], -c)
 
     def add_col(src, dst, c):
         d[t][dst] += c * d[t][src]
         if v is not None:
-            for row in v:
-                row[dst] += c * row[src]
+            v[dst] = _combined(v[dst], v[src], c)
 
     live = [True] * m
     t = 0
@@ -333,22 +369,24 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             negate_row(t)
         while True:
             p = d[t][t]
-            for i in range(t + 1, m):
+            below = [i for i in compress(range(t + 1, m), live[t + 1 :]) if d[i][t]]
+            for i in below:
                 q = d[i][t] // p
                 if q:
                     add_row(t, i, -q)
             # With p > 0 the remainders left by floor division lie in
             # [0, p), so the least nonzero one is the next pivot as is.
-            rest = [(d[i][t], i) for i in range(t + 1, m) if d[i][t]]
+            rest = [(d[i][t], i) for i in below if d[i][t]]
             if rest:
                 swap_rows(t, min(rest)[1])
                 continue
             row = d[t]
-            for j in range(t + 1, n):
+            right = list(compress(range(t + 1, n), row[t + 1 :]))
+            for j in right:
                 q = row[j] // p
                 if q:
                     add_col(t, j, -q)
-            rest = [(row[j], j) for j in range(t + 1, n) if row[j]]
+            rest = [(row[j], j) for j in right if row[j]]
             if rest:
                 swap_cols(t, min(rest)[1])
                 continue
@@ -372,7 +410,8 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     return SnfResult(
         U=_NOT_BUILT if u is None else flat(u, m, m),
         D=flat(d, m, n),
-        V=_NOT_BUILT if v is None else flat(v, n, n),
+        V=_NOT_BUILT if v is None else flat(zip(*v), n, n),
+        W=_NOT_BUILT if w is None else flat(zip(*w), m, m),
     )
 
 
@@ -484,7 +523,8 @@ def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: b
 
     Returns (group, kernel basis K, generators): the generators, only when
     asked for, else (), are one kernel vector per cyclic factor (torsion
-    first, then free), K * U^-1 from the coordinates' SNF, reduced mod n.
+    first, then free), K times the matching column of U^-1 from the
+    coordinates' SNF, reduced mod n.
     """
     B, scales = _kernel_over_ring(outgoing, n)
     if n:
@@ -492,14 +532,15 @@ def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: b
     K = IntMatrix._trusted(
         B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
     )
-    res = snf(_lattice_coordinates(B, incoming, scales), transforms="U" if generators else "")
+    res = snf(_lattice_coordinates(B, incoming, scales), transforms="W" if generators else "")
     group = _cokernel(res.diagonal(), K.cols, 0)
     if not generators:
         return group, K, ()
     # The diagonal is 1, ..., 1 and then one order per cyclic factor.
-    images = (K * unimodular_inverse(res.U)).mod(n)
     units = K.cols - group.free_rank - len(group.torsion)
-    return group, K, tuple(images.column(i) for i in range(units, K.cols))
+    chosen = IntMatrix.from_columns(K.cols, [res.W.column(i) for i in range(units, K.cols)])
+    images = (K * chosen).mod(n)
+    return group, K, tuple(images.column(j) for j in range(images.cols))
 
 
 def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> AbelianGroupStructure:

@@ -197,7 +197,8 @@ class TestSnf:
     def test_matches_reference_snf(self, monkeypatch, transforms):
         # The pivot sequence does not depend on the transforms asked for, so
         # D and each transform that is built equal the reference entry for
-        # entry; a transform not asked for is the 0x0 matrix.
+        # entry, W being the inverse of the reference U; a transform not asked
+        # for is the 0x0 matrix.
         chain, e2 = chain_example(3), goeritz_e2()
         recorder = SnfRecorder(monkeypatch)
         h1_homology(chain.presentation, chain.representation)
@@ -217,12 +218,14 @@ class TestSnf:
             assert res.D == reference.D
             assert res.U == (reference.U if "U" in transforms else NOT_BUILT)
             assert res.V == (reference.V if "V" in transforms else NOT_BUILT)
+            assert res.W == (unimodular_inverse(reference.U) if "W" in transforms else NOT_BUILT)
 
     def test_default_builds_both_transforms(self):
         a = IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])
         assert snf(a) == snf(a, transforms="UV") == reference_snf(a)
-        with pytest.raises(ValueError, match="transforms"):
-            snf(a, transforms="VU")
+        for transforms in ("VU", "WU", "UWV", "X"):
+            with pytest.raises(ValueError, match="transforms"):
+                snf(a, transforms=transforms)
         with pytest.raises(TypeError):
             snf(a, "V")
 
@@ -240,8 +243,8 @@ class TestTransformsAsked:
             ("lattice_quotient", ""), ("solve_in_lattice", "UV"), ("lattice_quotient", ""),
         ]
         # _subquotient factors nothing but the coordinates: one solve in the
-        # kernel's columns of V, then one SNF of the coordinates, with U and
-        # its inverse only when generators are asked for.
+        # kernel's columns of V, then one SNF of the coordinates, which builds
+        # U^-1 (and not U) only when generators are asked for.
         outgoing = snf(IntMatrix.zeros(1, 3), transforms="V")
         recorder.calls.clear()
         _subquotient(outgoing, sub, 4)
@@ -251,7 +254,7 @@ class TestTransformsAsked:
         recorder.calls.clear()
         _subquotient(outgoing, sub, 4, generators=True)
         assert [(caller, t) for caller, _, t in recorder.calls] == [
-            ("solve_in_lattice", "UV"), ("_subquotient", "U"), ("unimodular_inverse", "UV"),
+            ("solve_in_lattice", "UV"), ("_subquotient", "W"),
         ]
         recorder.calls.clear()
         rng = random.Random(112)

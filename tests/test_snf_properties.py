@@ -1,10 +1,11 @@
-"""Property tests of the SNF for every choice of transforms, and of the
-trusted IntMatrix constructor behind the matrices exactlinalg computes."""
+"""Property tests of the SNF for every choice of transforms, of the U^-1 it
+builds, and of the trusted IntMatrix constructor behind the matrices
+exactlinalg computes."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twistedhom import IntMatrix, hstack, snf, vstack  # noqa: E402
@@ -19,6 +20,26 @@ def matrices(draw, max_side=6, bound=30):
     cols = draw(st.integers(0, max_side))
     entries = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols))
     return IntMatrix(rows, cols, tuple(entries))
+
+
+@st.composite
+def fold_prone_matrices(draw, max_side=6):
+    """Matrices with zero rows and columns and 0-row or 0-column shapes.
+    Non-units on a permuted diagonal, with few other entries, make pivots
+    that do not divide the rest of their block, so that the SNF folds a row
+    into the pivot row."""
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entries = [[draw(st.sampled_from((0, 0, 0, 0, 1, -2, 6, 10))) for _ in range(cols)] for _ in range(rows)]
+    where = zip(draw(st.permutations(range(rows))), draw(st.permutations(range(cols))))
+    for i, j in where:
+        entries[i][j] = draw(st.sampled_from((2, -3, 4, 9, -10, 15, 25)))
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows // 2)):
+        entries[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols // 2)):
+        for row in entries:
+            row[j] = 0
+    return IntMatrix(rows, cols, tuple(x for row in entries for x in row))
 
 
 def public(matrix: IntMatrix) -> IntMatrix:
@@ -48,6 +69,24 @@ def test_snf_invariants(a, transforms):
 
 
 @SETTINGS
+@given(fold_prone_matrices() | matrices())
+@example(IntMatrix.diagonal([2, 3]))
+@example(IntMatrix.from_rows([[0, 0], [3, 3], [3, 0], [2, 0]]))
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+def test_w_inverts_u_and_no_letter_changes_the_others(a):
+    full = snf(a, transforms="UV")
+    W = snf(a, transforms="W").W
+    identity = IntMatrix.identity(a.rows)
+    assert full.U * W == identity and W * full.U == identity
+    for transforms in TRANSFORMS:
+        res = snf(a, transforms=transforms)
+        assert res.D == full.D
+        for letter, built in (("U", full.U), ("V", full.V), ("W", W)):
+            assert getattr(res, letter) == (built if letter in transforms else IntMatrix(0, 0, ()))
+
+
+@SETTINGS
 @given(matrices(), matrices(), st.integers(-5, 5), st.integers(2, 9))
 def test_computed_matrices_equal_public_ones(a, b, c, n):
     results = [a.transpose(), -a, a.scale(c), a.mod(n), a + a, a - a, a * a.transpose(),
@@ -55,7 +94,7 @@ def test_computed_matrices_equal_public_ones(a, b, c, n):
     if a.cols == b.rows:
         results.append(a * b)
     res = snf(a)
-    results += [res.U, res.D, res.V, snf(a, transforms="").U]
+    results += [res.U, res.D, res.V, snf(a, transforms="W").W, snf(a, transforms="").U]
     for matrix in results:
         assert all(type(x) is int for x in matrix.entries)
         assert matrix == public(matrix) and hash(matrix) == hash(public(matrix))
