@@ -43,6 +43,16 @@ class GroupRingElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, alphabet: tuple[Generator, ...], terms: dict[Word, int]) -> GroupRingElement:
+        """An element from a tuple alphabet and a dict of words over it with
+        nonzero coefficients, taken as is; GroupRingElement(...) checks the
+        alphabet of every word and merges equal words."""
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, alphabet) -> GroupRingElement:
         return cls(alphabet)
 
@@ -121,14 +131,16 @@ def fox_derivative(w: Word, gen: Generator) -> GroupRingElement:
         raise ValueError(f"generator {gen.name!r} is not in the alphabet")
     alphabet, letters = w.alphabet, w.letters
     g_index = alphabet.index(gen)
-    terms = []
-    for k, (index, sign) in enumerate(letters):
-        if index == g_index:
-            if sign > 0:
-                terms.append((Word._trusted(alphabet, letters[:k]), 1))
-            else:
-                terms.append((Word._trusted(alphabet, letters[: k + 1]), -1))
-    return GroupRingElement(alphabet, terms)
+    # The terms need no merging: w is freely reduced, so g^-1 at position k
+    # is never followed by g, and the prefixes letters[:k] (for g) and
+    # letters[:k + 1] (for g^-1) are pairwise distinct. Each word is hashed
+    # once, as it enters the dict; the coefficient is the letter's sign.
+    terms = {
+        Word._trusted(alphabet, letters[:k] if sign > 0 else letters[: k + 1]): sign
+        for k, (index, sign) in enumerate(letters)
+        if index == g_index
+    }
+    return GroupRingElement._trusted(alphabet, terms)
 
 
 def fundamental_identity_check(w: Word) -> bool:

@@ -152,16 +152,53 @@ def dual(rep: Representation) -> Representation:
     )
 
 
+def _product(prefix, factor: list[list[tuple[int, int]]], n: int) -> list[int]:
+    """prefix * factor mod n (over Z when n is 0), row-major and flat.
+
+    factor holds for each row k the (j, x) pairs of its nonzero entries.
+    Row i of the product adds a * (row k of factor) for every nonzero entry
+    a = prefix[i][k], so the work is the nonzeros of prefix times those of
+    factor's rows; the product is reduced mod n before it is returned.
+    """
+    size = len(factor)
+    entries = iter(prefix)
+    out = [0] * (size * size)
+    for i in range(0, size * size, size):
+        for pairs in factor:
+            a = next(entries)
+            if a:
+                for j, x in pairs:
+                    out[i + j] += a * x
+    return [x % n for x in out] if n else out
+
+
+def _walk(rep: Representation, factors: dict, matrix, letters):
+    """The flat matrix times the factors of letters, one _product per letter.
+
+    factors maps each letter (generator, sign) to the rows of its factor,
+    M_g or M_g^-1, as _product reads them; a letter's rows are built the
+    first time it occurs.
+    """
+    n, size = rep.ring.modulus, rep.rank
+    for letter in letters:
+        factor = factors.get(letter)
+        if factor is None:
+            index, sign = letter
+            entries = (rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]).entries
+            factor = factors[letter] = [
+                [(j, x) for j, x in enumerate(entries[k : k + size]) if x] for k in range(0, size * size, size)
+            ]
+        matrix = _product(matrix, factor, n)
+    return matrix
+
+
 def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
     """Matrix of a word: the product of generator matrices, with inverse
     matrices for negative letters; the empty word is the identity."""
     if w.alphabet != rep.alphabet:
         raise ValueError("alphabet mismatch")
-    result = IntMatrix.identity(rep.rank)
-    for index, sign in w.letters:
-        factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
-        result = (result * factor).mod(rep.ring.modulus)
-    return result
+    size = rep.rank
+    return IntMatrix._trusted(size, size, tuple(_walk(rep, {}, IntMatrix.identity(size).entries, w.letters)))
 
 
 def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
@@ -174,7 +211,9 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     The terms of the Fox derivatives dr/dg of one relator r, for all its
     generators g, are prefixes of r, so all of them cost at most len(r)
     matrix products together instead of the sum of the prefix lengths. Any
-    other term is evaluated from the identity. Each total is a flat list of
+    other term is evaluated from the identity by evaluate_word. A letter
+    multiplies the running matrix by the nonzero rows of its factor and
+    reduces it mod n in the same call (_product). Each total is a flat list of
     ints, to which a coefficient of +1 or -1 adds or subtracts the entries.
     An element with no terms gets no total: its block is written from one
     shared zero row, so the zero blocks of a Fox block row cost no walk
@@ -191,20 +230,19 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     )
     letters: tuple[tuple[int, int], ...] = ()
     matrix = None
+    factors: dict = {}
     for word, coeff, k in terms:
         if matrix is not None and word.letters[: len(letters)] == letters:
-            for index, sign in word.letters[len(letters) :]:
-                factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
-                matrix = (matrix * factor).mod(n)
+            matrix = _walk(rep, factors, matrix, word.letters[len(letters) :])
         else:
-            matrix = evaluate_word(rep, word)
+            matrix = evaluate_word(rep, word).entries
         letters = word.letters
         if coeff == 1:
-            totals[k] = list(map(operator.add, totals[k], matrix.entries))
+            totals[k] = list(map(operator.add, totals[k], matrix))
         elif coeff == -1:
-            totals[k] = list(map(operator.sub, totals[k], matrix.entries))
+            totals[k] = list(map(operator.sub, totals[k], matrix))
         else:
-            totals[k] = [a + coeff * b for a, b in zip(totals[k], matrix.entries)]
+            totals[k] = [a + coeff * b for a, b in zip(totals[k], matrix)]
     if n:
         totals = [total and [x % n for x in total] for total in totals]
     zero, entries = [0] * size, []

@@ -19,9 +19,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # reduction and checked before each token name^k expands to |k| letters. Fox
 # calculus walks a relator in pieces of at most 1 024 letters, so its time and
 # memory are linear in the length: `twistedhom --compute coh1,h1` on e2 plus
-# `relator: a^10000` takes 1.0 s and 21 MB of peak RSS, and plus one random
-# relator of 9 999 letters that holds in the group 1.2 s and 22 MB (e2 alone:
-# 0.11 s, 16 MB; Python 3.11, 2 vCPUs). Over Z the entries of J grow with the
+# `relator: a^10000` takes 0.49 s and 21 MB of peak RSS, and plus one random
+# relator of 9 999 letters that holds in the group 0.54 s and 22 MB (e2 alone:
+# 0.09 s, 17 MB; Python 3.11, 2 vCPUs). Over Z the entries of J grow with the
 # length instead, to 272 bits for a random relator of 10 000 letters, and that
 # growth is what holds the cap. No shipped or generated relator has more than
 # about 210 letters.
@@ -88,6 +88,11 @@ class Word:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", letters)
         return self
+
+    def __hash__(self):
+        # Equal words have equal letters; the alphabet is left out of the
+        # hash because hashing it calls Generator.__hash__ once per generator.
+        return hash(self.letters)
 
     def __len__(self):
         return len(self.letters)

@@ -87,11 +87,23 @@ def adjugate(matrix: IntMatrix) -> IntMatrix:
     )
 
 
+def reference_evaluate_word(rep: Representation, w: Word) -> IntMatrix:
+    """Reference matrix of a word: one IntMatrix product per letter, by the
+    generator's matrix or its inverse, reduced mod n after each letter."""
+    if w.alphabet != rep.alphabet:
+        raise ValueError("alphabet mismatch")
+    result = IntMatrix.identity(rep.rank)
+    for index, sign in w.letters:
+        factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
+        result = (result * factor).mod(rep.ring.modulus)
+    return result
+
+
 def term_by_term_group_ring(rep: Representation, element) -> IntMatrix:
     """Reference evaluation of a group-ring element: every word from the identity."""
     total = IntMatrix.zeros(rep.rank, rep.rank)
     for word, coeff in element.terms.items():
-        total = total + evaluate_word(rep, word).scale(coeff)
+        total = total + reference_evaluate_word(rep, word).scale(coeff)
     return total.mod(rep.ring.modulus)
 
 

@@ -21,6 +21,7 @@ from twistedhom import (
     multiply,
     parse_word,
     principal_map,
+    representation,
 )
 
 from support import (
@@ -279,15 +280,20 @@ class TestCocycleMatrixPieces:
     def test_products_per_piece(self, monkeypatch):
         # One product per letter of the walk, and at most three per piece to
         # join the pieces: B(u)*P, the prefix times M(u), the prefix times B(u).
+        # The walk multiplies through the kernel, the joins through IntMatrix.
         products = 0
-        product = IntMatrix.__mul__
+        product, kernel = IntMatrix.__mul__, representation._product
 
-        def counting(left, right):
-            nonlocal products
-            products += 1
-            return product(left, right)
+        def counting(function):
+            def wrapper(*args):
+                nonlocal products
+                products += 1
+                return function(*args)
 
-        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+            return wrapper
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counting(product))
+        monkeypatch.setattr(representation, "_product", counting(kernel))
         letters = 3077
         p = Presentation(ABGD, (parse_word(f"a^{letters}", ABGD),))
         J = cocycle_matrix(p, E2.representation)

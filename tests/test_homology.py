@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from twistedhom import (
     Word,
 )
 
-from twistedhom import exactlinalg, homology
+from twistedhom import exactlinalg, homology, representation
 from twistedhom.exactlinalg import _kernel_over_ring, _subquotient
 from twistedhom.homology import _kernel_size_mod2, checked_cochains
 
@@ -359,22 +360,25 @@ class TestFoxMatrixCost:
     def test_products_linear_in_relator_length(self, monkeypatch, power):
         # d(a^k)/da has the k prefixes a^0 .. a^(k-1) as its terms: one
         # product per letter past the first term, not one per prefix letter.
-        products = 0
-        multiply = IntMatrix.__mul__
+        # The walk multiplies through the kernel only, never IntMatrix.__mul__.
+        counts = Counter()
+        multiply, kernel = IntMatrix.__mul__, representation._product
 
-        def counting(left, right):
-            nonlocal products
-            products += 1
-            return multiply(left, right)
+        def counting(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
 
-        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+            return wrapper
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counting("IntMatrix", multiply))
+        monkeypatch.setattr(representation, "_product", counting("kernel", kernel))
         p = Presentation(ABGD, (parse_word(f"a^{power}", ABGD),))
-        cocycle_matrix(p, E2.representation)
-        assert products == power - 1
-        co = dual(E2.representation)
-        products = 0
-        cocycle_matrix(p, co)
-        assert products == power - 1
+        for action in (E2.representation, dual(E2.representation)):
+            counts.clear()
+            cocycle_matrix(p, action)
+            assert counts["kernel"] + counts["IntMatrix"] == power - 1
+            assert counts["IntMatrix"] == 0
 
 
 class TestKerfReduction:

@@ -148,3 +148,20 @@ def test_word_algebra_axioms_randomized():
         for result in (multiply(u, v), invert(w)):
             assert _is_reduced(result)
         assert parse_word(word_to_text(w), ABGD) == w
+
+
+def test_word_hash_follows_equality():
+    # Equal words hash equal, whichever constructor built them; the same
+    # letters over two alphabets are unequal words and two dict keys.
+    rng = random.Random(5)
+    for _ in range(50):
+        w = random_word(rng, ABGD, max_len=12)
+        again = Word(ABGD, w.letters + ((0, 1), (0, -1)))
+        trusted = Word._trusted(ABGD, w.letters)
+        assert w == again == trusted
+        assert hash(w) == hash(again) == hash(trusted)
+    over_ab, over_abgd = Word(AB, ((0, 1), (1, -1))), Word(ABGD, ((0, 1), (1, -1)))
+    assert over_ab != over_abgd
+    counts = {over_ab: 1}
+    counts[over_abgd] = 2
+    assert len(counts) == 2 and counts[over_ab] == 1 and counts[over_abgd] == 2
