@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 
 from .exactlinalg import AbelianGroupStructure, IntMatrix, _read_integer
-from .goeritzdata import NamedExample, builtin_examples
+from .goeritzdata import NamedExample, builtin_example
 from .homology import (
     OracleRefusal,
     brute_force_h1_mod2,
@@ -268,11 +268,7 @@ def _load(job: JobSpec) -> NamedExample:
     if (job.path is None) == (job.example is None):
         raise ValueError("exactly one of an input path or --example is required")
     if job.example is not None:
-        examples = builtin_examples()
-        if job.example not in examples:
-            known = ", ".join(sorted(examples))
-            raise ValueError(f"unknown example {job.example!r} (known: {known})")
-        return examples[job.example]
+        return builtin_example(job.example)
     with open(job.path, encoding="utf-8") as handle:
         return parse_input_file(handle.read())
 

@@ -12,7 +12,10 @@ takes the first unit of the working block as its pivot without scanning
 further; neither changes the pivot sequence, so D and every transform
 that is built are the same whatever is asked for. Besides U and V it can
 build W = U^-1 (the letter W) by the inverse column operation of each row
-operation on U, so the witnesses of a quotient need no second SNF.
+operation on U, so the witnesses of a quotient need no second SNF. Its
+working matrix is held as sparse rows under a column permutation, so a
+column swap touches no row and the work follows the nonzeros; the pivot
+sequence, and so D, U, V and W, is that of the dense elimination.
 Matrices this module computes itself skip the entry checks of the public
 constructor.
 """
@@ -20,9 +23,9 @@ constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from math import gcd, prod
-from operator import add, index, neg, sub
+from operator import add, contains, index, neg, sub
 
 # Most digits of an integer in input text, which leaves room for 128-bit
 # moduli. Across the 965 shipped and generated inputs (the built-ins plus
@@ -249,31 +252,12 @@ class SnfResult:
 TRANSFORMS = ("UV", "U", "V", "", "W")
 
 
-def _first_index(row: list[int], x: int) -> int:
-    """Index of the first entry of row equal to x or -x."""
-    return min(row.index(y) for y in (x, -x) if y in row)
-
-
-def _pivot(d: list[list[int]], live: list[bool], t: int) -> tuple[int, int] | None:
-    """Position of the least |x| != 0 in the block d[t:][t:], ties broken by
-    lowest (row, column), or None when the block is zero.
-
-    The scan stops at the first row holding a unit. Rows from t on are zero
-    left of column t, so whole rows are searched. A zero row stays zero, so
-    a row found zero is marked dead in live and not read again.
-    """
-    best, where = 0, None
-    for i in compress(range(t, len(d)), live[t:]):
-        row = d[i]
-        if not any(row):
-            live[i] = False
-        elif 1 in row or -1 in row:
-            return i, _first_index(row, 1)
-        else:
-            least = min(map(abs, filter(None, row)))
-            if not best or least < best:
-                best, where = least, i
-    return None if where is None else (where, _first_index(d[where], best))
+def _identity_rows(k: int) -> list[list[int]]:
+    """The k x k identity as a list of row lists."""
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = 1
+    return rows
 
 
 def _combined(a, b, c: int) -> list[int]:
@@ -292,9 +276,17 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     diagonal with nonnegative entries forming a divisibility chain. Pivots
     are always the nonzero entry of least absolute value in the working
     block, ties broken by lowest (row, column), so the reduction is
-    deterministic. The search for a pivot stops at the first unit in
-    row-major order, the entry that rule picks, and a pivot of 1 divides
-    the rest of the block without a check.
+    deterministic. The search for a pivot stops at the first row holding a
+    unit, whose first unit is the entry that rule picks, and a pivot of 1
+    divides the rest of the block without a check.
+
+    The working matrix is held as sparse rows, each a dict from original
+    column to nonzero entry, under a column permutation: a column swap
+    exchanges two positions of the permutation (and two columns of V) and
+    touches no row, and "column" in the pivot rule means the current
+    position. A row addition walks the nonzeros of the source row. The
+    pivot sequence is that of the dense elimination, so D and every
+    transform are too.
 
     ``transforms`` names the transforms to build, one of "UV" (the
     default), "U", "V", "" and "W", where W = U^-1. One that is not built
@@ -305,100 +297,128 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     if transforms not in TRANSFORMS:
         raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
     m, n = matrix.rows, matrix.cols
-    d = matrix.to_rows()
-    u = IntMatrix.identity(m).to_rows() if "U" in transforms else None
+    # Row i of the working matrix maps the original column of each nonzero
+    # entry to that entry; the entries are read once, nonzeros only.
+    entries = matrix.entries
+    d = [{} for _ in range(m)]
+    for k in compress(range(m * n), entries):
+        i, j = divmod(k, n)
+        d[i][j] = entries[k]
+    # col[j] is the original column at position j; pos is its inverse.
+    col = list(range(n))
+    pos = list(range(n))
+    u = _identity_rows(m) if "U" in transforms else None
     # V and W are held as lists of their columns, so that a column
     # operation on them is one list operation.
-    v = IntMatrix.identity(n).to_rows() if "V" in transforms else None
-    w = IntMatrix.identity(m).to_rows() if "W" in transforms else None
+    v = _identity_rows(n) if "V" in transforms else None
+    w = _identity_rows(m) if "W" in transforms else None
 
     # Each row operation on U is mirrored on W by its inverse column
     # operation, so that W*U = I throughout.
     def swap_rows(i1, i2):
         if i1 != i2:
             d[i1], d[i2] = d[i2], d[i1]
-            live[i1], live[i2] = live[i2], live[i1]
             if u is not None:
                 u[i1], u[i2] = u[i2], u[i1]
             if w is not None:
                 w[i1], w[i2] = w[i2], w[i1]
 
-    # Column operations come only at position t, where every row above t
-    # is zero from column t on; in the column phase column t is also zero
-    # below row t. So a swap touches the live rows t on, and an addition
-    # row t only.
     def swap_cols(j1, j2):
         if j1 != j2:
-            for row in compress(d[t:], live[t:]):
-                row[j1], row[j2] = row[j2], row[j1]
+            k1, k2 = col[j2], col[j1]
+            col[j1], col[j2] = k1, k2
+            pos[k1], pos[k2] = j1, j2
             if v is not None:
                 v[j1], v[j2] = v[j2], v[j1]
 
-    # Row operations come only among rows t on, which are zero left of
-    # column t, so a negation or an addition touches columns t on only.
     def negate_row(i):
-        row = d[i]
-        row[t:] = map(neg, row[t:])
+        d[i] = {k: -x for k, x in d[i].items()}
         if u is not None:
             u[i] = list(map(neg, u[i]))
         if w is not None:
             w[i] = list(map(neg, w[i]))
 
+    # An entry that cancels is deleted, so a zero row is an empty dict.
     def add_row(src, dst, c):
         row = d[dst]
-        row[t:] = _combined(row[t:], d[src][t:], c)
+        for k, x in d[src].items():
+            y = row.get(k, 0) + c * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
         if u is not None:
             u[dst] = _combined(u[dst], u[src], c)
         if w is not None:
             w[src] = _combined(w[src], w[dst], -c)
 
+    # Column additions come only at position t in the column phase, where
+    # column t is zero below row t, so they change row t only.
     def add_col(src, dst, c):
-        d[t][dst] += c * d[t][src]
+        row = d[t]
+        k = col[dst]
+        y = row[k] + c * row[col[src]]
+        if y:
+            row[k] = y
+        else:
+            del row[k]
         if v is not None:
             v[dst] = _combined(v[dst], v[src], c)
 
-    live = [True] * m
     t = 0
     while t < min(m, n):
-        pivot = _pivot(d, live, t)
-        if pivot is None:
+        # Rows from t on hold no entry left of position t, so the least |x|
+        # of a whole row is that of its part in the block. The scan stops at
+        # the first row holding a unit.
+        best, where = 0, None
+        for i in compress(range(t, m), d[t:]):
+            values = d[i].values()
+            if 1 in values or -1 in values:
+                best, where = 1, i
+                break
+            least = min(map(abs, values))
+            if not best or least < best:
+                best, where = least, i
+        if where is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if d[t][t] < 0:
+        swap_rows(t, where)
+        swap_cols(t, min(pos[k] for k, x in d[t].items() if abs(x) == best))
+        if d[t][col[t]] < 0:
             negate_row(t)
         while True:
-            p = d[t][t]
-            below = [i for i in compress(range(t + 1, m), live[t + 1 :]) if d[i][t]]
+            pivot = col[t]
+            p = d[t][pivot]
+            below = list(compress(range(t + 1, m), map(contains, d[t + 1 :], repeat(pivot))))
             for i in below:
-                q = d[i][t] // p
+                q = d[i][pivot] // p
                 if q:
                     add_row(t, i, -q)
             # With p > 0 the remainders left by floor division lie in
             # [0, p), so the least nonzero one is the next pivot as is.
-            rest = [(d[i][t], i) for i in below if d[i][t]]
+            rest = [(d[i][pivot], i) for i in below if pivot in d[i]]
             if rest:
                 swap_rows(t, min(rest)[1])
                 continue
             row = d[t]
-            right = list(compress(range(t + 1, n), row[t + 1 :]))
-            for j in right:
-                q = row[j] // p
+            right = [k for k in row if k != pivot]
+            for k in right:
+                q = row[k] // p
                 if q:
-                    add_col(t, j, -q)
-            rest = [(row[j], j) for j in right if row[j]]
+                    add_col(t, pos[k], -q)
+            rest = [(row[k], pos[k]) for k in right if k in row]
             if rest:
                 swap_cols(t, min(rest)[1])
                 continue
             break
         # The pivot must divide every remaining entry; if it does not, fold
         # the offending row into row t and redo this position. The pivot
-        # shrinks strictly each round, so this terminates. Rows past t are
-        # zero up to column t, so a whole row's gcd is that of its block part.
-        p = d[t][t]
+        # shrinks strictly each round, so this terminates. Rows past t hold
+        # no entry left of position t + 1, so a whole row's gcd is that of
+        # its block part.
+        p = d[t][col[t]]
         bad = None
         if p != 1:
-            bad = next((i for i in range(t + 1, m) if gcd(*d[i]) % p), None)
+            bad = next((i for i in range(t + 1, m) if gcd(*d[i].values()) % p), None)
         if bad is None:
             t += 1
         else:
@@ -407,9 +427,15 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     def flat(rows, size, cols):
         return IntMatrix._trusted(size, cols, tuple(chain.from_iterable(rows)))
 
+    # Row i < t holds its pivot alone and the rows from t on are zero, so D
+    # row-major is each pivot followed by n zeros, then zeros up to m*n.
+    # The tuple is read off this stream: a dense list first would hold a
+    # second copy of the m*n entries.
+    gap = (0,) * n
+    cells = chain(chain.from_iterable(chain((d[i][col[i]],), gap) for i in range(t)), repeat(0))
     return SnfResult(
         U=_NOT_BUILT if u is None else flat(u, m, m),
-        D=flat(d, m, n),
+        D=IntMatrix._trusted(m, n, tuple(islice(cells, m * n))),
         V=_NOT_BUILT if v is None else flat(zip(*v), n, n),
         W=_NOT_BUILT if w is None else flat(zip(*w), m, m),
     )

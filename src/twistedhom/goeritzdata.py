@@ -115,83 +115,97 @@ def goeritz_e2() -> NamedExample:
     return NamedExample("e2", presentation, representation, form, kerf, expected)
 
 
-def toy_examples() -> list[NamedExample]:
-    """Small groups with hand-checkable (co)homology.
-
-    free2: free group on two generators with the trivial rank-1 module.
-    c2_sign: order-2 group acting on Z by -1; every crossed homomorphism is
-        determined by d(a) with no constraint (1 + a acts as zero), while the
-        principal ones are exactly 2Z, so H^1 over Z is Z/2.
-    c4_sign: order-4 group acting on Z through the sign of the generator.
-    trivial: presentation of the trivial group on one killed generator.
-    """
-    out = []
-
+def _free2() -> NamedExample:
+    """The free group on two generators with the trivial rank-1 module."""
     gens = (Generator("x"), Generator("y"))
     rep = Representation.build(
         CoefficientRing.integers(), gens, (IntMatrix.identity(1), IntMatrix.identity(1))
     )
-    out.append(
-        NamedExample(
-            "free2",
-            Presentation(gens, ()),
-            rep,
-            expected={
-                "h0[Z]": AbelianGroupStructure.free(1),
-                "h1[Z]": AbelianGroupStructure.free(2),
-                "coh1[Z]": AbelianGroupStructure.free(2),
-            },
-        )
+    return NamedExample(
+        "free2",
+        Presentation(gens, ()),
+        rep,
+        expected={
+            "h0[Z]": AbelianGroupStructure.free(1),
+            "h1[Z]": AbelianGroupStructure.free(2),
+            "coh1[Z]": AbelianGroupStructure.free(2),
+        },
     )
 
+
+def _c2_sign() -> NamedExample:
+    """The order-2 group acting on Z by -1. Every crossed homomorphism is
+    determined by d(a) with no constraint (1 + a acts as zero), while the
+    principal ones are exactly 2Z, so H^1 over Z is Z/2."""
     gens = (Generator("a"),)
-    sign = IntMatrix.from_rows([[-1]])
-    rep = Representation.build(CoefficientRing.integers(), gens, (sign,))
-    out.append(
-        NamedExample(
-            "c2_sign",
-            Presentation(gens, (parse_word("a a", gens),)),
-            rep,
-            expected={
-                "h0[Z]": AbelianGroupStructure(0, (2,)),
-                "h1[Z]": AbelianGroupStructure.trivial(),
-                "coh1[Z]": AbelianGroupStructure(0, (2,)),
-                "coh1[Z/2]": AbelianGroupStructure(0, (2,)),
-            },
-        )
-    )
-    out.append(
-        NamedExample(
-            "c4_sign",
-            Presentation(gens, (parse_word("a^4", gens),)),
-            Representation.build(CoefficientRing.integers(), gens, (sign,)),
-            expected={
-                "h0[Z]": AbelianGroupStructure(0, (2,)),
-                "h1[Z]": AbelianGroupStructure.trivial(),
-                "coh1[Z]": AbelianGroupStructure(0, (2,)),
-            },
-        )
+    rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.from_rows([[-1]]),))
+    return NamedExample(
+        "c2_sign",
+        Presentation(gens, (parse_word("a a", gens),)),
+        rep,
+        expected={
+            "h0[Z]": AbelianGroupStructure(0, (2,)),
+            "h1[Z]": AbelianGroupStructure.trivial(),
+            "coh1[Z]": AbelianGroupStructure(0, (2,)),
+            "coh1[Z/2]": AbelianGroupStructure(0, (2,)),
+        },
     )
 
-    rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.identity(1),))
-    out.append(
-        NamedExample(
-            "trivial",
-            Presentation(gens, (parse_word("a", gens),)),
-            rep,
-            expected={
-                "h0[Z]": AbelianGroupStructure.free(1),
-                "h1[Z]": AbelianGroupStructure.trivial(),
-                "coh1[Z]": AbelianGroupStructure.trivial(),
-            },
-        )
+
+def _c4_sign() -> NamedExample:
+    """The order-4 group acting on Z through the sign of the generator."""
+    gens = (Generator("a"),)
+    rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.from_rows([[-1]]),))
+    return NamedExample(
+        "c4_sign",
+        Presentation(gens, (parse_word("a^4", gens),)),
+        rep,
+        expected={
+            "h0[Z]": AbelianGroupStructure(0, (2,)),
+            "h1[Z]": AbelianGroupStructure.trivial(),
+            "coh1[Z]": AbelianGroupStructure(0, (2,)),
+        },
     )
-    return out
+
+
+def _trivial() -> NamedExample:
+    """A presentation of the trivial group on one killed generator."""
+    gens = (Generator("a"),)
+    rep = Representation.build(CoefficientRing.integers(), gens, (IntMatrix.identity(1),))
+    return NamedExample(
+        "trivial",
+        Presentation(gens, (parse_word("a", gens),)),
+        rep,
+        expected={
+            "h0[Z]": AbelianGroupStructure.free(1),
+            "h1[Z]": AbelianGroupStructure.trivial(),
+            "coh1[Z]": AbelianGroupStructure.trivial(),
+        },
+    )
+
+
+# Each shipped example's builder, keyed by the name of the example it builds.
+_TOYS = {"free2": _free2, "c2_sign": _c2_sign, "c4_sign": _c4_sign, "trivial": _trivial}
+_BUILDERS = {"e2": goeritz_e2, **_TOYS}
+
+
+def toy_examples() -> list[NamedExample]:
+    """Small groups with hand-checkable (co)homology: free2, c2_sign,
+    c4_sign and trivial."""
+    return [build() for build in _TOYS.values()]
+
+
+def builtin_example(name: str) -> NamedExample:
+    """The shipped example called name, built without building the others.
+
+    Raises ValueError naming every shipped example when there is none
+    called name.
+    """
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown example {name!r} (known: {', '.join(sorted(_BUILDERS))})")
+    return _BUILDERS[name]()
 
 
 def builtin_examples() -> dict[str, NamedExample]:
     """All shipped examples, keyed by name."""
-    examples = {"e2": goeritz_e2()}
-    for example in toy_examples():
-        examples[example.name] = example
-    return examples
+    return {name: build() for name, build in _BUILDERS.items()}

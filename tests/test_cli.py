@@ -748,8 +748,19 @@ class TestRun:
             run(JobSpec(path="x", example="e2"))
 
     def test_unknown_example(self):
-        with pytest.raises(ValueError, match="unknown example"):
+        known = ", ".join(sorted(builtin_examples()))
+        with pytest.raises(ValueError, match=re.escape(f"unknown example 'nope' (known: {known})")):
             run(JobSpec(example="nope"))
+
+    def test_an_example_run_builds_that_example_alone(self, monkeypatch):
+        from twistedhom import representation
+
+        generators = len(goeritz_e2().presentation.generators)
+        inverses, inverse = [], representation.unimodular_inverse
+        monkeypatch.setattr(representation, "unimodular_inverse", lambda *args: inverses.append(args) or inverse(*args))
+        status, _ = run(JobSpec(example="e2"))
+        # One inversion per action of e2, and none for the toy examples.
+        assert status == 0 and len(inverses) == generators
 
     def test_text_and_structured_numeric_agreement(self):
         _, records = run(JobSpec(example="e2", computations=("h0", "coh1", "h1", "oracle")))

@@ -1,6 +1,7 @@
 """Property tests of the SNF for every choice of transforms, of the U^-1 it
-builds, and of the trusted IntMatrix constructor behind the matrices
-exactlinalg computes."""
+builds, of its agreement with the reference SNF on sparse inputs, and of
+the trusted IntMatrix constructor behind the matrices exactlinalg
+computes."""
 
 import pytest
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from twistedhom import IntMatrix, hstack, snf, vstack  # noqa: E402
 from twistedhom.exactlinalg import TRANSFORMS  # noqa: E402
+
+from support import reference_snf  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -40,6 +43,37 @@ def fold_prone_matrices(draw, max_side=6):
         for row in entries:
             row[j] = 0
     return IntMatrix(rows, cols, tuple(x for row in entries for x in row))
+
+
+@st.composite
+def sparse_matrices(draw, max_short=5, max_long=24):
+    """Tall and wide matrices with at most 10% nonzeros, some rows and
+    columns zeroed. Drawn without units, the least entry need not divide
+    the rest of its block, so that the SNF folds a row into the pivot row."""
+    short, long = draw(st.integers(1, max_short)), draw(st.integers(10, max_long))
+    rows, cols = draw(st.sampled_from(((short, long), (long, short))))
+    values = draw(st.sampled_from(((1, -1, 2, -3, 6), (2, -3, 4, -10, 15, 25))))
+    entries = [[0] * cols for _ in range(rows)]
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.sets(cell, max_size=rows * cols // 10)):
+        entries[i][j] = draw(st.sampled_from(values))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        entries[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in entries:
+            row[j] = 0
+    return IntMatrix.from_rows(entries)
+
+
+@st.composite
+def tie_matrices(draw, max_side=7):
+    """Matrices of few distinct values, so that ties are settled by position
+    after earlier column swaps have moved some columns: of 0 and +-1, with
+    rows holding several units, for the pivot; of 0 and non-units, for the
+    least remainder in the column phase."""
+    rows, cols = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
+    values = draw(st.sampled_from(((0, 0, 0, 1, -1), (0, 0, 3, -4, 5, 7))))
+    return IntMatrix(rows, cols, draw(st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols)))
 
 
 def public(matrix: IntMatrix) -> IntMatrix:
@@ -84,6 +118,28 @@ def test_w_inverts_u_and_no_letter_changes_the_others(a):
         assert res.D == full.D
         for letter, built in (("U", full.U), ("V", full.V), ("W", W)):
             assert getattr(res, letter) == (built if letter in transforms else IntMatrix(0, 0, ()))
+
+
+@SETTINGS
+@given(sparse_matrices() | tie_matrices())
+# After the first pivot swaps columns 0 and 2, row 1 holds units at
+# positions 1 and 2: the rule takes position 1, original column 1, where
+# the lower original column, 0, would give another V.
+@example(IntMatrix.from_rows([[0, 0, 1], [1, -1, 0]]))
+# The pivot 2 swaps columns 0 and 2, and both -3 leave the remainder 1:
+# the column phase takes position 1, not original column 0.
+@example(IntMatrix.from_rows([[-3, -3, 2]]))
+def test_sparse_inputs_match_the_reference(a):
+    ref = reference_snf(a)
+    for transforms in TRANSFORMS:
+        res = snf(a, transforms=transforms)
+        assert res.D == ref.D
+        if "U" in transforms:
+            assert res.U == ref.U
+        if "V" in transforms:
+            assert res.V == ref.V
+        if "W" in transforms:
+            assert ref.U * res.W == IntMatrix.identity(a.rows)
 
 
 @SETTINGS
