@@ -5,7 +5,10 @@ unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere. Every kernel quotient goes through _subquotient, and every
-SNF diagonal becomes a group through _cokernel.
+SNF diagonal becomes a group through _cokernel. Every integer matrix
+product, IntMatrix's and the Fox walk's, goes through _product, which
+reads its right factor as the nonzero rows _nonzero_rows gives; the SNF
+reads its input through _nonzero_rows too.
 
 The SNF builds only the transforms its caller reads (``transforms``), and
 takes the first unit of the working block as its pivot without scanning
@@ -154,29 +157,14 @@ class IntMatrix:
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        left = self.to_rows()
-        right = other.to_rows()
-        out = []
-        for i in range(self.rows):
-            li = left[i]
-            row = [0] * other.cols
-            for k in range(self.cols):
-                a = li[k]
-                if a:
-                    rk = right[k]
-                    for j in range(other.cols):
-                        row[j] += a * rk[j]
-            out.append(row)
-        return IntMatrix._trusted(self.rows, other.cols, tuple(chain.from_iterable(out)))
+        product = _product(self.entries, _nonzero_rows(other), self.rows, other.cols, 0)
+        return IntMatrix._trusted(self.rows, other.cols, tuple(product))
 
     def apply(self, vector) -> tuple[int, ...]:
         vector = tuple(map(index, vector))
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.at(i, j) * vector[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return (self * IntMatrix._trusted(self.cols, 1, vector)).entries
 
     def mod(self, n: int) -> IntMatrix:
         if n == 0:
@@ -207,6 +195,38 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _nonzero_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The nonzeros of each row of matrix as (column, entry) pairs, in
+    column order, read by one compress over the entries."""
+    entries, cols = matrix.entries, matrix.cols
+    rows = [[] for _ in range(matrix.rows)]
+    for k in compress(range(len(entries)), entries):
+        i, j = divmod(k, cols)
+        rows[i].append((j, entries[k]))
+    return rows
+
+
+def _product(left, right: list[list[tuple[int, int]]], rows: int, cols: int, n: int) -> list[int]:
+    """left * right mod n (over Z when n is 0), row-major and flat.
+
+    left is rows x len(right), row-major and flat; right is rows of cols
+    columns held as _nonzero_rows gives them. Row i of the product adds
+    a * (row k of right) for every nonzero entry a = left[i][k], so the
+    work is the entries of left plus the nonzeros of right's rows it
+    meets; the product is reduced mod n before it is returned.
+    """
+    entries = iter(left)
+    out = [0] * (rows * cols)
+    # With no columns the product is empty, and a range step may not be 0.
+    for i in range(0, rows * cols, cols or 1):
+        for pairs in right:
+            a = next(entries)
+            if a:
+                for j, x in pairs:
+                    out[i + j] += a * x
+    return [x % n for x in out] if n else out
 
 
 def hstack(*matrices: IntMatrix) -> IntMatrix:
@@ -298,12 +318,8 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
     m, n = matrix.rows, matrix.cols
     # Row i of the working matrix maps the original column of each nonzero
-    # entry to that entry; the entries are read once, nonzeros only.
-    entries = matrix.entries
-    d = [{} for _ in range(m)]
-    for k in compress(range(m * n), entries):
-        i, j = divmod(k, n)
-        d[i][j] = entries[k]
+    # entry to that entry.
+    d = [dict(pairs) for pairs in _nonzero_rows(matrix)]
     # col[j] is the original column at position j; pos is its inverse.
     col = list(range(n))
     pos = list(range(n))

@@ -2,15 +2,18 @@
 
 Vectors are columns and the matrix of a generator has the images of the
 basis vectors as its columns, so a word uv acts by matrix(u) * matrix(v).
+A word is evaluated letter by letter through exactlinalg._product, with
+the nonzero rows of each M_g and M_g^-1 read once per Representation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
-from .exactlinalg import IntMatrix, _read_integer, unimodular_inverse
+from .exactlinalg import IntMatrix, _nonzero_rows, _product, _read_integer, unimodular_inverse
 from .presentation import Diagnostic, Presentation
 from .words import Generator, Word, word_to_text
 
@@ -105,6 +108,17 @@ class Representation:
             inverses.append(inverse)
         return cls(ring, rank, alphabet, tuple(reduced), tuple(inverses))
 
+    @cached_property
+    def _letter_rows(self) -> dict[tuple[int, int], list[list[tuple[int, int]]]]:
+        """The nonzero rows of M_g for each letter (g, 1) and of M_g^-1 for
+        (g, -1), as _product reads them, built on first use. Not a field, so
+        equality and hashing ignore it."""
+        return {
+            (index, sign): _nonzero_rows(matrix)
+            for sign, matrices in ((1, self.matrices), (-1, self.inverse_matrices))
+            for index, matrix in enumerate(matrices)
+        }
+
     def action(self, gen: Generator | str) -> IntMatrix:
         name = gen.name if isinstance(gen, Generator) else gen
         for g, matrix in zip(self.alphabet, self.matrices):
@@ -152,43 +166,12 @@ def dual(rep: Representation) -> Representation:
     )
 
 
-def _product(prefix, factor: list[list[tuple[int, int]]], n: int) -> list[int]:
-    """prefix * factor mod n (over Z when n is 0), row-major and flat.
-
-    factor holds for each row k the (j, x) pairs of its nonzero entries.
-    Row i of the product adds a * (row k of factor) for every nonzero entry
-    a = prefix[i][k], so the work is the nonzeros of prefix times those of
-    factor's rows; the product is reduced mod n before it is returned.
-    """
-    size = len(factor)
-    entries = iter(prefix)
-    out = [0] * (size * size)
-    for i in range(0, size * size, size):
-        for pairs in factor:
-            a = next(entries)
-            if a:
-                for j, x in pairs:
-                    out[i + j] += a * x
-    return [x % n for x in out] if n else out
-
-
-def _walk(rep: Representation, factors: dict, matrix, letters):
-    """The flat matrix times the factors of letters, one _product per letter.
-
-    factors maps each letter (generator, sign) to the rows of its factor,
-    M_g or M_g^-1, as _product reads them; a letter's rows are built the
-    first time it occurs.
-    """
-    n, size = rep.ring.modulus, rep.rank
+def _walk(rep: Representation, matrix, letters):
+    """The flat matrix times the factor of each letter, M_g or M_g^-1, one
+    _product per letter."""
+    rows, n, size = rep._letter_rows, rep.ring.modulus, rep.rank
     for letter in letters:
-        factor = factors.get(letter)
-        if factor is None:
-            index, sign = letter
-            entries = (rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]).entries
-            factor = factors[letter] = [
-                [(j, x) for j, x in enumerate(entries[k : k + size]) if x] for k in range(0, size * size, size)
-            ]
-        matrix = _product(matrix, factor, n)
+        matrix = _product(matrix, rows[letter], size, size, n)
     return matrix
 
 
@@ -198,7 +181,7 @@ def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
     if w.alphabet != rep.alphabet:
         raise ValueError("alphabet mismatch")
     size = rep.rank
-    return IntMatrix._trusted(size, size, tuple(_walk(rep, {}, IntMatrix.identity(size).entries, w.letters)))
+    return IntMatrix._trusted(size, size, tuple(_walk(rep, IntMatrix.identity(size).entries, w.letters)))
 
 
 def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
@@ -230,10 +213,9 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     )
     letters: tuple[tuple[int, int], ...] = ()
     matrix = None
-    factors: dict = {}
     for word, coeff, k in terms:
         if matrix is not None and word.letters[: len(letters)] == letters:
-            matrix = _walk(rep, factors, matrix, word.letters[len(letters) :])
+            matrix = _walk(rep, matrix, word.letters[len(letters) :])
         else:
             matrix = evaluate_word(rep, word).entries
         letters = word.letters

@@ -87,15 +87,36 @@ def adjugate(matrix: IntMatrix) -> IntMatrix:
     )
 
 
+def reference_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Reference matrix product: a dense triple loop over row lists, with no
+    code shared with the product kernel of exactlinalg."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    left = a.to_rows()
+    right = b.to_rows()
+    out = []
+    for i in range(a.rows):
+        li = left[i]
+        row = [0] * b.cols
+        for k in range(a.cols):
+            x = li[k]
+            if x:
+                rk = right[k]
+                for j in range(b.cols):
+                    row[j] += x * rk[j]
+        out.append(row)
+    return IntMatrix(a.rows, b.cols, tuple(x for row in out for x in row))
+
+
 def reference_evaluate_word(rep: Representation, w: Word) -> IntMatrix:
-    """Reference matrix of a word: one IntMatrix product per letter, by the
+    """Reference matrix of a word: one reference_product per letter, by the
     generator's matrix or its inverse, reduced mod n after each letter."""
     if w.alphabet != rep.alphabet:
         raise ValueError("alphabet mismatch")
     result = IntMatrix.identity(rep.rank)
     for index, sign in w.letters:
         factor = rep.matrices[index] if sign > 0 else rep.inverse_matrices[index]
-        result = (result * factor).mod(rep.ring.modulus)
+        result = reference_product(result, factor).mod(rep.ring.modulus)
     return result
 
 

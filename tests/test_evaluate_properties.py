@@ -1,6 +1,7 @@
 """Property tests of evaluate_word and evaluate_group_ring against the
-references in support, which multiply IntMatrix by IntMatrix letter by
-letter, on hypothesis-drawn actions, words and group-ring elements."""
+references in support, which multiply by the dense reference_product
+letter by letter, on hypothesis-drawn actions, words and group-ring
+elements."""
 
 import pytest
 

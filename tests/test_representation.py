@@ -15,6 +15,7 @@ from twistedhom import (
     change_ring,
     check_bilinear_form_preserved,
     check_relators_trivial,
+    cocycle_matrix,
     dual,
     evaluate_group_ring,
     evaluate_word,
@@ -28,6 +29,7 @@ from twistedhom import (
     unimodular_inverse,
 )
 
+from twistedhom import representation
 from twistedhom.representation import ActionError
 
 from support import chain_example, random_unimodular, random_word, term_by_term_group_ring
@@ -305,6 +307,37 @@ class TestDual:
             for _ in range(20):
                 w = random_word(rng, ABGD, max_len=10)
                 assert evaluate_word(dual_rep, w) == evaluate_word(rep, invert(w)).transpose()
+
+
+class TestLetterRows:
+    def test_read_once_per_representation(self, monkeypatch):
+        # The nonzero rows of M_g and M_g^-1 are read once per
+        # Representation, not once per evaluate_group_ring call, of which
+        # cocycle_matrix makes one per relator.
+        calls = []
+        real = representation._nonzero_rows
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(representation, "_nonzero_rows", counting)
+        example = chain_example(4)
+        p = example.presentation
+        for rep in (example.representation, dual(example.representation)):
+            calls.clear()
+            cocycle_matrix(p, rep)
+            assert 0 < len(calls) <= 2 * len(p.generators)
+            cocycle_matrix(p, rep)
+            assert len(calls) <= 2 * len(p.generators)
+
+    def test_walked_equals_and_hashes_like_fresh(self):
+        example = chain_example(4)
+        rep = example.representation
+        fresh = Representation(rep.ring, rep.rank, rep.alphabet, rep.matrices, rep.inverse_matrices)
+        cocycle_matrix(example.presentation, rep)
+        assert "_letter_rows" in vars(rep) and "_letter_rows" not in vars(fresh)
+        assert rep == fresh and hash(rep) == hash(fresh)
 
 
 class TestDiagnostics:
