@@ -16,8 +16,10 @@ once; "action a" and "expect h1" are keys of their own::
 
 The number of generators times the rank, the column count of the cocycle
 matrix, is at most MAX_COCYCLE_COLUMNS (1024), and the number of relators
-times the rank, its row count, at most MAX_COCYCLE_ROWS (16384). Each cap
-is an error on the line that crosses it. Action matrices are written
+times the rank, its row count, at most MAX_COCYCLE_ROWS (16384). The
+relator letters in all, after free reduction, times the cube of the rank,
+the work of the Fox walk, are at most MAX_WALK_WORK (2^27). Each cap is an
+error on the line that crosses it. Action matrices are written
 row by row ('rows separated by ;'); their columns are the images of the
 module basis vectors. Every integer (rank, entry, exponent, modulus,
 order) is an optional '-' and at most MAX_INPUT_DIGITS (40) ASCII decimal
@@ -78,6 +80,14 @@ MAX_COCYCLE_COLUMNS = 1024
 # admits the genus-16 chain (496 x 32 = 15872); the largest shipped or
 # generated input has 3800 rows.
 MAX_COCYCLE_ROWS = 16384
+# Relator letters after free reduction times rank^3: the Fox walk makes one
+# rank x rank product per letter, and the parser has not read the actions,
+# so a dense action is assumed. One product mod 2 of a 0/1 prefix by a
+# dense +-1 factor took 0.61 / 4.5 / 38 ms at rank 32 / 64 / 128, about
+# 18 ns x rank^3 (Python 3.11, 2 vCPUs), so the cap bounds one walk at
+# about 2.4 s. It admits the genus-16 chain (2046 letters x 32^3, about
+# 67M) and e2 with one more relator at MAX_WORD_LETTERS (10029 x 4^3).
+MAX_WALK_WORK = 1 << 27
 
 
 class InputFormatError(ValueError):
@@ -132,14 +142,16 @@ def parse_input_file(text: str) -> NamedExample:
     Raises InputFormatError with a line number for syntax problems, a
     repeated key or generator name, a rank outside 1..MAX_RANK, more than
     MAX_GENERATORS generators, more than MAX_COCYCLE_COLUMNS generators *
-    rank or MAX_COCYCLE_ROWS relators * rank (on the line that crosses the
-    cap, before any action is inverted), a relator of more than MAX_WORD_LETTERS
-    letters, a bad expect name, a form that is not rank x rank, a kerf that
-    is not rank x (generators * rank), and any value the library rejects.
+    rank, MAX_COCYCLE_ROWS relators * rank or MAX_WALK_WORK relator letters
+    * rank^3 (on the line that crosses the cap, before any action is
+    inverted), a relator of more than MAX_WORD_LETTERS letters, a bad
+    expect name, a form that is not rank x rank, a kerf that is not
+    rank x (generators * rank), and any value the library rejects.
     """
     generators: tuple[Generator, ...] | None = None
     names: set[str] = set()
     relators = []
+    letters = 0
     ring = CoefficientRing.integers()
     rank: int | None = None
     actions: dict[str, IntMatrix] = {}
@@ -189,6 +201,7 @@ def parse_input_file(text: str) -> NamedExample:
                     relators.append(from_equations(generators, [pair]).relators[0])
                 if len(relators[-1].letters) > MAX_WORD_LETTERS:
                     raise ValueError(f"relator exceeds the limit of {MAX_WORD_LETTERS} letters")
+                letters += len(relators[-1].letters)
             elif key == "ring":
                 ring = CoefficientRing.parse(value)
             elif key == "rank":
@@ -222,6 +235,11 @@ def parse_input_file(text: str) -> NamedExample:
                 raise ValueError(
                     f"{len(relators)} relators x rank {rank} = {rows} cocycle rows"
                     f" exceed the limit of {MAX_COCYCLE_ROWS}"
+                )
+            work = letters * (rank or 0) ** 3
+            if work > MAX_WALK_WORK:
+                raise ValueError(
+                    f"{letters} relator letters x rank {rank}^3 = {work} exceed the Fox walk limit of {MAX_WALK_WORK}"
                 )
         except ValueError as exc:
             raise InputFormatError(str(exc), lineno) from None

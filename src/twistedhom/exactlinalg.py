@@ -5,17 +5,19 @@ unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere. Every kernel quotient goes through _subquotient, and every
-SNF diagonal becomes a group through _cokernel. Every integer matrix
+SNF's pivots become a group through _cokernel. Every integer matrix
 product, IntMatrix's and the Fox walk's, goes through _product, which
 reads its right factor as the nonzero rows _nonzero_rows gives; the SNF
 reads its input through _nonzero_rows too.
 
-The SNF builds only the transforms its caller reads (``transforms``), and
+The SNF returns its pivots, the nonzero diagonal d_1 | ... | d_r whose
+count is the rank, and the shape; D is built from them only when read.
+It builds only the transforms its caller reads (``transforms``), and
 takes the first unit of the working block as its pivot without scanning
-further; neither changes the pivot sequence, so D and every transform
-that is built are the same whatever is asked for. Besides U and V it can
-build W = U^-1 (the letter W) by the inverse column operation of each row
-operation on U, so the witnesses of a quotient need no second SNF. Its
+further; neither changes the pivot sequence, so the pivots and every
+transform built are the same whatever is asked for. Besides U and V it
+can build W = U^-1 (the letter W) by the inverse column operation of each
+row operation on U, so the witnesses of a quotient need no second SNF. Its
 working matrix is held as sparse rows under a column permutation, so a
 column swap touches no row and the work follows the nonzeros; the pivot
 sequence, and so D, U, V and W, is that of the dense elimination.
@@ -26,7 +28,7 @@ constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from math import gcd, prod
 from operator import add, contains, index, neg, sub
 
@@ -257,19 +259,28 @@ _NOT_BUILT = IntMatrix._trusted(0, 0, ())
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Transforms U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...,
-    and W = U^-1 when it is asked for."""
+    """U * A * V = D with U, V unimodular, A of shape (rows, cols), W = U^-1
+    when asked for, and pivots d_1 | ... | d_r > 0, the nonzero diagonal of
+    D with r the rank of A. D is built from pivots and shape when read."""
 
     U: IntMatrix
-    D: IntMatrix
+    pivots: tuple[int, ...]
+    shape: tuple[int, int]
     V: IntMatrix
     W: IntMatrix = _NOT_BUILT
 
+    @property
+    def D(self) -> IntMatrix:
+        m, n = self.shape
+        entries = [0] * (m * n)
+        entries[: len(self.pivots) * (n + 1) : n + 1] = self.pivots
+        return IntMatrix._trusted(m, n, tuple(entries))
+
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
+        return self.pivots + (0,) * (min(self.shape) - len(self.pivots))
 
 
-TRANSFORMS = ("UV", "U", "V", "", "W")
+TRANSFORMS = ("UV", "V", "", "W")
 
 
 def _identity_rows(k: int) -> list[list[int]]:
@@ -292,27 +303,28 @@ def _combined(a, b, c: int) -> list[int]:
 def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     """Smith normal form with transforms.
 
-    Returns U, D, V with U*matrix*V = D, both transforms unimodular, and D
-    diagonal with nonnegative entries forming a divisibility chain. Pivots
-    are always the nonzero entry of least absolute value in the working
-    block, ties broken by lowest (row, column), so the reduction is
-    deterministic. The search for a pivot stops at the first row holding a
-    unit, whose first unit is the entry that rule picks, and a pivot of 1
-    divides the rest of the block without a check.
+    Returns the pivots, the shape and the transforms asked for: U*matrix*V
+    = D with both transforms unimodular and D diagonal, its nonzero entries
+    the pivots, positive and a divisibility chain. Pivots are always the
+    nonzero entry of least absolute value in the working block, ties broken
+    by lowest (row, column), so the reduction is deterministic. The search
+    for a pivot stops at the first row holding a unit, whose first unit is
+    the entry that rule picks, and a pivot of 1 divides the rest of the
+    block without a check.
 
     The working matrix is held as sparse rows, each a dict from original
     column to nonzero entry, under a column permutation: a column swap
     exchanges two positions of the permutation (and two columns of V) and
     touches no row, and "column" in the pivot rule means the current
     position. A row addition walks the nonzeros of the source row. The
-    pivot sequence is that of the dense elimination, so D and every
-    transform are too.
+    pivot sequence is that of the dense elimination, so the pivots and
+    every transform are too.
 
     ``transforms`` names the transforms to build, one of "UV" (the
-    default), "U", "V", "" and "W", where W = U^-1. One that is not built
-    is the 0x0 matrix; the ones that are built, and D, do not depend on the
-    choice. W needs neither U nor a second SNF: each row operation on U is
-    mirrored by the inverse column operation on W, so W*U = I throughout.
+    default), "V", "" and "W", where W = U^-1. One that is not built is
+    the 0x0 matrix; the ones that are built, and the pivots, do not depend
+    on the choice. W needs neither U nor a second SNF: each row operation on
+    U is mirrored by the inverse column operation on W, so W*U = I always.
     """
     if transforms not in TRANSFORMS:
         raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
@@ -443,15 +455,11 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     def flat(rows, size, cols):
         return IntMatrix._trusted(size, cols, tuple(chain.from_iterable(rows)))
 
-    # Row i < t holds its pivot alone and the rows from t on are zero, so D
-    # row-major is each pivot followed by n zeros, then zeros up to m*n.
-    # The tuple is read off this stream: a dense list first would hold a
-    # second copy of the m*n entries.
-    gap = (0,) * n
-    cells = chain(chain.from_iterable(chain((d[i][col[i]],), gap) for i in range(t)), repeat(0))
+    # Row i < t holds its pivot alone and the rows from t on are zero.
     return SnfResult(
         U=_NOT_BUILT if u is None else flat(u, m, m),
-        D=IntMatrix._trusted(m, n, tuple(islice(cells, m * n))),
+        pivots=tuple(d[i][col[i]] for i in range(t)),
+        shape=(m, n),
         V=_NOT_BUILT if v is None else flat(zip(*v), n, n),
         W=_NOT_BUILT if w is None else flat(zip(*w), m, m),
     )
@@ -460,18 +468,17 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
 def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tuple[int, ...]]:
     """The lattice {v : A*v = 0} over Z, or {v in Z^cols : A*v = 0 mod n},
     as columns B of V and their scales s: its basis is K = B * diag(s). Read
-    off U*A*V = D, one SNF of A over Z; only V and D are read.
+    off U*A*V = D, one SNF of A over Z; only V and the pivots are read.
 
     v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
     because U is unimodular. So over Z/n, B is all of V and
-    s_j = n / gcd(d_j, n), where d_j = 0 past the diagonal and gcd(0, n) = n.
+    s_j = n / gcd(d_j, n), where d_j = 0 past the pivots and gcd(0, n) = n.
     Over Z, B is the columns of V with d_j = 0 and every s_j is 1. Either
     way B is a set of columns of the unimodular V, so its SNF has only unit
     pivots and the columns of K are independent.
     """
     V = factored.V
-    diag = factored.diagonal()
-    diag += (0,) * (V.cols - len(diag))
+    diag = factored.pivots + (0,) * (V.cols - len(factored.pivots))
     if modulus == 0:
         kept = [V.column(j) for j, x in enumerate(diag) if x == 0]
         return IntMatrix.from_columns(V.rows, kept), (1,) * len(kept)
@@ -505,17 +512,16 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
     if targets.rows != basis.rows:
         raise ValueError("target length mismatch")
     res = snf(basis, transforms="UV")
-    diag = [d for d in res.diagonal() if d]
-    rank, width = len(diag), targets.cols
-    # U*basis*V = D with the nonzero diagonal d_1..d_r first, so basis*x = t
+    rank, width = len(res.pivots), targets.cols
+    # U*basis*V = D with the pivots d_1..d_r first on its diagonal, so basis*x = t
     # is solvable iff c = U*t has d_i | c_i for i <= r and c_i = 0 beyond.
     c = (res.U * targets).to_rows()
     solvable = [
-        all(row[j] % d == 0 for row, d in zip(c, diag)) and not any(row[j] for row in c[rank:])
+        all(row[j] % d == 0 for row, d in zip(c, res.pivots)) and not any(row[j] for row in c[rank:])
         for j in range(width)
     ]
     y = tuple(
-        c[i][j] // diag[i] if i < rank and solvable[j] else 0
+        c[i][j] // res.pivots[i] if i < rank and solvable[j] else 0
         for i in range(basis.cols)
         for j in range(width)
     )
@@ -545,12 +551,12 @@ def _lattice_coordinates(
     return IntMatrix._trusted(k, count, tuple(x[i] // scales[i] for i in range(k) for x in solutions))
 
 
-def _cokernel(diagonal, size: int, n: int) -> AbelianGroupStructure:
-    """Z^size / (im A + n*Z^size) for the SNF diagonal of a matrix A with
-    size rows: the sum of Z/gcd(d_i, n), with d_i = 0 past the diagonal and
-    gcd(0, 0) = 0 giving Z. gcd(., n) keeps the divisibility chain, so the
-    orders are invariant factors as they stand."""
-    orders = [gcd(d, n) for d in diagonal] + [n] * (size - len(diagonal))
+def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
+    """Z^size / (im A + n*Z^size) for the SNF pivots of a matrix A with
+    size rows: the sum of Z/gcd(d_i, n), padded with n = gcd(0, n) past
+    the pivots, and 0 giving Z. gcd(., n) keeps the divisibility chain, so
+    the orders are invariant factors as they stand."""
+    orders = [gcd(d, n) for d in pivots] + [n] * (size - len(pivots))
     return AbelianGroupStructure(orders.count(0), tuple(d for d in orders if d > 1))
 
 
@@ -575,10 +581,10 @@ def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: b
         B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
     )
     res = snf(_lattice_coordinates(B, incoming, scales), transforms="W" if generators else "")
-    group = _cokernel(res.diagonal(), K.cols, 0)
+    group = _cokernel(res.pivots, K.cols, 0)
     if not generators:
         return group, K, ()
-    # The diagonal is 1, ..., 1 and then one order per cyclic factor.
+    # The pivots are 1, ..., 1 and then one order per torsion factor.
     units = K.cols - group.free_rank - len(group.torsion)
     chosen = IntMatrix.from_columns(K.cols, [res.W.column(i) for i in range(units, K.cols)])
     images = (K * chosen).mod(n)
@@ -590,17 +596,16 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
 
     Every subgroup generator must lie inside the ambient lattice; the
     quotient is the cokernel of the matrix of subgroup coordinates in the
-    ambient basis, read off its SNF diagonal. The ambient columns must be
+    ambient basis, read off its SNF pivots. The ambient columns must be
     linearly independent (coordinates are unique), or the cokernel formula
     would be meaningless.
     """
     if subgroup_gens.cols and subgroup_gens.rows != ambient_basis.rows:
         raise ValueError("ambient and subgroup generators live in different spaces")
-    ambient_rank = sum(1 for x in snf(ambient_basis, transforms="").diagonal() if x)
-    if ambient_rank != ambient_basis.cols:
+    if len(snf(ambient_basis, transforms="").pivots) != ambient_basis.cols:
         raise ValueError("ambient basis columns are linearly dependent")
     coordinates = _lattice_coordinates(ambient_basis, subgroup_gens)
-    return _cokernel(snf(coordinates, transforms="").diagonal(), ambient_basis.cols, 0)
+    return _cokernel(snf(coordinates, transforms="").pivots, ambient_basis.cols, 0)
 
 
 def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
@@ -669,8 +674,8 @@ class AbelianGroupStructure:
         finite = [x for x in orders if x >= 2]
         if not finite:
             return cls(free, ())
-        diag = snf(IntMatrix.diagonal(finite), transforms="").diagonal()
-        return cls(free, tuple(x for x in diag if x >= 2))
+        pivots = snf(IntMatrix.diagonal(finite), transforms="").pivots
+        return cls(free, _cokernel(pivots, len(finite), 0).torsion)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

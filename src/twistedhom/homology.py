@@ -4,7 +4,7 @@ Cohomology is crossed homomorphisms modulo principal ones; homology comes
 from the presentation 2-complex, the transposed cochain complex of the dual
 action g -> (M_g^-1)^T. This module is the chain-complex bookkeeping: which
 matrices are J, P, d1 and d2, and how they are checked. The groups are read
-by two routines of exactlinalg. _cokernel reads a group off the diagonal of
+by two routines of exactlinalg. _cokernel reads a group off the pivots of
 an SNF over Z that builds no transform: H_0 = coker d1 = sum Z/gcd(d_i, n)
 on every ring, with d1 = [M_g^-1 - 1 | ...] over the generators, and,
 since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z
@@ -131,7 +131,7 @@ def coinvariants(rep: Representation) -> AbelianGroupStructure:
     identity = IntMatrix.identity(rep.rank)
     blocks = [(m - identity).mod(n) for m in rep.inverse_matrices]
     d1 = hstack(*blocks) if blocks else IntMatrix.zeros(rep.rank, 0)
-    return _cokernel(snf(d1, transforms="").diagonal(), rep.rank, n)
+    return _cokernel(snf(d1, transforms="").pivots, rep.rank, n)
 
 
 def h1_cohomology(
@@ -166,8 +166,8 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     d1, d2 = P.transpose(), J.transpose()
     if rep.ring.modulus:
         return _subquotient(snf(d1, transforms="V"), d2, rep.ring.modulus)[0]
-    rank_d1 = sum(1 for d in snf(d1, transforms="").diagonal() if d)
-    coker_d2 = _cokernel(snf(d2, transforms="").diagonal(), d2.rows, 0)
+    rank_d1 = len(snf(d1, transforms="").pivots)
+    coker_d2 = _cokernel(snf(d2, transforms="").pivots, d2.rows, 0)
     return AbelianGroupStructure(coker_d2.free_rank - rank_d1, coker_d2.torsion)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .exactlinalg import IntMatrix, _nonzero_rows, _product, _read_integer, unimodular_inverse
+from .exactlinalg import IntMatrix, _combined, _nonzero_rows, _product, _read_integer, unimodular_inverse
 from .presentation import Diagnostic, Presentation
 from .words import Generator, Word, word_to_text
 
@@ -197,7 +197,7 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     other term is evaluated from the identity by evaluate_word. A letter
     multiplies the running matrix by the nonzero rows of its factor and
     reduces it mod n in the same call (_product). Each total is a flat list of
-    ints, to which a coefficient of +1 or -1 adds or subtracts the entries.
+    ints, to which exactlinalg._combined adds coefficient times the matrix.
     An element with no terms gets no total: its block is written from one
     shared zero row, so the zero blocks of a Fox block row cost no walk
     and no reduction.
@@ -219,12 +219,7 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
         else:
             matrix = evaluate_word(rep, word).entries
         letters = word.letters
-        if coeff == 1:
-            totals[k] = list(map(operator.add, totals[k], matrix))
-        elif coeff == -1:
-            totals[k] = list(map(operator.sub, totals[k], matrix))
-        else:
-            totals[k] = [a + coeff * b for a, b in zip(totals[k], matrix)]
+        totals[k] = _combined(totals[k], matrix, coeff)
     if n:
         totals = [total and [x % n for x in total] for total in totals]
     zero, entries = [0] * size, []

@@ -234,13 +234,16 @@ def distinct_images_mod2(matrix: IntMatrix) -> int:
 
 def reference_snf(matrix: IntMatrix) -> SnfResult:
     """Reference Smith normal form: the SNF as it was before it could skip
-    building a transform or stop its pivot search at a unit, kept verbatim.
+    building a transform or stop its pivot search at a unit. Its
+    elimination is kept verbatim; its result is pivots and shape, as
+    SnfResult holds it.
 
-    Returns U, D, V with U*matrix*V = D, both transforms unimodular, and D
-    diagonal with nonnegative entries forming a divisibility chain. Pivots
-    are always the nonzero entry of least absolute value in the working
-    block, ties broken by lowest (row, column), so the reduction is
-    deterministic.
+    Returns U, the pivots, the shape and V with U*matrix*V = D, both
+    transforms unimodular, and D diagonal with nonnegative entries forming a
+    divisibility chain; it asserts that its working matrix is that D before
+    it returns the pivots. Pivots are always the nonzero entry of least
+    absolute value in the working block, ties broken by lowest (row,
+    column), so the reduction is deterministic.
     """
     m, n = matrix.rows, matrix.cols
     d = matrix.to_rows()
@@ -326,10 +329,15 @@ def reference_snf(matrix: IntMatrix) -> SnfResult:
         else:
             add_row(bad, t, 1)
 
+    # The working matrix is D: zero off the diagonal and past position t,
+    # and positive at the first t positions, the pivots.
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j or i >= t), d
+    assert all(d[i][i] > 0 for i in range(t)), d
     flat = lambda rows: tuple(x for r in rows for x in r)
     return SnfResult(
         U=IntMatrix(m, m, flat(u)),
-        D=IntMatrix(m, n, flat(d)),
+        pivots=tuple(d[i][i] for i in range(t)),
+        shape=(m, n),
         V=IntMatrix(n, n, flat(v)),
     )
 
@@ -411,7 +419,7 @@ def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: Coefficie
         K = IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0])
     solutions = solve_in_lattice(K, incoming) if incoming.cols else []
     assert None not in solutions, "the subgroup lies outside the kernel"
-    res = snf(IntMatrix.from_columns(K.cols, solutions), transforms="U")
+    res = snf(IntMatrix.from_columns(K.cols, solutions), transforms="UV")
     orders = list(res.diagonal()) + [0] * (K.cols - len(res.diagonal()))
     group = AbelianGroupStructure.from_cyclic_orders(orders)
     if not generators:

@@ -20,6 +20,7 @@ from twistedhom.cli import (
     MAX_COCYCLE_ROWS,
     MAX_GENERATORS,
     MAX_RANK,
+    MAX_WALK_WORK,
     InputFormatError,
     JobSpec,
     example_to_text,
@@ -159,6 +160,27 @@ class TestParseInputFile:
         lines = head + (["rank: 1"] + relators if rank_first else relators + ["rank: 1"])
         count = MAX_COCYCLE_ROWS + 1
         message = f"^line {len(lines)}: {count} relators x rank 1 = {count} cocycle rows exceed the limit of {MAX_COCYCLE_ROWS}$"
+        with pytest.raises(InputFormatError, match=message):
+            parse_input_file("\n".join(lines) + "\n")
+
+    def test_walk_work_at_the_cap_parses(self):
+        # 4096 letters after free reduction x 32^3 is the cap itself.
+        identity = "[" + "; ".join(" ".join(str(int(i == j)) for j in range(32)) for i in range(32)) + "]"
+        parsed = parse_input_file(f"generators: a\nrank: 32\nrelator: a^4097 a^-1\naction a: {identity}\n")
+        letters = sum(len(r) for r in parsed.presentation.relators)
+        assert letters * parsed.representation.rank ** 3 == MAX_WALK_WORK == 1 << 27
+
+    @pytest.mark.parametrize("rank_first", [True, False], ids=["rank-first", "relators-first"])
+    def test_walk_work_over_the_cap_names_the_crossing_line(self, rank_first):
+        # 2 + 4095 = 4097 letters at rank 32, one letter over, crossed by the
+        # relation line or by the rank line after both relators. a's singular
+        # action comes first, so the error is raised before any action is
+        # inverted.
+        relators = ["relator: a a", "relation: a^4000 = a^-95"]
+        head = ["generators: a", "action a: [0]"]
+        lines = head + (["rank: 32"] + relators if rank_first else relators + ["rank: 32"])
+        work = 4097 * 32**3
+        message = f"^line {len(lines)}: 4097 relator letters x rank 32\\^3 = {work} exceed the Fox walk limit of {MAX_WALK_WORK}$"
         with pytest.raises(InputFormatError, match=message):
             parse_input_file("\n".join(lines) + "\n")
 
@@ -452,6 +474,27 @@ class TestCoh1Stage:
 
 
 class TestRun:
+    @pytest.mark.parametrize("modulus", [0, 2])
+    @pytest.mark.parametrize("name", ["e2", "chain3"])
+    def test_no_stage_reads_the_dense_snf_matrix(self, tmp_path, monkeypatch, name, modulus):
+        # Every rank and group is read off the pivots, so no stage builds
+        # the dense D of any SNF.
+        from twistedhom.exactlinalg import SnfResult
+
+        example = goeritz_e2() if name == "e2" else chain_example(3)
+        path = tmp_path / f"{name}.grp"
+        path.write_text(example_to_text(example))
+        reads, build = [], SnfResult.D.fget
+
+        def counting(self):
+            reads.append(self.shape)
+            return build(self)
+
+        monkeypatch.setattr(SnfResult, "D", property(counting))
+        ring = CoefficientRing(modulus)
+        status, _ = run(JobSpec(path=str(path), ring=ring, computations=cli.COMPUTATION_ORDER))
+        assert status == 0 and reads == []
+
     def test_oracle_builds_one_cochain_pair(self, monkeypatch):
         builds = count_calls(monkeypatch, "cocycle_matrix")
         principals = count_calls(monkeypatch, "principal_map")

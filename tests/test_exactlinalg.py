@@ -223,7 +223,7 @@ class TestSnf:
     def test_default_builds_both_transforms(self):
         a = IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])
         assert snf(a) == snf(a, transforms="UV") == reference_snf(a)
-        for transforms in ("VU", "WU", "UWV", "X"):
+        for transforms in ("U", "VU", "WU", "UWV", "X"):
             with pytest.raises(ValueError, match="transforms"):
                 snf(a, transforms=transforms)
         with pytest.raises(TypeError):

@@ -1,7 +1,7 @@
-"""Property tests of the SNF for every choice of transforms, of the U^-1 it
-builds, of its agreement with the reference SNF on sparse inputs, and of
-the trusted IntMatrix constructor behind the matrices exactlinalg
-computes."""
+"""Property tests of the SNF for every choice of transforms, of its pivots,
+of the U^-1 it builds, of its agreement with the reference SNF on sparse
+inputs, and of the trusted IntMatrix constructor behind the matrices
+exactlinalg computes."""
 
 import pytest
 
@@ -100,6 +100,31 @@ def test_snf_invariants(a, transforms):
     if transforms == "UV":
         assert res.U * a * res.V == res.D
     assert res.D == snf(a).D
+
+
+@SETTINGS
+@given(fold_prone_matrices() | matrices() | sparse_matrices())
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix.diagonal([6, 0, 4]))
+def test_pivots_are_the_nonzero_diagonal(a):
+    # For every letter: the pivots are a positive divisibility chain as long
+    # as sympy's rank, the diagonal is the pivots padded with zeros, and the
+    # D built from pivots and shape equals the reference's, which is also
+    # the product of its own transforms, U * a * V.
+    sympy = pytest.importorskip("sympy")
+    rank = sympy.Matrix(a.rows, a.cols, list(a.entries)).rank()
+    ref = reference_snf(a)
+    reference = ref.U * a * ref.V
+    assert ref.D == reference
+    for transforms in TRANSFORMS:
+        res = snf(a, transforms=transforms)
+        assert all(type(d) is int and d > 0 for d in res.pivots)
+        assert all(b % d == 0 for d, b in zip(res.pivots, res.pivots[1:]))
+        assert len(res.pivots) == rank
+        assert res.diagonal() == res.pivots + (0,) * (min(a.rows, a.cols) - rank)
+        assert res.shape == (a.rows, a.cols)
+        assert res.D == reference
 
 
 @SETTINGS
