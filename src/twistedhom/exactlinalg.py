@@ -17,10 +17,13 @@ takes the first unit of the working block as its pivot without scanning
 further; neither changes the pivot sequence, so the pivots and every
 transform built are the same whatever is asked for. Besides U and V it
 can build W = U^-1 (the letter W) by the inverse column operation of each
-row operation on U, so the witnesses of a quotient need no second SNF. Its
-working matrix is held as sparse rows under a column permutation, so a
-column swap touches no row and the work follows the nonzeros; the pivot
-sequence, and so D, U, V and W, is that of the dense elimination.
+row operation on U, so the witnesses of a quotient need no second SNF,
+and X = V^-1 (the word VX) by the inverse row operation of each column
+operation on V, so a kernel quotient over Z/n reads its coordinates off X
+and solves no lattice. Its working matrix is held as sparse rows under a
+column permutation, so a column swap touches no row and the work follows
+the nonzeros; the pivot sequence, and so D, U, V, W and X, is that of the
+dense elimination.
 Matrices this module computes itself skip the entry checks of the public
 constructor.
 """
@@ -253,21 +256,23 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
 
 
 # The placeholder for a transform that was not built: any use of it as U,
-# V or U^-1 fails on shape.
+# V, U^-1 or V^-1 fails on shape.
 _NOT_BUILT = IntMatrix._trusted(0, 0, ())
 
 
 @dataclass(frozen=True)
 class SnfResult:
     """U * A * V = D with U, V unimodular, A of shape (rows, cols), W = U^-1
-    when asked for, and pivots d_1 | ... | d_r > 0, the nonzero diagonal of
-    D with r the rank of A. D is built from pivots and shape when read."""
+    and X = V^-1 when asked for, and pivots d_1 | ... | d_r > 0, the nonzero
+    diagonal of D with r the rank of A. D is built from pivots and shape
+    when read."""
 
     U: IntMatrix
     pivots: tuple[int, ...]
     shape: tuple[int, int]
     V: IntMatrix
     W: IntMatrix = _NOT_BUILT
+    X: IntMatrix = _NOT_BUILT
 
     @property
     def D(self) -> IntMatrix:
@@ -280,7 +285,7 @@ class SnfResult:
         return self.pivots + (0,) * (min(self.shape) - len(self.pivots))
 
 
-TRANSFORMS = ("UV", "V", "", "W")
+TRANSFORMS = ("UV", "V", "", "W", "VX")
 
 
 def _identity_rows(k: int) -> list[list[int]]:
@@ -321,10 +326,12 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     every transform are too.
 
     ``transforms`` names the transforms to build, one of "UV" (the
-    default), "V", "" and "W", where W = U^-1. One that is not built is
-    the 0x0 matrix; the ones that are built, and the pivots, do not depend
-    on the choice. W needs neither U nor a second SNF: each row operation on
-    U is mirrored by the inverse column operation on W, so W*U = I always.
+    default), "V", "", "W", where W = U^-1, and "VX", where X = V^-1. One
+    that is not built is the 0x0 matrix; the ones that are built, and the
+    pivots, do not depend on the choice. W needs neither U nor a second
+    SNF: each row operation on U is mirrored by the inverse column operation
+    on W, so W*U = I always. Likewise each column operation on V is mirrored
+    by the inverse row operation on X, so X*V = I always.
     """
     if transforms not in TRANSFORMS:
         raise ValueError(f"transforms must be one of {TRANSFORMS}, got {transforms!r}")
@@ -337,12 +344,14 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     pos = list(range(n))
     u = _identity_rows(m) if "U" in transforms else None
     # V and W are held as lists of their columns, so that a column
-    # operation on them is one list operation.
+    # operation on them is one list operation; X as a list of its rows.
     v = _identity_rows(n) if "V" in transforms else None
     w = _identity_rows(m) if "W" in transforms else None
+    x = _identity_rows(n) if "X" in transforms else None
 
     # Each row operation on U is mirrored on W by its inverse column
-    # operation, so that W*U = I throughout.
+    # operation, so that W*U = I throughout, and each column operation on V
+    # on X by its inverse row operation, so that X*V = I.
     def swap_rows(i1, i2):
         if i1 != i2:
             d[i1], d[i2] = d[i2], d[i1]
@@ -358,9 +367,11 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             pos[k1], pos[k2] = j1, j2
             if v is not None:
                 v[j1], v[j2] = v[j2], v[j1]
+            if x is not None:
+                x[j1], x[j2] = x[j2], x[j1]
 
     def negate_row(i):
-        d[i] = {k: -x for k, x in d[i].items()}
+        d[i] = {k: -e for k, e in d[i].items()}
         if u is not None:
             u[i] = list(map(neg, u[i]))
         if w is not None:
@@ -369,8 +380,8 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     # An entry that cancels is deleted, so a zero row is an empty dict.
     def add_row(src, dst, c):
         row = d[dst]
-        for k, x in d[src].items():
-            y = row.get(k, 0) + c * x
+        for k, e in d[src].items():
+            y = row.get(k, 0) + c * e
             if y:
                 row[k] = y
             else:
@@ -392,6 +403,8 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
             del row[k]
         if v is not None:
             v[dst] = _combined(v[dst], v[src], c)
+        if x is not None:
+            x[src] = _combined(x[src], x[dst], -c)
 
     t = 0
     while t < min(m, n):
@@ -410,7 +423,7 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         if where is None:
             break
         swap_rows(t, where)
-        swap_cols(t, min(pos[k] for k, x in d[t].items() if abs(x) == best))
+        swap_cols(t, min(pos[k] for k, e in d[t].items() if abs(e) == best))
         if d[t][col[t]] < 0:
             negate_row(t)
         while True:
@@ -462,6 +475,7 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         shape=(m, n),
         V=_NOT_BUILT if v is None else flat(zip(*v), n, n),
         W=_NOT_BUILT if w is None else flat(zip(*w), m, m),
+        X=_NOT_BUILT if x is None else flat(x, n, n),
     )
 
 
@@ -475,7 +489,8 @@ def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tup
     s_j = n / gcd(d_j, n), where d_j = 0 past the pivots and gcd(0, n) = n.
     Over Z, B is the columns of V with d_j = 0 and every s_j is 1. Either
     way B is a set of columns of the unimodular V, so its SNF has only unit
-    pivots and the columns of K are independent.
+    pivots and the columns of K are independent. Over Z/n, where B is all of
+    V, coordinates in B are X*v for X = V^-1, when the SNF built it.
     """
     V = factored.V
     diag = factored.pivots + (0,) * (V.cols - len(factored.pivots))
@@ -530,25 +545,46 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
     return solutions if isinstance(target, IntMatrix) else solutions[0]
 
 
-def _lattice_coordinates(
-    basis: IntMatrix, subgroup_gens: IntMatrix, scales: tuple[int, ...] | None = None
-) -> IntMatrix:
-    """The coordinates of the subgroup generators in the lattice basis K =
-    basis * diag(scales), one column per generator; scales default to 1.
+def _outside(j: int) -> ValueError:
+    return ValueError(f"subgroup generator {j} lies outside the ambient lattice")
+
+
+def _lattice_coordinates(basis: IntMatrix, subgroup_gens: IntMatrix) -> IntMatrix:
+    """The coordinates of the subgroup generators in the lattice basis, one
+    column per generator.
 
     The columns of basis must be independent. solve_in_lattice factors basis
-    itself, once for all generators, and row j of its solutions is divided
-    by s_j: K*y = t iff basis*x = t with x_j = s_j*y_j, so a generator lies
-    in span K iff it is solvable and every division is exact. Raises
-    ValueError naming the first generator outside the lattice.
+    itself, once for all generators. Raises ValueError naming the first
+    generator outside the lattice.
     """
     k, count = basis.cols, subgroup_gens.cols
-    scales = scales or (1,) * k
     solutions = solve_in_lattice(basis, subgroup_gens) if count else []
-    for j, x in enumerate(solutions):
-        if x is None or any(c % s for c, s in zip(x, scales)):
-            raise ValueError(f"subgroup generator {j} lies outside the ambient lattice")
-    return IntMatrix._trusted(k, count, tuple(x[i] // scales[i] for i in range(k) for x in solutions))
+    if None in solutions:
+        raise _outside(solutions.index(None))
+    return IntMatrix._trusted(k, count, tuple(x[i] for i in range(k) for x in solutions))
+
+
+def _coordinates_mod_n(factored: SnfResult, incoming: IntMatrix, scales: tuple[int, ...], n: int) -> IntMatrix:
+    """The coordinates of [incoming | n*I] in K = V * diag(scales), read off
+    X = V^-1 of factored = snf(A, transforms="VX"), one column per generator.
+
+    K*y = t iff V*z = t with z_j = s_j*y_j, and z = X*t. So row j of
+    X*incoming is divided by s_j, and a generator lies in span K iff every
+    division is exact; row j of the n*I block is n*X_j / s_j = gcd(d_j, n) *
+    X_j, which needs no product. V is unimodular, so the coordinates are
+    unique. Raises ValueError naming the first column of incoming outside
+    the lattice.
+    """
+    X, count = factored.X, incoming.cols
+    solved = (X * incoming).entries
+    rows = [solved[i * count : (i + 1) * count] for i in range(X.rows)]
+    outside = [j for row, s in zip(rows, scales) if s > 1 for j, y in enumerate(row) if y % s]
+    if outside:
+        raise _outside(min(outside))
+    entries = chain.from_iterable(
+        [y // s for y in row] + [n // s * e for e in X.row(i)] for i, (row, s) in enumerate(zip(rows, scales))
+    )
+    return IntMatrix._trusted(X.rows, count + X.cols, tuple(entries))
 
 
 def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
@@ -562,12 +598,14 @@ def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
 
 def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
     """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
-    outgoing is the factorization snf(A, transforms="V").
+    outgoing is the factorization snf(A, transforms="VX") over Z/n and
+    snf(A, transforms="V") over Z; the route follows n, not the shape of X.
 
-    The kernel has the basis K = B * diag(s) of _kernel_over_ring. The
-    subgroup is solved in the unscaled columns B, which are columns of the
-    unimodular V, and row j of the solution is divided by s_j; over Z every
-    s_j is 1 and B = K. The group is the cokernel of the coordinates.
+    The kernel has the basis K = B * diag(s) of _kernel_over_ring. Over Z/n,
+    B is all of V, and the coordinates of incoming and of n*I are read off
+    X = V^-1 by _coordinates_mod_n, with no lattice solved. Over Z every s_j
+    is 1, B = K is the kernel's columns of V, and the subgroup is solved in
+    B by solve_in_lattice. The group is the cokernel of the coordinates.
 
     Returns (group, kernel basis K, generators): the generators, only when
     asked for, else (), are one kernel vector per cyclic factor (torsion
@@ -575,12 +613,11 @@ def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: b
     coordinates' SNF, reduced mod n.
     """
     B, scales = _kernel_over_ring(outgoing, n)
-    if n:
-        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
     K = IntMatrix._trusted(
         B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
     )
-    res = snf(_lattice_coordinates(B, incoming, scales), transforms="W" if generators else "")
+    coordinates = _coordinates_mod_n(outgoing, incoming, scales, n) if n else _lattice_coordinates(B, incoming)
+    res = snf(coordinates, transforms="W" if generators else "")
     group = _cokernel(res.pivots, K.cols, 0)
     if not generators:
         return group, K, ()

@@ -10,7 +10,8 @@ on every ring, with d1 = [M_g^-1 - 1 | ...] over the generators, and,
 since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z
 is the torsion of coker d2 plus Z^(m - rank d1 - rank d2). _subquotient
 reads every other group, one integer lattice quotient ker(outgoing) /
-(im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring.
+(im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring; over
+Z/n that SNF also builds V^-1, and the coordinates are read off it.
 Nothing is eliminated over Z/n. No relator is evaluated here: by Fox's
 fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r of J*P is
 M(r) - 1, so checked_cochains checks them through J*P when it builds the
@@ -147,7 +148,8 @@ def h1_cohomology(
     relators checked again.
     """
     J, P = cochains or checked_cochains(p, rep)
-    h1, K, witnesses = _subquotient(snf(J, transforms="V"), P, rep.ring.modulus, generators=True)
+    n = rep.ring.modulus
+    h1, K, witnesses = _subquotient(snf(J, transforms="VX" if n else "V"), P, n, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -165,7 +167,7 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     J, P = checked_cochains(p, dual(rep))
     d1, d2 = P.transpose(), J.transpose()
     if rep.ring.modulus:
-        return _subquotient(snf(d1, transforms="V"), d2, rep.ring.modulus)[0]
+        return _subquotient(snf(d1, transforms="VX"), d2, rep.ring.modulus)[0]
     rank_d1 = len(snf(d1, transforms="").pivots)
     coker_d2 = _cokernel(snf(d2, transforms="").pivots, d2.rows, 0)
     return AbelianGroupStructure(coker_d2.free_rank - rank_d1, coker_d2.torsion)
@@ -191,7 +193,8 @@ def kerf_reduction(
     if not rep.ring.is_unit(det):
         raise ValueError(f"f*P is not invertible over {rep.ring}: determinant {det}")
     outgoing = vstack(J, f.mod(n))
-    h1, K, witnesses = _subquotient(snf(outgoing, transforms="V"), IntMatrix.zeros(m, 0), n, generators=True)
+    factored = snf(outgoing, transforms="VX" if n else "V")
+    h1, K, witnesses = _subquotient(factored, IntMatrix.zeros(m, 0), n, generators=True)
     return CohomologyResult(rep.ring, K, h1, witnesses)
 
 
@@ -228,7 +231,8 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     Every ring reads H^1 off one J and P over Z: evaluating words commutes
     with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the
     lattices of the action rebuilt over Z/n. J is factored once for all
-    the rings.
+    the rings, with V^-1: over Z the kernel's columns of V are solved in,
+    and every Z/n ring reads its coordinates off the same V^-1.
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
@@ -238,7 +242,7 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     J, P = checked_cochains(p, rep)
     h1 = h1_homology(p, rep)
     h0 = coinvariants(rep)
-    factored = snf(J, transforms="V")
+    factored = snf(J, transforms="VX")
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
         computed = _subquotient(factored, P, ring.modulus)[0]

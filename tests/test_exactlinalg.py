@@ -197,8 +197,8 @@ class TestSnf:
     def test_matches_reference_snf(self, monkeypatch, transforms):
         # The pivot sequence does not depend on the transforms asked for, so
         # D and each transform that is built equal the reference entry for
-        # entry, W being the inverse of the reference U; a transform not asked
-        # for is the 0x0 matrix.
+        # entry, W and X being the inverses of the reference U and V; a
+        # transform not asked for is the 0x0 matrix.
         chain, e2 = chain_example(3), goeritz_e2()
         recorder = SnfRecorder(monkeypatch)
         h1_homology(chain.presentation, chain.representation)
@@ -219,6 +219,7 @@ class TestSnf:
             assert res.U == (reference.U if "U" in transforms else NOT_BUILT)
             assert res.V == (reference.V if "V" in transforms else NOT_BUILT)
             assert res.W == (unimodular_inverse(reference.U) if "W" in transforms else NOT_BUILT)
+            assert res.X == (unimodular_inverse(reference.V) if "X" in transforms else NOT_BUILT)
 
     def test_default_builds_both_transforms(self):
         a = IntMatrix.from_rows([[2, 4, 1], [6, 8, 3]])
@@ -242,20 +243,18 @@ class TestTransformsAsked:
         assert [(caller, t) for caller, _, t in recorder.calls] == [
             ("lattice_quotient", ""), ("solve_in_lattice", "UV"), ("lattice_quotient", ""),
         ]
-        # _subquotient factors nothing but the coordinates: one solve in the
-        # kernel's columns of V, then one SNF of the coordinates, which builds
-        # U^-1 (and not U) only when generators are asked for.
-        outgoing = snf(IntMatrix.zeros(1, 3), transforms="V")
-        recorder.calls.clear()
-        _subquotient(outgoing, sub, 4)
-        assert [(caller, t) for caller, _, t in recorder.calls] == [
-            ("solve_in_lattice", "UV"), ("_subquotient", ""),
-        ]
-        recorder.calls.clear()
-        _subquotient(outgoing, sub, 4, generators=True)
-        assert [(caller, t) for caller, _, t in recorder.calls] == [
-            ("solve_in_lattice", "UV"), ("_subquotient", "W"),
-        ]
+        # _subquotient factors nothing but the coordinates: over Z/n it reads
+        # them off V^-1 and solves nothing, over Z it solves once in the
+        # kernel's columns of V; then one SNF of the coordinates builds U^-1
+        # (and not U) only when generators are asked for.
+        a = IntMatrix.from_rows([[2, 0, 1]])
+        routes = ((4, snf(a, transforms="VX"), []), (0, snf(a, transforms="V"), [("solve_in_lattice", "UV")]))
+        for n, outgoing, solves in routes:
+            kernel = IntMatrix.from_columns(3, [(2, 0, 0), (1, 3, 2)] if n else [(1, 0, -2), (0, 3, 0)])
+            for generators, word in ((False, ""), (True, "W")):
+                recorder.calls.clear()
+                _subquotient(outgoing, kernel, n, generators)
+                assert [(caller, t) for caller, _, t in recorder.calls] == solves + [("_subquotient", word)]
         recorder.calls.clear()
         rng = random.Random(112)
         for _ in range(10):

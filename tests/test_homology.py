@@ -515,7 +515,24 @@ class TestUct:
             monkeypatch.undo()
             assert all(c.match for c in comparisons)
             assert len(built) == 1
-            assert [transforms for _, m, transforms in recorder.calls if m == J] == ["V"]
+            assert [transforms for _, m, transforms in recorder.calls if m == J] == ["VX"]
+
+    def test_one_snf_of_j_and_one_solve_for_the_integer_ring(self, monkeypatch):
+        # H_0 and H_1 included: J is factored once, with V^-1, for all five
+        # rings; only the ring Z solves a lattice, in the kernel's columns
+        # of V, and every Z/n ring reads its coordinates off V^-1.
+        for example in (E2, chain_example(4)):
+            p, rep = example.presentation, example.representation
+            J = cocycle_matrix(p, rep)
+            recorder = SnfRecorder(monkeypatch)
+            solves = count_calls(monkeypatch, "solve_in_lattice")
+            comparisons = uct_check(p, rep, (2, 3, 4, 8))
+            monkeypatch.undo()
+            assert all(c.match for c in comparisons)
+            assert [(caller, t) for caller, m, t in recorder.calls if m == J] == [("uct_check", "VX")]
+            factored = snf(J, transforms="V")
+            kernel = [factored.V.column(j) for j in range(len(factored.pivots), J.cols)]
+            assert len(solves) == 1 and solves[0][0] == IntMatrix.from_columns(J.cols, kernel)
 
     def test_requires_integer_action(self):
         with pytest.raises(ValueError, match="over Z"):
@@ -533,7 +550,7 @@ class TestTransformsAsked:
         kernel_over_ring = exactlinalg._kernel_over_ring
 
         def recording(res, modulus):
-            factored.append(res)
+            factored.append((res, modulus))
             return kernel_over_ring(res, modulus)
 
         monkeypatch.setattr(exactlinalg, "_kernel_over_ring", recording)
@@ -542,26 +559,38 @@ class TestTransformsAsked:
         assert [t for caller, _, t in recorder.calls if caller == "h1_homology"] == ["", ""]
         recorder.calls.clear()
         h1_homology(chain.presentation, change_ring(chain.representation, CoefficientRing.modular(4)))
-        assert recorder.asked("h1_homology") == {"V"}
+        assert recorder.asked("h1_homology") == {"VX"}
         recorder.calls.clear()
+        # A kernel over Z/n is read with V^-1, over Z with V alone.
+        asked = []
         for example in (E2, chain):
             p, rep = example.presentation, example.representation
             for ring in (CoefficientRing.integers(), CoefficientRing.modular(4)):
-                h1_cohomology(p, change_ring(rep, ring))
-                coinvariants(change_ring(rep, ring))
+                ring_rep = change_ring(rep, ring)
+                h1_cohomology(p, ring_rep)
+                coinvariants(ring_rep)
+                asked.append(("h1_cohomology", ring.modulus, [t for c, _, t in recorder.calls if c == "h1_cohomology"][-1]))
+                if example is E2:
+                    kerf_reduction(p, ring_rep, E2.kerf)
+                    asked.append(("kerf_reduction", ring.modulus, [t for c, _, t in recorder.calls if c == "kerf_reduction"][-1]))
             uct_check(p, rep, (2, 3))
-        kerf_reduction(E2.presentation, E2.representation, E2.kerf)
+        assert asked == [
+            ("h1_cohomology", 0, "V"), ("kerf_reduction", 0, "V"), ("h1_cohomology", 4, "VX"), ("kerf_reduction", 4, "VX"),
+            ("h1_cohomology", 0, "V"), ("h1_cohomology", 4, "VX"),
+        ]
         homology_callers = {caller for caller, _, _ in recorder.calls} - {
             "kernel_basis", "solve_in_lattice", "_subquotient", "lattice_quotient",
             "from_cyclic_orders", "unimodular_inverse",
         }
         assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
         # H_0 on every ring and H_1 over Z read only a diagonal; every
-        # kernel is read off V alone.
+        # kernel is read off V, and over Z/n off V^-1 too.
         assert recorder.asked("coinvariants") == recorder.asked("h1_homology") == {""}
+        assert recorder.asked("uct_check") == {"VX"}
         kernel_callers = homology_callers - {"coinvariants", "h1_homology"}
-        assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V"}
-        assert factored and all(res.U == IntMatrix(0, 0, ()) for res in factored)
+        assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V", "VX"}
+        assert factored and all(res.U == IntMatrix(0, 0, ()) for res, _ in factored)
+        assert all(res.X * res.V == IntMatrix.identity(res.V.cols) for res, n in factored if n)
         assert {t for caller, _, t in recorder.calls if caller == "_subquotient"} <= {"", "W"}
 
 
@@ -627,11 +656,11 @@ class TestInvariantFactors:
             assert [(caller, t) for caller, _, t in recorder.calls] == [("coinvariants", "")]
         assert solves == quotients == []
         h1_homology(p, change_ring(rep, CoefficientRing.modular(4)))
-        assert len(quotients) == 1 and len(solves) == 1
-        # The lattice mod n is solved in all of V's columns, not in a
-        # scaled basis: the one basis solved in is square and unimodular.
-        basis = solves[0][0]
-        assert basis.rows == basis.cols == quotients[0][0].V.cols and abs(basis.det()) == 1
+        assert len(quotients) == 1 and solves == []
+        # The lattice mod n is read off V^-1, built by the SNF of d1: no
+        # basis is solved in, and X*V = I.
+        factored = quotients[0][0]
+        assert factored.X * factored.V == IntMatrix.identity(factored.V.cols) and abs(factored.V.det()) == 1
 
 
 class TestSolveInVColumns:
@@ -655,32 +684,86 @@ class TestSolveInVColumns:
                     dual_J, dual_P = checked_cochains(p, dual(change_ring(rep, ring)))
                     lattices.append((dual_P.transpose(), dual_J.transpose(), False))
                 for outgoing, incoming, generators in lattices:
-                    factored = snf(outgoing, transforms="V")
+                    factored = snf(outgoing, transforms="VX" if n else "V")
                     expected = reference_homology(factored, incoming, ring, generators)
                     assert _subquotient(factored, incoming, n, generators) == expected
 
     def test_every_lattice_factored_mod_n_is_unimodular(self, monkeypatch):
-        # Over Z/n solve_in_lattice factors V itself, never a scaled basis,
-        # and over Z the columns of V that the kernel keeps.
-        recorder = SnfRecorder(monkeypatch)
-        factored = []
+        # Over Z/n no lattice is solved: every quotient is given a unimodular
+        # V with its inverse X, X*V = V*X = I. Over Z, uct_check solves once,
+        # in the columns of V that the kernel keeps.
+        solves = count_calls(monkeypatch, "solve_in_lattice")
+        quotients = count_calls(monkeypatch, "_subquotient")
         for example in (E2, chain_example(3), chain_example(4)):
             p, rep = example.presentation, example.representation
             for n in (2, 3, 4, 8):
                 ring_rep = change_ring(rep, CoefficientRing(n))
                 for compute in (h1_cohomology, h1_homology):
-                    recorder.calls.clear()
                     compute(p, ring_rep)
-                    factored += [(n, m) for caller, m, _ in recorder.calls if caller == "solve_in_lattice"]
-            recorder.calls.clear()
+            assert solves == []
             uct_check(p, rep, (2, 3, 4, 8))
-            solves = [m for caller, m, _ in recorder.calls if caller == "solve_in_lattice"]
-            factored += zip((0, 2, 3, 4, 8), solves, strict=True)
+            # One factorization serves all five rings of uct_check.
+            assert [args[2] for args in quotients[-5:]] == [0, 2, 3, 4, 8]
+            assert all(args[0] is quotients[-1][0] for args in quotients[-5:])
+            V = quotients[-1][0].V
+            zeros = range(len(quotients[-1][0].pivots), V.cols)
+            assert len(solves) == 1 and solves.pop()[0] == IntMatrix.from_columns(V.rows, map(V.column, zeros))
         monkeypatch.undo()
-        assert len(factored) == 3 * (8 + 5)
-        for n, m in factored:
-            assert snf(m, transforms="").diagonal() == (1,) * m.cols
-            assert m.rows == m.cols or n == 0
+        assert len(quotients) == 3 * (8 + 5)
+        for factored, _, n, *_ in quotients:
+            V, X = factored.V, factored.X
+            assert abs(V.det()) == 1
+            assert X * V == V * X == IntMatrix.identity(V.cols) or n == 0
+
+    def test_no_generators_over_z_mod_4(self, monkeypatch):
+        # J is 0x0, so the V^-1 built for it is 0x0, the shape of a transform
+        # not built; the route follows the ring, and nothing over Z/4 is
+        # solved.
+        rep = Representation.build(CoefficientRing.integers(), (), (), rank=2)
+        rep4 = change_ring(rep, CoefficientRing.modular(4))
+        p = Presentation((), ())
+        assert snf(IntMatrix.zeros(0, 0), transforms="VX").X == IntMatrix(0, 0, ())
+        recorder = SnfRecorder(monkeypatch)
+        solves = count_calls(monkeypatch, "solve_in_lattice")
+        cohomology = h1_cohomology(p, rep4)
+        assert recorder.asked("h1_cohomology") == {"VX"}
+        assert h1_homology(p, rep4) == reference_h1_homology(p, rep4) == AbelianGroupStructure.trivial()
+        assert recorder.asked("h1_homology") == {"VX"}
+        assert solves == []
+        comparisons = uct_check(p, rep, (4,))
+        # The one solve is the ring Z's, in the 0 columns the kernel keeps.
+        assert [basis.cols for basis, _ in solves] == [0]
+        monkeypatch.undo()
+        assert cohomology.h1.is_trivial() and cohomology.witnesses == ()
+        assert (cohomology.z1_basis.rows, cohomology.z1_basis.cols) == (0, 0)
+        assert [(c.ring.modulus, c.match, str(c.computed)) for c in comparisons] == [(0, True, "0"), (4, True, "0")]
+
+    def test_generator_outside_the_kernel_mod_n_is_named(self):
+        # incoming mixes combinations of the kernel basis with random
+        # columns. On both routes the error names the first column with
+        # A*v != 0 mod n (A*v != 0 over Z), whatever later columns do.
+        rng = random.Random(251)
+        named = 0
+        for _ in range(60):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            a = random_int_matrix(rng, rows, cols, -6, 6)
+            for n in (0, 2, 4, 6):
+                factored = snf(a, transforms="VX" if n else "V")
+                kernel = _subquotient(factored, IntMatrix.zeros(cols, 0), n)[1]
+                inside = kernel * random_int_matrix(rng, kernel.cols, 3, -3, 3)
+                columns = [inside.column(j) for j in range(3)]
+                columns += [random_int_matrix(rng, cols, 1, -3, 3).entries for _ in range(3)]
+                rng.shuffle(columns)
+                incoming = IntMatrix.from_columns(cols, columns)
+                outside = [j for j, c in enumerate(columns) if any(x % n if n else x for x in a.apply(c))]
+                if not outside:
+                    _subquotient(factored, incoming, n)
+                    continue
+                named += 1
+                message = f"^subgroup generator {outside[0]} lies outside the ambient lattice$"
+                with pytest.raises(ValueError, match=message):
+                    _subquotient(factored, incoming, n)
+        assert named > 150
 
 
 class TestBruteForceOracle:

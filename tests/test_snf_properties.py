@@ -1,6 +1,6 @@
 """Property tests of the SNF for every choice of transforms, of its pivots,
-of the U^-1 it builds, of its agreement with the reference SNF on sparse
-inputs, and of the trusted IntMatrix constructor behind the matrices
+of the U^-1 and V^-1 it builds, of its agreement with the reference SNF on
+sparse inputs, and of the trusted IntMatrix constructor behind the matrices
 exactlinalg computes."""
 
 import pytest
@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistedhom import IntMatrix, hstack, snf, vstack  # noqa: E402
+from twistedhom import IntMatrix, hstack, snf, unimodular_inverse, vstack  # noqa: E402
 from twistedhom.exactlinalg import TRANSFORMS  # noqa: E402
 
 from support import reference_snf  # noqa: E402
@@ -93,6 +93,7 @@ def test_snf_invariants(a, transforms):
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     assert (res.U.rows, res.U.cols) == ((m, m) if "U" in transforms else (0, 0))
     assert (res.V.rows, res.V.cols) == ((n, n) if "V" in transforms else (0, 0))
+    assert (res.X.rows, res.X.cols) == ((n, n) if "X" in transforms else (0, 0))
     if "U" in transforms:
         assert abs(res.U.det()) == 1
     if "V" in transforms:
@@ -136,13 +137,34 @@ def test_pivots_are_the_nonzero_diagonal(a):
 def test_w_inverts_u_and_no_letter_changes_the_others(a):
     full = snf(a, transforms="UV")
     W = snf(a, transforms="W").W
+    X = snf(a, transforms="VX").X
     identity = IntMatrix.identity(a.rows)
     assert full.U * W == identity and W * full.U == identity
     for transforms in TRANSFORMS:
         res = snf(a, transforms=transforms)
         assert res.D == full.D
-        for letter, built in (("U", full.U), ("V", full.V), ("W", W)):
+        for letter, built in (("U", full.U), ("V", full.V), ("W", W), ("X", X)):
             assert getattr(res, letter) == (built if letter in transforms else IntMatrix(0, 0, ()))
+
+
+@SETTINGS
+@given(fold_prone_matrices() | matrices() | sparse_matrices() | tie_matrices())
+@example(IntMatrix.from_rows([[0, 0, 1], [1, -1, 0]]))
+@example(IntMatrix.from_rows([[-3, -3, 2]]))
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix.zeros(0, 0))
+def test_x_inverts_v_and_leaves_v_and_the_pivots(a):
+    # Each column operation on V is mirrored on X by its inverse row
+    # operation, so X is V^-1 on both sides, and asking for it changes
+    # neither V nor the pivots, which stay those of the reference SNF.
+    res, ref = snf(a, transforms="VX"), reference_snf(a)
+    identity = IntMatrix.identity(a.cols)
+    assert res.X * res.V == identity and res.V * res.X == identity
+    assert res.V == snf(a, transforms="V").V == ref.V
+    assert res.pivots == snf(a, transforms="V").pivots == ref.pivots
+    assert res.X == unimodular_inverse(res.V)
+    assert res.U == res.W == IntMatrix(0, 0, ())
 
 
 @SETTINGS
@@ -175,7 +197,7 @@ def test_computed_matrices_equal_public_ones(a, b, c, n):
     if a.cols == b.rows:
         results.append(a * b)
     res = snf(a)
-    results += [res.U, res.D, res.V, snf(a, transforms="W").W, snf(a, transforms="").U]
+    results += [res.U, res.D, res.V, snf(a, transforms="W").W, snf(a, transforms="VX").X, snf(a, transforms="").U]
     for matrix in results:
         assert all(type(x) is int for x in matrix.entries)
         assert matrix == public(matrix) and hash(matrix) == hash(public(matrix))
