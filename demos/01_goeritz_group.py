@@ -69,7 +69,9 @@ for modulus in (0, 2, 4):
     print(f"ker-f path over {str(ring):4} = {fast.h1}")
 
 # Universal coefficients tie cohomology over every ring to H_0 and H_1
-# over Z; the engine checks the comparison structurally.
+# over Z of the dual module (isomorphic to H_1(Sigma_2) itself, whose
+# intersection form the action preserves); the engine checks the
+# comparison structurally.
 print("\nuniversal-coefficient comparisons:")
 for comparison in uct_check(p, rep, [2, 3, 4, 8]):
     print(

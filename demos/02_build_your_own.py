@@ -41,8 +41,10 @@ assert str(result.h1) == "Z + Z/2"
 print("H_0 =", coinvariants(rep))
 print("H_1 =", h1_homology(p, rep))
 
-# The universal-coefficient comparison knits these together:
-# Ext(Z/2, Z) + Hom(Z, Z) = Z/2 + Z, which is H^1 over Z again.
+# The universal-coefficient comparison knits these together. It pairs H^1
+# with H_0 and H_1 of the dual module, here the module itself, since -1 is
+# its own inverse transpose: Ext(Z/2, Z) + Hom(Z, Z) = Z/2 + Z, which is
+# H^1 over Z again.
 for comparison in uct_check(p, rep, [2, 3]):
     print(
         f"over {comparison.ring}: H^1 = {comparison.computed}, "

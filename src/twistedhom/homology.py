@@ -8,7 +8,8 @@ by two routines of exactlinalg. _cokernel reads a group off the pivots of
 an SNF over Z that builds no transform: H_0 = coker d1 = sum Z/gcd(d_i, n)
 on every ring, with d1 = [M_g^-1 - 1 | ...] over the generators, and,
 since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z
-is the torsion of coker d2 plus Z^(m - rank d1 - rank d2). _subquotient
+is the torsion of coker d2 plus Z^(m - rank d1 - rank d2), which
+_h1_over_integers reads off the two sets of pivots. _subquotient
 reads every other group, one integer lattice quotient ker(outgoing) /
 (im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring; over
 Z/n that SNF also builds V^-1, and the coordinates are read off it.
@@ -16,6 +17,10 @@ Nothing is eliminated over Z/n. No relator is evaluated here: by Fox's
 fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r of J*P is
 M(r) - 1, so checked_cochains checks them through J*P when it builds the
 cochain pair (J, P) that every stage reads, H_1 that of the dual.
+The universal coefficient theorem pairs H^1(G; M (x) A) with
+Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A), M^* = Hom(M, Z) being the dual
+action, whose chain complex is d1 = P^T, d2 = J^T of the action's own pair:
+uct_check reads both sides off one (J, P) and walks no dual.
 """
 
 from __future__ import annotations
@@ -168,9 +173,16 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     d1, d2 = P.transpose(), J.transpose()
     if rep.ring.modulus:
         return _subquotient(snf(d1, transforms="VX"), d2, rep.ring.modulus)[0]
-    rank_d1 = len(snf(d1, transforms="").pivots)
-    coker_d2 = _cokernel(snf(d2, transforms="").pivots, d2.rows, 0)
-    return AbelianGroupStructure(coker_d2.free_rank - rank_d1, coker_d2.torsion)
+    return _h1_over_integers(snf(d1, transforms="").pivots, snf(d2, transforms="").pivots, d2.rows)
+
+
+def _h1_over_integers(d1_pivots, d2_pivots, m: int) -> AbelianGroupStructure:
+    """ker d1 / im d2 over Z for d1 with m columns and d2 with m rows, from
+    their SNF pivots: Z^m / ker d1 = im d1 is free, so coker d2 = H_1 +
+    im d1, and H_1 is coker d2 with rank d1 taken off its free rank. The
+    pivots of P and J serve for P^T and J^T."""
+    coker_d2 = _cokernel(d2_pivots, m, 0)
+    return AbelianGroupStructure(coker_d2.free_rank - len(d1_pivots), coker_d2.torsion)
 
 
 def kerf_reduction(
@@ -221,18 +233,21 @@ def _ext_orders(structure: AbelianGroupStructure, ring: CoefficientRing) -> list
 
 
 def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctComparison]:
-    """Cross-check H^1 against Ext(H_0, A) + Hom(H_1, A) for A = Z and each Z/n.
+    """Cross-check H^1(G; M (x) A) against Ext(H_0(G; M^*), A) +
+    Hom(H_1(G; M^*), A) for A = Z and each Z/n, with M^* = Hom(M, Z) under
+    the action g -> (M_g^-1)^T: C^*(G; M) = Hom(C_*(G; M^*), Z).
 
-    The action must be over Z. H_0 and H_1 are the computed coinvariants
-    and first homology, read off invariant factors; H^1 is the kernel
-    quotient ker J / im P, so the comparison sets two routes against each
-    other.
-
-    Every ring reads H^1 off one J and P over Z: evaluating words commutes
-    with reduction mod n, so {v : J*v = 0 mod n} and span(P, n*I) are the
-    lattices of the action rebuilt over Z/n. J is factored once for all
-    the rings, with V^-1: over Z the kernel's columns of V are solved in,
-    and every Z/n ring reads its coordinates off the same V^-1.
+    The action must be over Z. Every group is read off the one checked pair
+    (J, P) of rep, since the chain complex of M^* is d1 = P^T, d2 = J^T.
+    H^1 on every ring is the kernel quotient ker J / (im P + n*Z^m) of
+    _subquotient: evaluating words commutes with reduction mod n, so
+    {v : J*v = 0 mod n} and span(P, n*I) are the lattices of the action
+    rebuilt over Z/n, and J is factored once, with V^-1, for all the rings.
+    H_1(G; M^*) over Z is read off the pivots of that same SNF of J and of
+    one diagonal-only SNF of P, and H_0(G; M^*) = coker P^T off the pivots
+    of P. So the comparison sets the lattice-quotient reading of (J, P)
+    against the invariant factors of the same pair; the Fox walk of the
+    dual action is not repeated here, and the h1 stage exercises it.
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
@@ -240,9 +255,9 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     if any(n < 2 for n in moduli):
         raise ValueError("moduli must all be >= 2")
     J, P = checked_cochains(p, rep)
-    h1 = h1_homology(p, rep)
-    h0 = coinvariants(rep)
-    factored = snf(J, transforms="VX")
+    factored, p_pivots = snf(J, transforms="VX"), snf(P, transforms="").pivots
+    h0 = _cokernel(p_pivots, rep.rank, 0)
+    h1 = _h1_over_integers(p_pivots, factored.pivots, J.cols)
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
         computed = _subquotient(factored, P, ring.modulus)[0]

@@ -6,7 +6,7 @@ Everything takes an explicit random.Random so failures reproduce.
 import importlib.util
 import random
 import sys
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 from twistedhom import (
@@ -15,18 +15,23 @@ from twistedhom import (
     Generator,
     GroupRingElement,
     IntMatrix,
+    NamedExample,
     Presentation,
     Representation,
     Word,
     builtin_examples,
     change_ring,
+    check_relators_trivial,
+    coinvariants,
     dual,
     evaluate_group_ring,
     evaluate_word,
     fox_derivative,
+    h1_homology,
     hstack,
     invert,
     multiply,
+    parse_word,
     principal_map,
     snf,
     solve_in_lattice,
@@ -34,7 +39,7 @@ from twistedhom import (
     vstack,
 )
 from twistedhom.exactlinalg import SnfResult
-from twistedhom.homology import checked_cochains
+from twistedhom.homology import _ext_orders, _hom_orders, checked_cochains
 
 
 def random_word(rng: random.Random, alphabet, max_len=8) -> Word:
@@ -440,6 +445,42 @@ def reference_h1_homology(p: Presentation, rep: Representation) -> AbelianGroupS
     kernel basis of d1, solve_in_lattice and an SNF of the coordinates."""
     J, P = checked_cochains(p, dual(rep))
     return reference_homology(snf(P.transpose(), transforms="V"), J.transpose(), rep.ring)[0]
+
+
+def symmetric_power(matrix: IntMatrix, k: int) -> IntMatrix:
+    """The action of a 2x2 matrix [[a, b], [c, d]] on Sym^k Z^2, the forms of
+    degree k in x, y with basis x^(k-i)*y^i: x -> a*x + c*y, y -> b*x + d*y.
+    Column i expands (a*x + c*y)^(k-i) * (b*x + d*y)^i by binomials, so
+    symmetric_power(g*h, k) = symmetric_power(g, k) * symmetric_power(h, k)."""
+    (a, b), (c, d) = matrix.to_rows()
+    entries = [[0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        for p in range(k - i + 1):
+            for q in range(i + 1):
+                entries[p + q][i] += comb(k - i, p) * a ** (k - i - p) * c**p * comb(i, q) * b ** (i - q) * d**q
+    return IntMatrix.from_rows(entries)
+
+
+def sl2_sym_example(k: int) -> NamedExample:
+    """SL(2, Z) = <s, t | s^4, s^2 (s t)^-3> acting on Sym^k Z^2, with
+    s = [[0, -1], [1, 0]] and t = [[1, 1], [0, 1]]. Sym^k Z^2 is not
+    isomorphic to its dual over Z for even k >= 4, which the universal
+    coefficient comparison must see."""
+    gens = (Generator("s"), Generator("t"))
+    s, t = IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])
+    rep = Representation.build(
+        CoefficientRing.integers(), gens, (symmetric_power(s, k), symmetric_power(t, k)), rank=k + 1
+    )
+    p = Presentation(gens, tuple(parse_word(r, gens) for r in ("s^4", "s s t^-1 s^-1 t^-1 s^-1 t^-1 s^-1")))
+    assert check_relators_trivial(rep, p) == []
+    return NamedExample(f"sl2-sym{k}", p, rep)
+
+
+def walked_dual_uct_expected(p: Presentation, rep: Representation, ring: CoefficientRing) -> AbelianGroupStructure:
+    """Reference Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A) for A the ring,
+    with H_0 and H_1 computed on dual(rep), its own Fox walk and checked pair."""
+    h0, h1 = coinvariants(dual(rep)), h1_homology(p, dual(rep))
+    return AbelianGroupStructure.from_cyclic_orders(_ext_orders(h0, ring) + _hom_orders(h1, ring))
 
 
 def add_generator(p: Presentation, rep: Representation, w: Word) -> tuple[Presentation, Representation]:

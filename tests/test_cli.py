@@ -502,14 +502,17 @@ class TestRun:
         assert (len(builds), len(principals)) == (1, 1)
         assert status == 0 and record_by_name(records, "oracle")["h1_count"] == 4
 
-    @pytest.mark.parametrize("computations", [JobSpec.computations, ("uct",)], ids=["default", "uct"])
-    def test_one_dual_action_per_job(self, monkeypatch, computations):
+    @pytest.mark.parametrize(
+        "computations, counts", [(JobSpec.computations, (1, 2)), (("uct",), (0, 1))], ids=["default", "uct"]
+    )
+    def test_one_dual_action_per_job(self, monkeypatch, computations, counts):
         # H_0 reads d1 off the inverse matrices, so only H_1 builds the dual,
-        # and P is built for the action's pair and the dual's.
+        # and P is built for the action's pair and the dual's. uct reads the
+        # dual's chain complex off the action's own pair: no dual, one P.
         duals = count_calls(monkeypatch, "dual")
         principals = count_calls(monkeypatch, "principal_map")
         status, _ = run(JobSpec(example="e2", computations=computations))
-        assert status == 0 and (len(duals), len(principals)) == (1, 2)
+        assert status == 0 and (len(duals), len(principals)) == counts
 
     def test_h1_builds_the_action_once(self, tmp_path, monkeypatch):
         from twistedhom import Representation

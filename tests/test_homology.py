@@ -54,6 +54,8 @@ from support import (
     reference_h1_homology,
     reference_homology,
     row_mask_kernel_count,
+    sl2_sym_example,
+    walked_dual_uct_expected,
     workload_examples,
 )
 
@@ -442,15 +444,6 @@ class TestKerfReduction:
             assert all(v % 2 == 0 for v in E2.kerf.apply(witness))
 
 
-def fixed_homology(monkeypatch, example):
-    """Make uct_check read H_0 and H_1 of example as computed up front, so
-    that a count of its calls sees its own work only."""
-    p, rep = example.presentation, example.representation
-    h0, h1 = coinvariants(rep), h1_homology(p, rep)
-    monkeypatch.setattr(homology, "coinvariants", lambda rep: h0)
-    monkeypatch.setattr(homology, "h1_homology", lambda p, rep: h1)
-
-
 class TestUct:
     def test_e2_consistent(self):
         comparisons = uct_check(E2.presentation, E2.representation, [2, 3, 4, 8])
@@ -464,7 +457,7 @@ class TestUct:
         assert all(c.computed.is_trivial() for c in comparisons)
 
     def test_corrupted_h1_reported(self, monkeypatch):
-        monkeypatch.setattr(homology, "h1_homology", lambda p, rep: AbelianGroupStructure(0, (3,)))
+        monkeypatch.setattr(homology, "_h1_over_integers", lambda *args: AbelianGroupStructure(0, (3,)))
         comparisons = uct_check(E2.presentation, E2.representation, [2, 3])
         assert not all(c.match for c in comparisons)
 
@@ -483,7 +476,6 @@ class TestUct:
                 assert c.computed == h1_cohomology(p, change_ring(rep, c.ring)).h1
 
     def test_one_cocycle_matrix_and_no_rebuild(self, monkeypatch):
-        fixed_homology(monkeypatch, E2)
         calls = {"cocycle_matrix": 0, "change_ring": 0, "build": 0}
 
         def counted(name, func):
@@ -504,7 +496,6 @@ class TestUct:
     def test_one_snf_of_the_cocycle_matrix(self, monkeypatch):
         for example in (E2, chain_example(3)):
             p, rep = example.presentation, example.representation
-            fixed_homology(monkeypatch, example)
             J = cocycle_matrix(p, rep)
             built = []
             monkeypatch.setattr(
@@ -534,6 +525,26 @@ class TestUct:
             kernel = [factored.V.column(j) for j in range(len(factored.pivots), J.cols)]
             assert len(solves) == 1 and solves[0][0] == IntMatrix.from_columns(J.cols, kernel)
 
+    def test_reads_everything_off_one_pair(self, monkeypatch):
+        # No dual is walked and no stage is borrowed: one J and one P, one
+        # SNF of J with V^-1 and one diagonal-only SNF of P; every other
+        # SNF is a quotient's own.
+        for example in (E2, chain_example(3), sl2_sym_example(4)):
+            p, rep = example.presentation, example.representation
+            J, P = checked_cochains(p, rep)
+            borrowed = {name: count_calls(monkeypatch, name) for name in ("dual", "h1_homology", "coinvariants")}
+            principals = count_calls(monkeypatch, "principal_map")
+            recorder = SnfRecorder(monkeypatch)
+            comparisons = uct_check(p, rep, (2, 3, 4, 8))
+            monkeypatch.undo()
+            assert all(c.match for c in comparisons)
+            assert {name: len(calls) for name, calls in borrowed.items()} == dict.fromkeys(borrowed, 0)
+            assert len(principals) == 1
+            assert [(m, t) for caller, m, t in recorder.calls if caller == "uct_check"] == [(J, "VX"), (P, "")]
+            assert {caller for caller, _, _ in recorder.calls} <= {
+                "uct_check", "_subquotient", "solve_in_lattice", "from_cyclic_orders",
+            }
+
     def test_requires_integer_action(self):
         with pytest.raises(ValueError, match="over Z"):
             uct_check(E2.presentation, rep_over(E2, 2), [2])
@@ -541,6 +552,55 @@ class TestUct:
     def test_rejects_bad_moduli(self):
         with pytest.raises(ValueError):
             uct_check(E2.presentation, E2.representation, [1])
+
+
+class TestUctDualModule:
+    """SL(2, Z) on Sym^k Z^2 is not isomorphic to its dual over Z for even
+    k >= 4, so pairing H^1 with H_0 and H_1 of M itself, not of M^*, gives
+    false mismatches there."""
+
+    MODULI = (2, 3, 4, 8)
+
+    def test_sym4_groups(self):
+        example = sl2_sym_example(4)
+        p, rep = example.presentation, example.representation
+        assert coinvariants(rep) == AbelianGroupStructure.parse("Z/6")
+        assert h1_cohomology(p, rep).h1 == AbelianGroupStructure.parse("Z + Z/12")
+        assert h1_homology(p, rep) == AbelianGroupStructure.parse("Z + Z/4")
+
+    def test_sym4_matches_on_every_ring(self):
+        example = sl2_sym_example(4)
+        comparisons = uct_check(example.presentation, example.representation, self.MODULI)
+        computed = {str(c.ring): (str(c.computed), str(c.expected)) for c in comparisons}
+        assert computed == {
+            "Z": ("Z + Z/12", "Z + Z/12"),
+            "Z/2": ("Z/2 + Z/2 + Z/2", "Z/2 + Z/2 + Z/2"),
+            "Z/3": ("Z/3 + Z/3", "Z/3 + Z/3"),
+            "Z/4": ("Z/4 + Z/4 + Z/4", "Z/4 + Z/4 + Z/4"),
+            "Z/8": ("Z/4 + Z/4 + Z/8", "Z/4 + Z/4 + Z/8"),
+        }
+        assert all(c.match for c in comparisons)
+
+    def test_every_k_to_22_matches(self):
+        for k in range(23):
+            example = sl2_sym_example(k)
+            comparisons = uct_check(example.presentation, example.representation, self.MODULI)
+            assert [c.ring.modulus for c in comparisons] == [0, *self.MODULI]
+            assert all(c.match for c in comparisons), (k, comparisons)
+
+    def test_expected_equals_the_walked_dual_route(self):
+        # The reference walks dual(rep), checks its own pair and reads H_0
+        # and H_1 through coinvariants and h1_homology.
+        examples = list(builtin_examples().values()) + [chain_example(genus) for genus in range(2, 7)]
+        for name in ("goeritz-pipeline", "chain-genus4", "long-relators"):
+            for seed in (1, 2):
+                examples += workload_examples(name, seed)
+        examples += [sl2_sym_example(k) for k in (4, 5, 6)]
+        assert len(examples) == 61
+        for example in examples:
+            p, rep = example.presentation, example.representation
+            for c in uct_check(p, rep, self.MODULI):
+                assert c.expected == walked_dual_uct_expected(p, rep, c.ring), (example.name, c)
 
 
 class TestTransformsAsked:
@@ -562,7 +622,7 @@ class TestTransformsAsked:
         assert recorder.asked("h1_homology") == {"VX"}
         recorder.calls.clear()
         # A kernel over Z/n is read with V^-1, over Z with V alone.
-        asked = []
+        asked, uct_expected = [], []
         for example in (E2, chain):
             p, rep = example.presentation, example.representation
             for ring in (CoefficientRing.integers(), CoefficientRing.modular(4)):
@@ -573,7 +633,10 @@ class TestTransformsAsked:
                 if example is E2:
                     kerf_reduction(p, ring_rep, E2.kerf)
                     asked.append(("kerf_reduction", ring.modulus, [t for c, _, t in recorder.calls if c == "kerf_reduction"][-1]))
+            h1_homology(p, rep)
             uct_check(p, rep, (2, 3))
+            J, P = checked_cochains(p, rep)
+            uct_expected += [(J, "VX"), (P, "")]
         assert asked == [
             ("h1_cohomology", 0, "V"), ("kerf_reduction", 0, "V"), ("h1_cohomology", 4, "VX"), ("kerf_reduction", 4, "VX"),
             ("h1_cohomology", 0, "V"), ("h1_cohomology", 4, "VX"),
@@ -583,11 +646,11 @@ class TestTransformsAsked:
             "from_cyclic_orders", "unimodular_inverse",
         }
         assert homology_callers == {"coinvariants", "h1_cohomology", "h1_homology", "kerf_reduction", "uct_check"}
-        # H_0 on every ring and H_1 over Z read only a diagonal; every
-        # kernel is read off V, and over Z/n off V^-1 too.
+        # H_0 on every ring, H_1 over Z and uct_check's P read only a
+        # diagonal; every kernel is read off V, and over Z/n off V^-1 too.
         assert recorder.asked("coinvariants") == recorder.asked("h1_homology") == {""}
-        assert recorder.asked("uct_check") == {"VX"}
-        kernel_callers = homology_callers - {"coinvariants", "h1_homology"}
+        assert [(m, t) for caller, m, t in recorder.calls if caller == "uct_check"] == uct_expected
+        kernel_callers = homology_callers - {"coinvariants", "h1_homology", "uct_check"}
         assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V", "VX"}
         assert factored and all(res.U == IntMatrix(0, 0, ()) for res, _ in factored)
         assert all(res.X * res.V == IntMatrix.identity(res.V.cols) for res, n in factored if n)
