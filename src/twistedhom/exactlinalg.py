@@ -19,11 +19,12 @@ transform built are the same whatever is asked for. Besides U and V it
 can build W = U^-1 (the letter W) by the inverse column operation of each
 row operation on U, so the witnesses of a quotient need no second SNF,
 and X = V^-1 (the word VX) by the inverse row operation of each column
-operation on V, so a kernel quotient over Z/n reads its coordinates off X
-and solves no lattice. Its working matrix is held as sparse rows under a
-column permutation, so a column swap touches no row and the work follows
-the nonzeros; the pivot sequence, and so D, U, V, W and X, is that of the
-dense elimination.
+operation on V, so a kernel quotient over Z/n, or one whose group alone
+is read, takes its coordinates off X and solves no lattice. Its working
+matrix is held as sparse rows under a column permutation, so a column
+swap touches no row and the work follows the nonzeros, and its scans
+visit only the nonzero rows; the pivot sequence, and so D, U, V, W and X,
+is that of the dense elimination.
 Matrices this module computes itself skip the entry checks of the public
 constructor.
 """
@@ -31,9 +32,9 @@ constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice
 from math import gcd, prod
-from operator import add, contains, index, neg, sub
+from operator import add, index, neg, sub
 
 # Most digits of an integer in input text, which leaves room for 128-bit
 # moduli. Across the 965 shipped and generated inputs (the built-ins plus
@@ -322,6 +323,9 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     exchanges two positions of the permutation (and two columns of V) and
     touches no row, and "column" in the pivot rule means the current
     position. A row addition walks the nonzeros of the source row. The
+    scans for a pivot, for the rows below it and for an entry it does not
+    divide visit the nonzero rows from the pivot on, in ascending order,
+    from a list that drops a row once a row addition has emptied it. The
     pivot sequence is that of the dense elimination, so the pivots and
     every transform are too.
 
@@ -379,6 +383,7 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
 
     # An entry that cancels is deleted, so a zero row is an empty dict.
     def add_row(src, dst, c):
+        nonlocal emptied
         row = d[dst]
         for k, e in d[src].items():
             y = row.get(k, 0) + c * e
@@ -386,6 +391,8 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
                 row[k] = y
             else:
                 del row[k]
+        if not row:
+            emptied = True
         if u is not None:
             u[dst] = _combined(u[dst], u[src], c)
         if w is not None:
@@ -406,13 +413,25 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         if x is not None:
             x[src] = _combined(x[src], x[dst], -c)
 
+    # live lists in ascending order the rows from t on that were nonzero
+    # when it was last filtered. A row empties only under an add_row, which
+    # then sets emptied, and becomes nonzero only by the swap that brings
+    # the pivot to row t. The pivot search filters first; the other two
+    # scans may meet a row emptied since, which holds no pivot column and
+    # whose gcd, 0, every pivot divides. So each scan finds what a scan of
+    # every row from t on would, in the same order.
+    live = list(compress(range(m), d))
+    emptied = False
     t = 0
     while t < min(m, n):
+        if emptied:
+            live = list(compress(live, map(d.__getitem__, live)))
+            emptied = False
         # Rows from t on hold no entry left of position t, so the least |x|
         # of a whole row is that of its part in the block. The scan stops at
         # the first row holding a unit.
         best, where = 0, None
-        for i in compress(range(t, m), d[t:]):
+        for i in live:
             values = d[i].values()
             if 1 in values or -1 in values:
                 best, where = 1, i
@@ -423,13 +442,17 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         if where is None:
             break
         swap_rows(t, where)
+        if live[0] != t:
+            # Row t was zero, so row where is now.
+            live.remove(where)
+            live.insert(0, t)
         swap_cols(t, min(pos[k] for k, e in d[t].items() if abs(e) == best))
         if d[t][col[t]] < 0:
             negate_row(t)
         while True:
             pivot = col[t]
             p = d[t][pivot]
-            below = list(compress(range(t + 1, m), map(contains, d[t + 1 :], repeat(pivot))))
+            below = [i for i in islice(live, 1, None) if pivot in d[i]]
             for i in below:
                 q = d[i][pivot] // p
                 if q:
@@ -459,8 +482,9 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
         p = d[t][col[t]]
         bad = None
         if p != 1:
-            bad = next((i for i in range(t + 1, m) if gcd(*d[i].values()) % p), None)
+            bad = next((i for i in islice(live, 1, None) if gcd(*d[i].values()) % p), None)
         if bad is None:
+            del live[0]
             t += 1
         else:
             add_row(bad, t, 1)
@@ -596,31 +620,80 @@ def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
     return AbelianGroupStructure(orders.count(0), tuple(d for d in orders if d > 1))
 
 
-def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
-    """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z, where
-    outgoing is the factorization snf(A, transforms="VX") over Z/n and
-    snf(A, transforms="V") over Z; the route follows n, not the shape of X.
+def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntMatrix:
+    """A matrix whose cokernel is ker(A) / (im(incoming) + n*Z^m), read off
+    X = V^-1 of outgoing = snf(A, transforms="VX") on the rows that survive.
 
+    v = V*z lies in the kernel iff d_j*z_j = 0 mod n for every j, with z =
+    X*v and d_j = 0 past the pivots. Over Z/n, with g_j = gcd(d_j, n) and
+    s_j = n / g_j, the kernel is V*diag(s)*Z^m, and n*I has the coordinates
+    diag(g)*X there, which span what diag(g) spans, X being unimodular. So
+    the quotient is (sum Z/g_j) / <rows of X*incoming / s>: a row with
+    g_j = 1 is the zero group and drops out, and row j of X*incoming is read
+    only mod s_j*g_j = n, so its coordinates, divided by s_j, are below g_j.
+    Each kept row sits beside g_j in a diagonal block. Over Z the kernel
+    rows are those with d_j = 0, every g_j is 0 and the block is zero.
+
+    Raises ValueError naming the first column of incoming outside the
+    kernel: one with a row of X*incoming not divisible by s_j over Z/n, or
+    nonzero at d_j != 0 over Z.
+    """
+    X, count = outgoing.X, incoming.cols
+    if X.cols != incoming.rows:
+        raise ValueError(f"cannot multiply {X.rows}x{X.cols} by {incoming.rows}x{incoming.cols}")
+    diag = outgoing.pivots + (0,) * (X.rows - len(outgoing.pivots))
+    # (g_j, s_j) for each row: it drops out when g_j = 1, and s_j divides
+    # each of its entries, 0 dividing only 0. Over Z a row at d_j = 0 is
+    # free, g_j = 0, and any other row must be zero.
+    kinds = [(gcd(d, n), n // gcd(d, n)) for d in diag] if n else [(1, 0) if d else (0, 1) for d in diag]
+    size = sum(g != 1 for g, _ in kinds)
+    x, right = X.mod(n).entries, _nonzero_rows(incoming)
+    entries, outside, kept = [], [], 0
+    # Row by row, so that no more than one row of X*incoming is held apart
+    # from the coordinates.
+    for i, (g, s) in enumerate(kinds):
+        row = _product(x[i * X.cols : (i + 1) * X.cols], right, 1, count, n)
+        if s != 1:
+            outside += [j for j, y in enumerate(row) if (y % s if s else y)]
+        if g != 1:
+            entries += row if s == 1 else [y // s for y in row]
+            entries += [0] * kept + [g] + [0] * (size - kept - 1)
+            kept += 1
+    if outside:
+        raise _outside(min(outside))
+    return IntMatrix._trusted(size, count + size, tuple(entries))
+
+
+def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
+    """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z.
+
+    The group alone (generators=False) is read off X = V^-1 of outgoing =
+    snf(A, transforms="VX") on every ring by _coordinates_off_x, and one
+    diagonal-only SNF of its coordinates; no kernel basis is built.
+
+    With generators, outgoing is snf(A, transforms="VX") over Z/n and
+    snf(A, transforms="V") over Z; the route follows n, not the shape of X.
     The kernel has the basis K = B * diag(s) of _kernel_over_ring. Over Z/n,
     B is all of V, and the coordinates of incoming and of n*I are read off
-    X = V^-1 by _coordinates_mod_n, with no lattice solved. Over Z every s_j
-    is 1, B = K is the kernel's columns of V, and the subgroup is solved in
-    B by solve_in_lattice. The group is the cokernel of the coordinates.
+    X by _coordinates_mod_n, with no lattice solved. Over Z every s_j is 1,
+    B = K is the kernel's columns of V, and the subgroup is solved in B by
+    solve_in_lattice. The group is the cokernel of the coordinates.
 
-    Returns (group, kernel basis K, generators): the generators, only when
-    asked for, else (), are one kernel vector per cyclic factor (torsion
-    first, then free), K times the matching column of U^-1 from the
-    coordinates' SNF, reduced mod n.
+    Returns (group, kernel basis K, generators), K and the generators only
+    when generators are asked for, else None and (). The generators are one
+    kernel vector per cyclic factor (torsion first, then free), K times the
+    matching column of U^-1 from the coordinates' SNF, reduced mod n.
     """
+    if not generators:
+        coordinates = _coordinates_off_x(outgoing, incoming, n)
+        return _cokernel(snf(coordinates, transforms="").pivots, coordinates.rows, 0), None, ()
     B, scales = _kernel_over_ring(outgoing, n)
     K = IntMatrix._trusted(
         B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
     )
     coordinates = _coordinates_mod_n(outgoing, incoming, scales, n) if n else _lattice_coordinates(B, incoming)
-    res = snf(coordinates, transforms="W" if generators else "")
+    res = snf(coordinates, transforms="W")
     group = _cokernel(res.pivots, K.cols, 0)
-    if not generators:
-        return group, K, ()
     # The pivots are 1, ..., 1 and then one order per torsion factor.
     units = K.cols - group.free_rank - len(group.torsion)
     chosen = IntMatrix.from_columns(K.cols, [res.W.column(i) for i in range(units, K.cols)])

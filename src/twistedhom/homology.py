@@ -12,11 +12,12 @@ is the torsion of coker d2 plus Z^(m - rank d1 - rank d2), which
 _h1_over_integers reads off the two sets of pivots. _subquotient
 reads every other group, one integer lattice quotient ker(outgoing) /
 (im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring; over
-Z/n that SNF also builds V^-1, and the coordinates are read off it.
-Nothing is eliminated over Z/n. No relator is evaluated here: by Fox's
-fundamental formula, sum_g (dr/dg)(g - 1) = r - 1, block r of J*P is
-M(r) - 1, so checked_cochains checks them through J*P when it builds the
-cochain pair (J, P) that every stage reads, H_1 that of the dual.
+Z/n, and wherever the group alone is read, that SNF also builds V^-1, and
+the coordinates are read off it. Nothing is eliminated over Z/n. No
+relator is evaluated here: by Fox's fundamental formula, sum_g (dr/dg)(g -
+1) = r - 1, block r of J*P is M(r) - 1, so checked_cochains checks them
+through J*P when it builds the cochain pair (J, P) that every stage reads,
+H_1 that of the dual.
 The universal coefficient theorem pairs H^1(G; M (x) A) with
 Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A), M^* = Hom(M, Z) being the dual
 action, whose chain complex is d1 = P^T, d2 = J^T of the action's own pair:
@@ -167,7 +168,9 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     Over Z two SNFs with no transform give the answer: Z^m / ker d1 = im d1
     is free, so coker d2 = H_1 + im d1, and H_1 is coker d2 with rank d1
     taken off its free rank. Over Z/n the image of d1 mod n need not be
-    free, so H_1 stays ker d1 / im d2 through the kernel of d1 mod n.
+    free, so H_1 stays ker d1 / im d2 through the kernel of d1 mod n: the
+    group alone, read by _subquotient off V^-1 of d1 on the rows that
+    survive, with entries below n and no kernel basis built.
     """
     J, P = checked_cochains(p, dual(rep))
     d1, d2 = P.transpose(), J.transpose()
@@ -243,6 +246,8 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     _subquotient: evaluating words commutes with reduction mod n, so
     {v : J*v = 0 mod n} and span(P, n*I) are the lattices of the action
     rebuilt over Z/n, and J is factored once, with V^-1, for all the rings.
+    Only the group is read, so every ring, Z included, reads it off V^-1
+    on the rows that survive, mod n over Z/n, and no lattice is solved.
     H_1(G; M^*) over Z is read off the pivots of that same SNF of J and of
     one diagonal-only SNF of P, and H_0(G; M^*) = coker P^T off the pivots
     of P. So the comparison sets the lattice-quotient reading of (J, P)

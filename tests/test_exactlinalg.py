@@ -243,18 +243,26 @@ class TestTransformsAsked:
         assert [(caller, t) for caller, _, t in recorder.calls] == [
             ("lattice_quotient", ""), ("solve_in_lattice", "UV"), ("lattice_quotient", ""),
         ]
-        # _subquotient factors nothing but the coordinates: over Z/n it reads
-        # them off V^-1 and solves nothing, over Z it solves once in the
-        # kernel's columns of V; then one SNF of the coordinates builds U^-1
-        # (and not U) only when generators are asked for.
+        # _subquotient factors nothing but the coordinates. The group alone
+        # is read off V^-1 on every ring and solves nothing; with generators,
+        # over Z/n the coordinates are read off V^-1 too, and over Z they are
+        # solved once in the kernel's columns of V. Then one SNF of the
+        # coordinates builds U^-1 (and not U) only when generators are asked
+        # for.
         a = IntMatrix.from_rows([[2, 0, 1]])
-        routes = ((4, snf(a, transforms="VX"), []), (0, snf(a, transforms="V"), [("solve_in_lattice", "UV")]))
-        for n, outgoing, solves in routes:
+        routes = (
+            (4, "VX", False, [], ""), (4, "VX", True, [], "W"),
+            (0, "VX", False, [], ""), (0, "V", True, [("solve_in_lattice", "UV")], "W"),
+        )
+        for n, transforms, generators, solves, word in routes:
             kernel = IntMatrix.from_columns(3, [(2, 0, 0), (1, 3, 2)] if n else [(1, 0, -2), (0, 3, 0)])
-            for generators, word in ((False, ""), (True, "W")):
-                recorder.calls.clear()
-                _subquotient(outgoing, kernel, n, generators)
-                assert [(caller, t) for caller, _, t in recorder.calls] == solves + [("_subquotient", word)]
+            outgoing = snf(a, transforms=transforms)
+            recorder.calls.clear()
+            _subquotient(outgoing, kernel, n, generators)
+            assert [(caller, t) for caller, _, t in recorder.calls] == solves + [("_subquotient", word)]
+        # The group alone needs V^-1: without it the product fails on shape.
+        with pytest.raises(ValueError, match="cannot multiply 0x0 by 3x2"):
+            _subquotient(snf(a, transforms="V"), kernel, 0)
         recorder.calls.clear()
         rng = random.Random(112)
         for _ in range(10):

@@ -33,7 +33,7 @@ from twistedhom import (
     Word,
 )
 
-from twistedhom import exactlinalg, homology, representation
+from twistedhom import cli, exactlinalg, homology, representation
 from twistedhom.exactlinalg import _kernel_over_ring, _subquotient
 from twistedhom.homology import _kernel_size_mod2, checked_cochains
 
@@ -508,10 +508,10 @@ class TestUct:
             assert len(built) == 1
             assert [transforms for _, m, transforms in recorder.calls if m == J] == ["VX"]
 
-    def test_one_snf_of_j_and_one_solve_for_the_integer_ring(self, monkeypatch):
+    def test_one_snf_of_j_and_no_solve(self, monkeypatch):
         # H_0 and H_1 included: J is factored once, with V^-1, for all five
-        # rings; only the ring Z solves a lattice, in the kernel's columns
-        # of V, and every Z/n ring reads its coordinates off V^-1.
+        # rings, and every ring, Z too, reads its coordinates off V^-1; no
+        # lattice is solved.
         for example in (E2, chain_example(4)):
             p, rep = example.presentation, example.representation
             J = cocycle_matrix(p, rep)
@@ -521,9 +521,20 @@ class TestUct:
             monkeypatch.undo()
             assert all(c.match for c in comparisons)
             assert [(caller, t) for caller, m, t in recorder.calls if m == J] == [("uct_check", "VX")]
-            factored = snf(J, transforms="V")
-            kernel = [factored.V.column(j) for j in range(len(factored.pivots), J.cols)]
-            assert len(solves) == 1 and solves[0][0] == IntMatrix.from_columns(J.cols, kernel)
+            assert solves == []
+
+    def test_the_coh1_stage_over_z_still_solves_once(self, monkeypatch):
+        # The witness route over Z solves the principal cocycles in the
+        # kernel's columns of V, once per coh1 stage; kerf_reduction has no
+        # principal columns to solve.
+        J = cocycle_matrix(E2.presentation, E2.representation)
+        factored = snf(J, transforms="V")
+        kernel = [factored.V.column(j) for j in range(len(factored.pivots), J.cols)]
+        solves = count_calls(monkeypatch, "solve_in_lattice")
+        status, _ = cli.run(cli.JobSpec(example="e2", computations=("coh1",)))
+        monkeypatch.undo()
+        assert status == 0
+        assert len(solves) == 1 and solves[0][0] == IntMatrix.from_columns(J.cols, kernel)
 
     def test_reads_everything_off_one_pair(self, monkeypatch):
         # No dual is walked and no stage is borrowed: one J and one P, one
@@ -587,6 +598,14 @@ class TestUctDualModule:
             comparisons = uct_check(example.presentation, example.representation, self.MODULI)
             assert [c.ring.modulus for c in comparisons] == [0, *self.MODULI]
             assert all(c.match for c in comparisons), (k, comparisons)
+
+    def test_sym40_matches_on_every_ring(self):
+        # V of J reaches 775 bits at k = 40; the group alone is read
+        # off V^-1 mod n, so its coordinates stay below n.
+        example = sl2_sym_example(40)
+        comparisons = uct_check(example.presentation, example.representation, self.MODULI)
+        assert [c.ring.modulus for c in comparisons] == [0, *self.MODULI]
+        assert all(c.match for c in comparisons), comparisons
 
     def test_expected_equals_the_walked_dual_route(self):
         # The reference walks dual(rep), checks its own pair and reads H_0
@@ -749,12 +768,18 @@ class TestSolveInVColumns:
                 for outgoing, incoming, generators in lattices:
                     factored = snf(outgoing, transforms="VX" if n else "V")
                     expected = reference_homology(factored, incoming, ring, generators)
-                    assert _subquotient(factored, incoming, n, generators) == expected
+                    if generators:
+                        assert _subquotient(factored, incoming, n, generators) == expected
+                        continue
+                    # The group alone builds no kernel basis: it is checked
+                    # through _kernel_over_ring.
+                    assert _subquotient(factored, incoming, n, generators) == (expected[0], None, ())
+                    columns, scales = _kernel_over_ring(factored, n)
+                    assert columns * IntMatrix.diagonal(scales) == expected[1]
 
     def test_every_lattice_factored_mod_n_is_unimodular(self, monkeypatch):
-        # Over Z/n no lattice is solved: every quotient is given a unimodular
-        # V with its inverse X, X*V = V*X = I. Over Z, uct_check solves once,
-        # in the columns of V that the kernel keeps.
+        # No lattice is solved over Z/n, nor by uct_check over Z: every
+        # quotient is given a unimodular V with its inverse X, X*V = V*X = I.
         solves = count_calls(monkeypatch, "solve_in_lattice")
         quotients = count_calls(monkeypatch, "_subquotient")
         for example in (E2, chain_example(3), chain_example(4)):
@@ -768,15 +793,13 @@ class TestSolveInVColumns:
             # One factorization serves all five rings of uct_check.
             assert [args[2] for args in quotients[-5:]] == [0, 2, 3, 4, 8]
             assert all(args[0] is quotients[-1][0] for args in quotients[-5:])
-            V = quotients[-1][0].V
-            zeros = range(len(quotients[-1][0].pivots), V.cols)
-            assert len(solves) == 1 and solves.pop()[0] == IntMatrix.from_columns(V.rows, map(V.column, zeros))
+            assert solves == []
         monkeypatch.undo()
         assert len(quotients) == 3 * (8 + 5)
-        for factored, _, n, *_ in quotients:
+        for factored, *_ in quotients:
             V, X = factored.V, factored.X
             assert abs(V.det()) == 1
-            assert X * V == V * X == IntMatrix.identity(V.cols) or n == 0
+            assert X * V == V * X == IntMatrix.identity(V.cols)
 
     def test_no_generators_over_z_mod_4(self, monkeypatch):
         # J is 0x0, so the V^-1 built for it is 0x0, the shape of a transform
@@ -794,8 +817,8 @@ class TestSolveInVColumns:
         assert recorder.asked("h1_homology") == {"VX"}
         assert solves == []
         comparisons = uct_check(p, rep, (4,))
-        # The one solve is the ring Z's, in the 0 columns the kernel keeps.
-        assert [basis.cols for basis, _ in solves] == [0]
+        # The ring Z reads its 0 kernel coordinates off the 0x0 V^-1 too.
+        assert solves == []
         monkeypatch.undo()
         assert cohomology.h1.is_trivial() and cohomology.witnesses == ()
         assert (cohomology.z1_basis.rows, cohomology.z1_basis.cols) == (0, 0)
@@ -803,30 +826,33 @@ class TestSolveInVColumns:
 
     def test_generator_outside_the_kernel_mod_n_is_named(self):
         # incoming mixes combinations of the kernel basis with random
-        # columns. On both routes the error names the first column with
-        # A*v != 0 mod n (A*v != 0 over Z), whatever later columns do.
+        # columns. On every ring, for the group alone and with generators,
+        # the error names the first column with A*v != 0 mod n (A*v != 0
+        # over Z), whatever later columns do.
         rng = random.Random(251)
         named = 0
         for _ in range(60):
             rows, cols = rng.randint(1, 4), rng.randint(1, 5)
             a = random_int_matrix(rng, rows, cols, -6, 6)
             for n in (0, 2, 4, 6):
-                factored = snf(a, transforms="VX" if n else "V")
-                kernel = _subquotient(factored, IntMatrix.zeros(cols, 0), n)[1]
+                factored = snf(a, transforms="VX")
+                basis, scales = _kernel_over_ring(factored, n)
+                kernel = basis * IntMatrix.diagonal(scales)
                 inside = kernel * random_int_matrix(rng, kernel.cols, 3, -3, 3)
                 columns = [inside.column(j) for j in range(3)]
                 columns += [random_int_matrix(rng, cols, 1, -3, 3).entries for _ in range(3)]
                 rng.shuffle(columns)
                 incoming = IntMatrix.from_columns(cols, columns)
                 outside = [j for j, c in enumerate(columns) if any(x % n if n else x for x in a.apply(c))]
-                if not outside:
-                    _subquotient(factored, incoming, n)
-                    continue
-                named += 1
-                message = f"^subgroup generator {outside[0]} lies outside the ambient lattice$"
-                with pytest.raises(ValueError, match=message):
-                    _subquotient(factored, incoming, n)
-        assert named > 150
+                for generators in (False, True):
+                    if not outside:
+                        _subquotient(factored, incoming, n, generators)
+                        continue
+                    named += 1
+                    message = f"^subgroup generator {outside[0]} lies outside the ambient lattice$"
+                    with pytest.raises(ValueError, match=message):
+                        _subquotient(factored, incoming, n, generators)
+        assert named > 300
 
 
 class TestBruteForceOracle:

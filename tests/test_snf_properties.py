@@ -1,7 +1,7 @@
 """Property tests of the SNF for every choice of transforms, of its pivots,
 of the U^-1 and V^-1 it builds, of its agreement with the reference SNF on
-sparse inputs, and of the trusted IntMatrix constructor behind the matrices
-exactlinalg computes."""
+sparse and on tall mostly zero inputs, and of the trusted IntMatrix
+constructor behind the matrices exactlinalg computes."""
 
 import pytest
 
@@ -74,6 +74,21 @@ def tie_matrices(draw, max_side=7):
     rows, cols = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
     values = draw(st.sampled_from(((0, 0, 0, 1, -1), (0, 0, 3, -4, 5, 7))))
     return IntMatrix(rows, cols, draw(st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def tall_mostly_zero_matrices(draw, max_rows=40, max_cols=5):
+    """Tall matrices with at least 80% zero rows. Each nonzero row is a
+    combination a*r + b*s of two drawn rows, so that row additions empty
+    rows as the elimination runs."""
+    rows, cols = draw(st.integers(5, max_rows)), draw(st.integers(1, max_cols))
+    row = st.lists(st.sampled_from((0, 1, -1, 2, -3, 4, 6)), min_size=cols, max_size=cols)
+    r, s = draw(row), draw(row)
+    entries = [[0] * cols for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), min_size=1, max_size=rows // 5)):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        entries[i] = [a * x + b * y for x, y in zip(r, s)]
+    return IntMatrix.from_rows(entries)
 
 
 def public(matrix: IntMatrix) -> IntMatrix:
@@ -215,3 +230,22 @@ def test_public_constructor_validates(rows, cols, extra):
     with pytest.raises(ValueError, match="negative"):
         IntMatrix.identity(-extra)
     assert IntMatrix(rows, cols, [True] * (rows * cols)).entries == (1,) * (rows * cols)
+
+
+@SETTINGS
+@given(tall_mostly_zero_matrices())
+@example(IntMatrix.from_rows([[0, 0], [2, 4], [0, 0], [0, 0], [-2, -4], [0, 0], [0, 0], [0, 0], [0, 0], [1, 3]]))
+def test_tall_mostly_zero_inputs_match_the_reference(a):
+    # The SNF scans only the rows from t on that are nonzero, skipping rows
+    # zero from the start and rows that row additions empty; it must find
+    # the pivots and transforms of the reference, which scans every row.
+    ref = reference_snf(a)
+    for transforms in TRANSFORMS:
+        res = snf(a, transforms=transforms)
+        assert res.pivots == ref.pivots
+        assert res.U == (ref.U if "U" in transforms else IntMatrix(0, 0, ()))
+        assert res.V == (ref.V if "V" in transforms else IntMatrix(0, 0, ()))
+        if "W" in transforms:
+            assert ref.U * res.W == IntMatrix.identity(a.rows)
+        if "X" in transforms:
+            assert res.X * ref.V == IntMatrix.identity(a.cols)
