@@ -20,7 +20,8 @@ can build W = U^-1 (the letter W) by the inverse column operation of each
 row operation on U, so the witnesses of a quotient need no second SNF,
 and X = V^-1 (the word VX) by the inverse row operation of each column
 operation on V, so a kernel quotient over Z/n, or one whose group alone
-is read, takes its coordinates off X and solves no lattice. Its working
+is read, takes its coordinates off the rows of X that survive, with
+entries below n, and solves no lattice. Its working
 matrix is held as sparse rows under a column permutation, so a column
 swap touches no row and the work follows the nonzeros, and its scans
 visit only the nonzero rows; the pivot sequence, and so D, U, V, W and X,
@@ -514,7 +515,7 @@ def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tup
     Over Z, B is the columns of V with d_j = 0 and every s_j is 1. Either
     way B is a set of columns of the unimodular V, so its SNF has only unit
     pivots and the columns of K are independent. Over Z/n, where B is all of
-    V, coordinates in B are X*v for X = V^-1, when the SNF built it.
+    V, the coordinates of v in K are X*v with row j divided by s_j.
     """
     V = factored.V
     diag = factored.pivots + (0,) * (V.cols - len(factored.pivots))
@@ -588,29 +589,6 @@ def _lattice_coordinates(basis: IntMatrix, subgroup_gens: IntMatrix) -> IntMatri
     return IntMatrix._trusted(k, count, tuple(x[i] for i in range(k) for x in solutions))
 
 
-def _coordinates_mod_n(factored: SnfResult, incoming: IntMatrix, scales: tuple[int, ...], n: int) -> IntMatrix:
-    """The coordinates of [incoming | n*I] in K = V * diag(scales), read off
-    X = V^-1 of factored = snf(A, transforms="VX"), one column per generator.
-
-    K*y = t iff V*z = t with z_j = s_j*y_j, and z = X*t. So row j of
-    X*incoming is divided by s_j, and a generator lies in span K iff every
-    division is exact; row j of the n*I block is n*X_j / s_j = gcd(d_j, n) *
-    X_j, which needs no product. V is unimodular, so the coordinates are
-    unique. Raises ValueError naming the first column of incoming outside
-    the lattice.
-    """
-    X, count = factored.X, incoming.cols
-    solved = (X * incoming).entries
-    rows = [solved[i * count : (i + 1) * count] for i in range(X.rows)]
-    outside = [j for row, s in zip(rows, scales) if s > 1 for j, y in enumerate(row) if y % s]
-    if outside:
-        raise _outside(min(outside))
-    entries = chain.from_iterable(
-        [y // s for y in row] + [n // s * e for e in X.row(i)] for i, (row, s) in enumerate(zip(rows, scales))
-    )
-    return IntMatrix._trusted(X.rows, count + X.cols, tuple(entries))
-
-
 def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
     """Z^size / (im A + n*Z^size) for the SNF pivots of a matrix A with
     size rows: the sum of Z/gcd(d_i, n), padded with n = gcd(0, n) past
@@ -631,8 +609,9 @@ def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntM
     the quotient is (sum Z/g_j) / <rows of X*incoming / s>: a row with
     g_j = 1 is the zero group and drops out, and row j of X*incoming is read
     only mod s_j*g_j = n, so its coordinates, divided by s_j, are below g_j.
-    Each kept row sits beside g_j in a diagonal block. Over Z the kernel
-    rows are those with d_j = 0, every g_j is 0 and the block is zero.
+    Each kept row sits beside g_j in a diagonal block, in the order of j,
+    and every entry lies in [0, n]. Over Z the kernel rows are those with
+    d_j = 0, every g_j is 0 and the block is zero.
 
     Raises ValueError naming the first column of incoming outside the
     kernel: one with a row of X*incoming not divisible by s_j over Z/n, or
@@ -667,22 +646,19 @@ def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntM
 def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
     """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z.
 
-    The group alone (generators=False) is read off X = V^-1 of outgoing =
-    snf(A, transforms="VX") on every ring by _coordinates_off_x, and one
-    diagonal-only SNF of its coordinates; no kernel basis is built.
-
-    With generators, outgoing is snf(A, transforms="VX") over Z/n and
-    snf(A, transforms="V") over Z; the route follows n, not the shape of X.
-    The kernel has the basis K = B * diag(s) of _kernel_over_ring. Over Z/n,
-    B is all of V, and the coordinates of incoming and of n*I are read off
-    X by _coordinates_mod_n, with no lattice solved. Over Z every s_j is 1,
-    B = K is the kernel's columns of V, and the subgroup is solved in B by
-    solve_in_lattice. The group is the cokernel of the coordinates.
+    The group is the cokernel of the coordinates, which two readers give.
+    Every quotient over Z/n, and every group read alone, reads them off
+    X = V^-1 of outgoing = snf(A, transforms="VX") by _coordinates_off_x,
+    with no lattice solved. Witnesses over Z solve the subgroup in the
+    kernel's columns B of outgoing = snf(A, transforms="V") by
+    solve_in_lattice. The route follows n, not the shape of X.
 
     Returns (group, kernel basis K, generators), K and the generators only
-    when generators are asked for, else None and (). The generators are one
-    kernel vector per cyclic factor (torsion first, then free), K times the
-    matching column of U^-1 from the coordinates' SNF, reduced mod n.
+    when generators are asked for, else None and (). K = B * diag(s) is the
+    basis of _kernel_over_ring. The generators are one kernel vector per
+    cyclic factor (torsion first, then free): the columns of K that the
+    coordinates keep, those with s_j != n, times the matching column of
+    U^-1 from the coordinates' SNF, reduced mod n.
     """
     if not generators:
         coordinates = _coordinates_off_x(outgoing, incoming, n)
@@ -691,13 +667,15 @@ def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: b
     K = IntMatrix._trusted(
         B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
     )
-    coordinates = _coordinates_mod_n(outgoing, incoming, scales, n) if n else _lattice_coordinates(B, incoming)
+    basis = IntMatrix.from_columns(K.rows, [K.column(j) for j, s in enumerate(scales) if s != n])
+    coordinates = _coordinates_off_x(outgoing, incoming, n) if n else _lattice_coordinates(B, incoming)
     res = snf(coordinates, transforms="W")
-    group = _cokernel(res.pivots, K.cols, 0)
+    size = coordinates.rows
+    group = _cokernel(res.pivots, size, 0)
     # The pivots are 1, ..., 1 and then one order per torsion factor.
-    units = K.cols - group.free_rank - len(group.torsion)
-    chosen = IntMatrix.from_columns(K.cols, [res.W.column(i) for i in range(units, K.cols)])
-    images = (K * chosen).mod(n)
+    units = size - group.free_rank - len(group.torsion)
+    chosen = IntMatrix.from_columns(size, [res.W.column(i) for i in range(units, size)])
+    images = (basis * chosen).mod(n)
     return group, K, tuple(images.column(j) for j in range(images.cols))
 
 

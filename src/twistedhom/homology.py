@@ -12,8 +12,9 @@ is the torsion of coker d2 plus Z^(m - rank d1 - rank d2), which
 _h1_over_integers reads off the two sets of pivots. _subquotient
 reads every other group, one integer lattice quotient ker(outgoing) /
 (im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring; over
-Z/n, and wherever the group alone is read, that SNF also builds V^-1, and
-the coordinates are read off it. Nothing is eliminated over Z/n. No
+Z/n, witnesses included, and wherever the group alone is read, that SNF
+also builds V^-1, and the coordinates are read off its rows that survive,
+with entries below n. Nothing is eliminated over Z/n. No
 relator is evaluated here: by Fox's fundamental formula, sum_g (dr/dg)(g -
 1) = r - 1, block r of J*P is M(r) - 1, so checked_cochains checks them
 through J*P when it builds the cochain pair (J, P) that every stage reads,
@@ -75,7 +76,8 @@ class CohomologyResult:
 
     z1_basis has one column per basis vector of the cocycle lattice that was
     quotiented; every witness satisfies cocycle_matrix * witness = 0 over the
-    ring and projects to a generator of one direct factor of h1.
+    ring and projects to a generator of one direct factor of h1. It is a
+    combination of columns of z1_basis, reduced mod n.
     """
 
     ring: CoefficientRing
@@ -149,7 +151,9 @@ def h1_cohomology(
     Over Z this is the lattice quotient of the integer kernel of the cocycle
     matrix by the principal columns. Over Z/n the cocycle lattice
     {d : J*d = 0 mod n} is quotiented by the principal columns together with
-    n times the standard basis. cochains, if given, must be
+    n times the standard basis, the coordinates of both read off V^-1 of
+    the SNF of J, mod n; over Z the principal columns are solved in the
+    kernel's columns of V. cochains, if given, must be
     checked_cochains(p, rep): J and P are then not built again, nor are the
     relators checked again.
     """
@@ -197,7 +201,8 @@ def kerf_reduction(
     ring; the cocycle lattice then splits off the principal part and the
     cohomology is the group {d in Z^1 : f*d = 0}. Must agree with
     h1_cohomology whenever the precondition holds. cochains is as for
-    h1_cohomology; the SNF is still its own, of J stacked on f.
+    h1_cohomology; the SNF is still its own, of J stacked on f, and the
+    witnesses are read as in h1_cohomology.
     """
     J, P = cochains or checked_cochains(p, rep)
     m = len(p.generators) * rep.rank

@@ -147,7 +147,8 @@ def parse_word(text: str, alphabet) -> Word:
             raise ParseError(f"word exceeds the limit of {MAX_WORD_LETTERS} letters", position)
         sign = 1 if exponent > 0 else -1
         letters.extend([(index_of[name], sign)] * abs(exponent))
-    return Word(alphabet, tuple(letters))
+    # Each token was checked above, so the letters skip Word's checks.
+    return Word._trusted(alphabet, _free_reduce(letters))
 
 
 def word_to_text(w: Word) -> str:

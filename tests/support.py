@@ -410,26 +410,38 @@ def workload_examples(name: str, seed: int):
 
 def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
     """exactlinalg._subquotient by solving in the scaled kernel basis. K is
-    built first from outgoing = snf(A, transforms="V"): V * diag(n / gcd(d_j,
-    n)) over Z/n, with n*I joined to the subgroup, or V's columns at d_j = 0
-    over Z. The subgroup is solved in K itself, pivots of s_j included, and
-    the quotient is the cokernel of the coordinates, read through
-    from_cyclic_orders. Returns (group, K, generators) as _subquotient does."""
+    built first from outgoing = snf(A, transforms="V"): V * diag(s_j) with
+    s_j = n / g_j and g_j = gcd(d_j, n) over Z/n, with n*I joined to the
+    subgroup, or V's columns at d_j = 0 over Z. The subgroup is solved in K
+    itself, pivots of s_j included. Over Z/n the subgroup holds n*K, so each
+    coordinate is read mod g_j: the rows with g_j = 1 drop out with their
+    columns of K, the rest are reduced mod g_j, and the n*I block, diag(g)
+    times a unimodular matrix, is replaced by diag(g). The quotient is the
+    cokernel of the coordinates, read through from_cyclic_orders. Returns
+    (group, K, generators) as _subquotient does."""
     n, V = ring.modulus, outgoing.V
     diagonal = outgoing.diagonal() + (0,) * (V.cols - len(outgoing.diagonal()))
     if n:
         K = V * IntMatrix.diagonal(n // gcd(d, n) for d in diagonal)
-        incoming = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
+        full = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
     else:
-        K = IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0])
-    solutions = solve_in_lattice(K, incoming) if incoming.cols else []
+        K, full = IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0]), incoming
+    solutions = solve_in_lattice(K, full) if full.cols else []
     assert None not in solutions, "the subgroup lies outside the kernel"
-    res = snf(IntMatrix.from_columns(K.cols, solutions), transforms="UV")
-    orders = list(res.diagonal()) + [0] * (K.cols - len(res.diagonal()))
+    coordinates = IntMatrix.from_columns(K.cols, solutions)
+    kept = range(K.cols)
+    if n:
+        g = [gcd(d, n) for d in diagonal]
+        kept = [j for j in range(K.cols) if g[j] != 1]
+        reduced = [y % g[j] for j in kept for y in coordinates.row(j)[: incoming.cols]]
+        coordinates = hstack(IntMatrix(len(kept), incoming.cols, reduced), IntMatrix.diagonal(g[j] for j in kept))
+    res = snf(coordinates, transforms="UV")
+    orders = list(res.diagonal()) + [0] * (coordinates.rows - len(res.diagonal()))
     group = AbelianGroupStructure.from_cyclic_orders(orders)
     if not generators:
         return group, K, ()
-    images = (K * unimodular_inverse(res.U)).mod(n)
+    basis = IntMatrix.from_columns(K.rows, [K.column(j) for j in kept])
+    images = (basis * unimodular_inverse(res.U)).mod(n)
     return group, K, tuple(images.column(i) for i, order in enumerate(orders) if order != 1)
 
 

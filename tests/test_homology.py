@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -776,6 +777,27 @@ class TestSolveInVColumns:
                     assert _subquotient(factored, incoming, n, generators) == (expected[0], None, ())
                     columns, scales = _kernel_over_ring(factored, n)
                     assert columns * IntMatrix.diagonal(scales) == expected[1]
+
+    def test_witness_coordinates_stay_below_n(self, monkeypatch):
+        # Over Z/n the witnesses are read off the SNF of the rows of V^-1
+        # that survive, g_j = gcd(d_j, n) != 1, mod n beside diag(g): every
+        # entry lies in [0, n]. Carried over Z with the block g*V^-1, they
+        # were 82x123 with 22-bit entries at Sym^40 over Z/3, and 64x72
+        # with 39-bit entries on the genus-4 chain over Z/4.
+        shapes = []
+        for example, n in ((sl2_sym_example(40), 3), (chain_example(4), 2), (chain_example(4), 4)):
+            p, rep = example.presentation, change_ring(example.representation, CoefficientRing(n))
+            J, P = checked_cochains(p, rep)
+            diagonal = snf(J, transforms="").diagonal() + (0,) * max(J.cols - J.rows, 0)
+            kept = sum(gcd(d, n) != 1 for d in diagonal)
+            recorder = SnfRecorder(monkeypatch)
+            h1_cohomology(p, rep, cochains=(J, P))
+            monkeypatch.undo()
+            [coordinates] = [m for caller, m, t in recorder.calls if t == "W"]
+            assert (coordinates.rows, coordinates.cols) == (kept, P.cols + kept)
+            assert all(0 <= x <= n for x in coordinates.entries)
+            shapes.append((coordinates.rows, coordinates.cols))
+        assert shapes == [(48, 89), (9, 17), (9, 17)]
 
     def test_every_lattice_factored_mod_n_is_unimodular(self, monkeypatch):
         # No lattice is solved over Z/n, nor by uct_check over Z: every

@@ -150,6 +150,24 @@ def test_word_algebra_axioms_randomized():
         assert parse_word(word_to_text(w), ABGD) == w
 
 
+def test_parse_equals_the_checked_word_of_its_letters():
+    # parse_word checks each token once and builds its word unchecked; on
+    # token strings with exponents and cancelling pairs it must equal the
+    # word that Word checks and reduces from the expanded letters.
+    rng = random.Random(28)
+    for _ in range(300):
+        tokens, letters = [], []
+        for _ in range(rng.randrange(10)):
+            index, exponent = rng.randrange(len(ABGD)), rng.choice((1, -1, 2, -2, 3, -5))
+            pair = [exponent, -exponent] if rng.random() < 0.3 else [exponent]
+            for k in pair:
+                tokens.append(ABGD[index].name if k == 1 else f"{ABGD[index].name}^{k}")
+                letters += [(index, 1 if k > 0 else -1)] * abs(k)
+        parsed = parse_word(" ".join(tokens), list(ABGD))
+        expected = Word(ABGD, tuple(letters))
+        assert parsed == expected and parsed.alphabet == ABGD and _is_reduced(parsed)
+
+
 def test_word_hash_follows_equality():
     # Equal words hash equal, whichever constructor built them; the same
     # letters over two alphabets are unequal words and two dict keys.
