@@ -760,8 +760,10 @@ class AbelianGroupStructure:
             raise ValueError("cyclic orders must be nonnegative")
         free = orders.count(0)
         finite = [x for x in orders if x >= 2]
-        if not finite:
-            return cls(free, ())
+        # Orders that already form a divisibility chain are their own
+        # invariant factors, and no SNF is needed.
+        if all(b % a == 0 for a, b in zip(finite, finite[1:])):
+            return cls(free, tuple(finite))
         pivots = snf(IntMatrix.diagonal(finite), transforms="").pivots
         return cls(free, _cokernel(pivots, len(finite), 0).torsion)
 

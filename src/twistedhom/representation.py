@@ -166,22 +166,16 @@ def dual(rep: Representation) -> Representation:
     )
 
 
-def _walk(rep: Representation, matrix, letters):
-    """The flat matrix times the factor of each letter, M_g or M_g^-1, one
-    _product per letter."""
-    rows, n, size = rep._letter_rows, rep.ring.modulus, rep.rank
-    for letter in letters:
-        matrix = _product(matrix, rows[letter], size, size, n)
-    return matrix
-
-
 def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
     """Matrix of a word: the product of generator matrices, with inverse
     matrices for negative letters; the empty word is the identity."""
     if w.alphabet != rep.alphabet:
         raise ValueError("alphabet mismatch")
-    size = rep.rank
-    return IntMatrix._trusted(size, size, tuple(_walk(rep, IntMatrix.identity(size).entries, w.letters)))
+    rows, n, size = rep._letter_rows, rep.ring.modulus, rep.rank
+    matrix = IntMatrix.identity(size).entries
+    for letter in w.letters:
+        matrix = _product(matrix, rows[letter], size, size, n)
+    return IntMatrix._trusted(size, size, tuple(matrix))
 
 
 def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
@@ -189,10 +183,12 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
 
     Given more elements, their matrices side by side, as hstack of the
     calls on each alone. One walk serves them all: the terms of every
-    element are taken shortest first, and a term whose letters extend the
-    previous term's continues that term's matrix with the new letters only.
-    The terms of the Fox derivatives dr/dg of one relator r, for all its
-    generators g, are prefixes of r, so all of them cost at most len(r)
+    element are taken shortest first, as (length, element, position) tuples
+    that sort with no key function, and a term whose letters extend the
+    previous term's continues that term's matrix with the new letters only,
+    one _product per letter on the rows of rep._letter_rows, with no Word
+    built. The terms of the Fox derivatives dr/dg of one relator r, for all
+    its generators g, are prefixes of r, so all of them cost at most len(r)
     matrix products together instead of the sum of the prefix lengths. Any
     other term is evaluated from the identity by evaluate_word. A letter
     multiplies the running matrix by the nonzero rows of its factor and
@@ -205,20 +201,25 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     elements = (element, *more)
     if any(e.alphabet != rep.alphabet for e in elements):
         raise ValueError("alphabet mismatch")
-    n, size = rep.ring.modulus, rep.rank
+    rows, n, size = rep._letter_rows, rep.ring.modulus, rep.rank
     totals = [[0] * (size * size) if e.terms else None for e in elements]
+    # The position breaks every tie before a Word is compared.
     terms = sorted(
-        ((word, coeff, k) for k, e in enumerate(elements) for word, coeff in e.terms.items()),
-        key=lambda term: len(term[0].letters),
+        (len(word.letters), k, position, word, coeff)
+        for k, e in enumerate(elements)
+        for position, (word, coeff) in enumerate(e.terms.items())
     )
     letters: tuple[tuple[int, int], ...] = ()
     matrix = None
-    for word, coeff, k in terms:
-        if matrix is not None and word.letters[: len(letters)] == letters:
-            matrix = _walk(rep, matrix, word.letters[len(letters) :])
+    for _, k, _, word, coeff in terms:
+        current = word.letters
+        done = len(letters)
+        if matrix is not None and current[:done] == letters:
+            for letter in current[done:]:
+                matrix = _product(matrix, rows[letter], size, size, n)
         else:
             matrix = evaluate_word(rep, word).entries
-        letters = word.letters
+        letters = current
         totals[k] = _combined(totals[k], matrix, coeff)
     if n:
         totals = [total and [x % n for x in total] for total in totals]

@@ -17,15 +17,19 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Largest number of letters a parsed word may expand to, counted before free
 # reduction and checked before each token name^k expands to |k| letters. Fox
-# calculus walks a relator in pieces of at most 1 024 letters, so its time and
-# memory are linear in the length: `twistedhom --compute coh1,h1` on e2 plus
-# `relator: a^10000` takes 0.49 s and 21 MB of peak RSS, and plus one random
-# relator of 9 999 letters that holds in the group 0.54 s and 22 MB (e2 alone:
-# 0.09 s, 17 MB; Python 3.11, 2 vCPUs). Over Z the entries of J grow with the
-# length instead, to 272 bits for a random relator of 10 000 letters, and that
-# growth is what holds the cap. No shipped or generated relator has more than
-# about 210 letters.
+# calculus walks a relator in pieces of at most 1 024 letters, and a Word
+# hashes a bounded window of its letters, so its time and memory are linear
+# in the length: `twistedhom --compute coh1,h1` on e2 plus `relator: a^10000`
+# takes 0.46 s and 21 MB of peak RSS, and plus one random relator of 9 999
+# letters that holds in the group 0.50 s and 21 MB (e2 alone: 0.10 s, 16 MB;
+# Python 3.11, 2 vCPUs). Over Z the entries of J grow with the length instead,
+# to 272 bits for a random relator of 10 000 letters, and that growth is what
+# holds the cap. No shipped or generated relator has more than about 210
+# letters.
 MAX_WORD_LETTERS = 10_000
+
+# Most trailing letters of a word that Word.__hash__ reads.
+_HASH_WINDOW = 16
 
 
 class ParseError(ValueError):
@@ -90,9 +94,16 @@ class Word:
         return self
 
     def __hash__(self):
-        # Equal words have equal letters; the alphabet is left out of the
-        # hash because hashing it calls Generator.__hash__ once per generator.
-        return hash(self.letters)
+        # Equal words have equal letters, so the length and the last
+        # _HASH_WINDOW letters hash them alike. The window bounds the cost:
+        # the prefix terms of one Fox derivative hash O(L) letters together,
+        # not O(L^2), and two distinct words of one length that end alike only
+        # collide, which costs an equality test and never an answer. A word
+        # of at most _HASH_WINDOW letters hashes its whole tuple, which the
+        # slice returns as is. The alphabet is left out because hashing it
+        # calls Generator.__hash__ once per generator.
+        letters = self.letters
+        return hash(letters[-_HASH_WINDOW:]) ^ len(letters)
 
     def __len__(self):
         return len(self.letters)
@@ -129,9 +140,21 @@ def parse_word(text: str, alphabet) -> Word:
     expand to at most MAX_WORD_LETTERS letters.
     """
     alphabet = tuple(alphabet)
-    index_of = {gen.name: i for i, gen in enumerate(alphabet)}
+    # The letter of each token form word_to_text writes, name and name^-1, so
+    # such a token takes one lookup; any other goes through the exponent
+    # parser below, which finds its name among the plain forms.
+    letter_of = {}
+    for i, gen in enumerate(alphabet):
+        letter_of[gen.name] = (i, 1)
+        letter_of[f"{gen.name}^-1"] = (i, -1)
     letters: list[tuple[int, int]] = []
     for position, token in enumerate(text.split()):
+        letter = letter_of.get(token)
+        if letter is not None:
+            if len(letters) >= MAX_WORD_LETTERS:
+                raise ParseError(f"word exceeds the limit of {MAX_WORD_LETTERS} letters", position)
+            letters.append(letter)
+            continue
         name, caret, exponent_text = token.partition("^")
         if caret:
             exponent = _read_integer(exponent_text)
@@ -141,12 +164,12 @@ def parse_word(text: str, alphabet) -> Word:
                 raise ParseError("zero exponent", position)
         else:
             exponent = 1
-        if name not in index_of:
+        if name not in letter_of:
             raise ParseError(f"unknown generator {name!r}", position)
         if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
             raise ParseError(f"word exceeds the limit of {MAX_WORD_LETTERS} letters", position)
         sign = 1 if exponent > 0 else -1
-        letters.extend([(index_of[name], sign)] * abs(exponent))
+        letters.extend([(letter_of[name][0], sign)] * abs(exponent))
     # Each token was checked above, so the letters skip Word's checks.
     return Word._trusted(alphabet, _free_reduce(letters))
 

@@ -20,6 +20,7 @@ from twistedhom import (  # noqa: E402
     evaluate_group_ring,
     evaluate_word,
     hstack,
+    invert,
 )
 
 ALPHABETS = [tuple(Generator(f"g{i}") for i in range(k)) for k in range(1, 4)]
@@ -70,6 +71,27 @@ def elements(draw, alphabet):
     return GroupRingElement(alphabet, [(word, draw(coefficients)) for word in terms])
 
 
+@st.composite
+def prefix_families(draw, alphabet):
+    """Prefixes of one word split across 2-4 elements, as the Fox derivatives
+    of one relator split its prefixes: none is the empty word, one sits in
+    two elements, and the inverse of one, a word of the same length that
+    neither extends nor is extended by it, joins a drawn element."""
+    base = draw(words(alphabet, 40).filter(lambda w: len(w) >= 2))
+    count = draw(st.integers(2, 4))
+    cuts = draw(st.lists(st.integers(1, len(base)), min_size=1, max_size=10))
+    terms = [[] for _ in range(count)]
+    for k in cuts:
+        terms[draw(st.integers(0, count - 1))].append(Word(alphabet, base.letters[:k]))
+    shared = Word(alphabet, base.letters[: draw(st.sampled_from(cuts))])
+    for k in draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True)):
+        terms[k].append(shared)
+    sibling = Word(alphabet, base.letters[: draw(st.sampled_from(cuts))])
+    terms[draw(st.integers(0, count - 1))].append(invert(sibling))
+    coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+    return [GroupRingElement(alphabet, [(word, draw(coefficients)) for word in ts]) for ts in terms]
+
+
 @SETTINGS
 @given(st.data())
 def test_evaluate_word_equals_reference(data):
@@ -83,5 +105,17 @@ def test_evaluate_word_equals_reference(data):
 def test_evaluate_group_ring_equals_term_by_term(data):
     rep = data.draw(actions())
     drawn = data.draw(st.lists(elements(rep.alphabet), min_size=1, max_size=4))
+    expected = hstack(*[term_by_term_group_ring(rep, e) for e in drawn])
+    assert evaluate_group_ring(rep, *drawn) == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_evaluate_group_ring_walks_prefix_families(data):
+    # The walk continues a term from the previous one only when it extends
+    # it; a shared word, an equal-length sibling and a nonempty first term
+    # each take the other branch or an empty continuation.
+    rep = data.draw(actions())
+    drawn = data.draw(prefix_families(rep.alphabet))
     expected = hstack(*[term_by_term_group_ring(rep, e) for e in drawn])
     assert evaluate_group_ring(rep, *drawn) == expected

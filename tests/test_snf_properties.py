@@ -1,7 +1,8 @@
 """Property tests of the SNF for every choice of transforms, of its pivots,
 of the U^-1 and V^-1 it builds, of its agreement with the reference SNF on
-sparse and on tall mostly zero inputs, and of the trusted IntMatrix
-constructor behind the matrices exactlinalg computes."""
+sparse and on tall mostly zero inputs, of the trusted IntMatrix
+constructor behind the matrices exactlinalg computes, and of the
+invariant factors of a direct sum of cyclic groups."""
 
 import pytest
 
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistedhom import IntMatrix, hstack, snf, unimodular_inverse, vstack  # noqa: E402
+from twistedhom import AbelianGroupStructure, IntMatrix, hstack, snf, unimodular_inverse, vstack  # noqa: E402
 from twistedhom.exactlinalg import TRANSFORMS  # noqa: E402
 
 from support import reference_snf  # noqa: E402
@@ -249,3 +250,33 @@ def test_tall_mostly_zero_inputs_match_the_reference(a):
             assert ref.U * res.W == IntMatrix.identity(a.rows)
         if "X" in transforms:
             assert res.X * ref.V == IntMatrix.identity(a.cols)
+
+
+@st.composite
+def cyclic_orders(draw):
+    """Orders of cyclic groups, 0 for Z: a divisibility chain, possibly
+    shuffled, with 0s and 1s put anywhere."""
+    orders = [draw(st.integers(2, 6))]
+    for _ in range(draw(st.integers(0, 5))):
+        orders.append(orders[-1] * draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        orders = draw(st.permutations(orders))
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.integers(0, 30), max_size=6))
+    for x in draw(st.lists(st.sampled_from((0, 1)), max_size=3)):
+        orders.insert(draw(st.integers(0, len(orders))), x)
+    return orders
+
+
+@SETTINGS
+@given(cyclic_orders())
+@example([])
+@example([1, 0, 1])
+@example([4, 6, 0])
+@example([2, 2, 4, 0, 12])
+def test_from_cyclic_orders_equals_the_snf_route(orders):
+    # The cokernel of diag(orders) is the direct sum; its SNF pivots are the
+    # invariant factors, and its zero diagonal entries the free rank.
+    pivots = snf(IntMatrix.diagonal(orders), transforms="").pivots if orders else ()
+    expected = AbelianGroupStructure(len(orders) - len(pivots), tuple(d for d in pivots if d > 1))
+    assert AbelianGroupStructure.from_cyclic_orders(orders) == expected

@@ -12,7 +12,8 @@ from twistedhom import (
     parse_word,
     word_to_text,
 )
-from twistedhom.words import MAX_WORD_LETTERS
+from twistedhom.fox import _FOX_PIECE_LETTERS
+from twistedhom.words import _HASH_WINDOW, MAX_WORD_LETTERS
 
 from support import random_word
 
@@ -154,6 +155,8 @@ def test_parse_equals_the_checked_word_of_its_letters():
     # parse_word checks each token once and builds its word unchecked; on
     # token strings with exponents and cancelling pairs it must equal the
     # word that Word checks and reduces from the expanded letters.
+    expected = Word(AB, ((0, 1), (0, -1), (1, -1), (1, -1), (1, -1), (0, 1), (0, 1)))
+    assert parse_word("a a^-1 b^-3 a^2", AB) == expected and expected.letters == ((1, -1),) * 3 + ((0, 1),) * 2
     rng = random.Random(28)
     for _ in range(300):
         tokens, letters = [], []
@@ -183,3 +186,82 @@ def test_word_hash_follows_equality():
     counts = {over_ab: 1}
     counts[over_abgd] = 2
     assert len(counts) == 2 and counts[over_ab] == 1 and counts[over_abgd] == 2
+
+
+def _reduced_letters(rng, length):
+    """The letters of a random freely reduced word over ABGD."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randrange(len(ABGD)), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return tuple(letters)
+
+
+@pytest.mark.parametrize("length", [0, 1, _HASH_WINDOW - 1, _HASH_WINDOW, _HASH_WINDOW + 1, 5 * _HASH_WINDOW])
+def test_word_hash_follows_equality_around_the_window(length):
+    # The hash reads the length and the last _HASH_WINDOW letters; below, at
+    # and above that window, equal words hash equal from either constructor.
+    letters = _reduced_letters(random.Random(length), length)
+    checked = Word(ABGD, ((0, 1), (0, -1)) + letters)
+    trusted = Word._trusted(ABGD, letters)
+    assert len(checked) == length and checked == trusted
+    assert hash(checked) == hash(trusted) == hash(Word._trusted(ABGD, tuple(list(letters))))
+
+
+def test_every_prefix_of_a_long_word_is_its_own_key():
+    # The 10 001 prefixes of a word at the cap hash apart. They are hashed
+    # one at a time: held together they would take 50 M letters. A dict
+    # holds the prefixes of one Fox piece, as fox_derivative's terms do.
+    letters = _reduced_letters(random.Random(29), MAX_WORD_LETTERS)
+    hashes = {hash(Word._trusted(ABGD, letters[:k])) for k in range(MAX_WORD_LETTERS + 1)}
+    assert len(hashes) == MAX_WORD_LETTERS + 1
+    prefixes = {Word._trusted(ABGD, letters[:k]): k for k in range(_FOX_PIECE_LETTERS + 1)}
+    assert len(prefixes) == _FOX_PIECE_LETTERS + 1
+    assert all(len(word) == k and prefixes[Word(ABGD, word.letters)] == k for word, k in prefixes.items())
+
+
+def test_words_that_differ_before_the_window_are_two_keys():
+    # Same length and same last _HASH_WINDOW letters: the hashes collide,
+    # which costs an equality test, and the dict still tells them apart.
+    tail = ((1, 1), (2, 1)) * _HASH_WINDOW
+    u, v = Word(ABGD, ((0, 1),) + tail), Word(ABGD, ((3, 1),) + tail)
+    assert len(u) == len(v) and u.letters[-_HASH_WINDOW:] == v.letters[-_HASH_WINDOW:]
+    assert u != v and hash(u) == hash(v)
+    counts = {u: 1}
+    counts[v] = 2
+    assert len(counts) == 2 and counts[u] == 1 and counts[v] == 2
+
+
+def test_single_letter_tokens_count_against_the_cap():
+    rng = random.Random(30)
+    tokens = [rng.choice(("a", "a^-1", "b", "b^-1")) for _ in range(MAX_WORD_LETTERS)]
+    letters = [(0 if t[0] == "a" else 1, -1 if t.endswith("^-1") else 1) for t in tokens]
+    assert parse_word(" ".join(tokens), AB) == Word(AB, tuple(letters))
+    for extra in ("a", "a^-1"):
+        with pytest.raises(ParseError) as err:
+            parse_word(" ".join(tokens + [extra]), AB)
+        assert str(err.value) == f"token {MAX_WORD_LETTERS}: word exceeds the limit of {MAX_WORD_LETTERS} letters"
+        assert err.value.position == MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize(
+    "token, letters, error",
+    [
+        ("a^1", ((0, 1),), None),
+        ("a^01", ((0, 1),), None),
+        ("a^-01", ((0, -1),), None),
+        ("a^+1", None, "token 1: malformed exponent '+1'"),
+        ("a^-", None, "token 1: malformed exponent '-'"),
+        ("a^--1", None, "token 1: malformed exponent '--1'"),
+        ("c^-1", None, "token 1: unknown generator 'c'"),
+        ("A", None, "token 1: unknown generator 'A'"),
+    ],
+)
+def test_other_spellings_go_through_the_exponent_parser(token, letters, error):
+    if error is None:
+        assert parse_word(f"b {token}", AB).letters == ((1, 1),) + letters
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_word(f"b {token}", AB)
+        assert str(err.value) == error and err.value.position == 1
