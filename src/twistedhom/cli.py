@@ -324,8 +324,13 @@ def run(job: JobSpec) -> tuple[int, list[dict]]:
     one, else 0. An oracle refusal (OracleRefusal) is not a failure: its
     record says "skipped" and gives the reason.
     """
+    if isinstance(job.computations, str):
+        raise ValueError(f"computations must be a tuple of names, not the string {job.computations!r}")
     if not job.computations:
         raise ValueError("at least one computation must be selected")
+    unknown = set(job.computations) - set(COMPUTATION_ORDER)
+    if unknown:
+        raise ValueError(f"unknown computations: {', '.join(sorted(unknown))}")
     data = _load(job)
     ring = job.ring if job.ring is not None else data.representation.ring
     rep = change_ring(data.representation, ring)
@@ -463,11 +468,7 @@ def main(argv=None) -> int:
         if args.check:
             computations = ("check",)
         elif args.compute:
-            requested = {tok.strip() for tok in args.compute.replace(",", " ").split()}
-            unknown = requested - set(COMPUTATION_ORDER)
-            if unknown:
-                raise ValueError(f"unknown computations: {', '.join(sorted(unknown))}")
-            computations = tuple(c for c in COMPUTATION_ORDER if c in requested)
+            computations = tuple(args.compute.replace(",", " ").split())
         job = JobSpec(args.path, args.example, ring, computations)
         status, records = run(job)
     except (ValueError, OSError) as exc:

@@ -8,9 +8,9 @@ by two routines of exactlinalg. _cokernel reads a group off the pivots of
 an SNF over Z that builds no transform: H_0 = coker d1 = sum Z/gcd(d_i, n)
 on every ring, with d1 = [M_g^-1 - 1 | ...] over the generators, and,
 since Z^m / ker d1 = im d1 is free, coker d2 = H_1 + im d1, so H_1 over Z
-is the torsion of coker d2 plus Z^(m - rank d1 - rank d2), which
-_h1_over_integers reads off the two sets of pivots. _subquotient
-reads every other group, one integer lattice quotient ker(outgoing) /
+is _cokernel of the pivots of d2 in m - rank d1 rows: the torsion of
+coker d2 plus Z^(m - rank d1 - rank d2). _subquotient reads every other
+group, one integer lattice quotient ker(outgoing) /
 (im(incoming) + n*Z^m), off one SNF U*J*V = D over Z for every ring; over
 Z/n, witnesses included, and wherever the group alone is read, that SNF
 also builds V^-1, and the coordinates are read off its rows that survive,
@@ -22,7 +22,8 @@ H_1 that of the dual.
 The universal coefficient theorem pairs H^1(G; M (x) A) with
 Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A), M^* = Hom(M, Z) being the dual
 action, whose chain complex is d1 = P^T, d2 = J^T of the action's own pair:
-uct_check reads both sides off one (J, P) and walks no dual.
+uct_check reads both sides off one (J, P) and walks no dual, the expected
+side straight off the pivots of J and P.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     d2 = J^T of checked_cochains(p, dual(rep)).
 
     Over Z two SNFs with no transform give the answer: Z^m / ker d1 = im d1
-    is free, so coker d2 = H_1 + im d1, and H_1 is coker d2 with rank d1
-    taken off its free rank. Over Z/n the image of d1 mod n need not be
+    is free, so coker d2 = H_1 + im d1, and H_1 is the cokernel of the
+    pivots of d2 in m - rank d1 rows, rank d1 being the pivot count of d1.
+    Over Z/n the image of d1 mod n need not be
     free, so H_1 stays ker d1 / im d2 through the kernel of d1 mod n: the
     group alone, read by _subquotient off V^-1 of d1 on the rows that
     survive, with entries below n and no kernel basis built.
@@ -180,16 +182,8 @@ def h1_homology(p: Presentation, rep: Representation) -> AbelianGroupStructure:
     d1, d2 = P.transpose(), J.transpose()
     if rep.ring.modulus:
         return _subquotient(snf(d1, transforms="VX"), d2, rep.ring.modulus)[0]
-    return _h1_over_integers(snf(d1, transforms="").pivots, snf(d2, transforms="").pivots, d2.rows)
-
-
-def _h1_over_integers(d1_pivots, d2_pivots, m: int) -> AbelianGroupStructure:
-    """ker d1 / im d2 over Z for d1 with m columns and d2 with m rows, from
-    their SNF pivots: Z^m / ker d1 = im d1 is free, so coker d2 = H_1 +
-    im d1, and H_1 is coker d2 with rank d1 taken off its free rank. The
-    pivots of P and J serve for P^T and J^T."""
-    coker_d2 = _cokernel(d2_pivots, m, 0)
-    return AbelianGroupStructure(coker_d2.free_rank - len(d1_pivots), coker_d2.torsion)
+    rank_d1 = len(snf(d1, transforms="").pivots)
+    return _cokernel(snf(d2, transforms="").pivots, d2.rows - rank_d1, 0)
 
 
 def kerf_reduction(
@@ -228,18 +222,6 @@ class UctComparison:
     match: bool
 
 
-def _hom_orders(structure: AbelianGroupStructure, ring: CoefficientRing) -> list[int]:
-    if ring.modulus == 0:
-        return [0] * structure.free_rank
-    return [ring.modulus] * structure.free_rank + [gcd(d, ring.modulus) for d in structure.torsion]
-
-
-def _ext_orders(structure: AbelianGroupStructure, ring: CoefficientRing) -> list[int]:
-    if ring.modulus == 0:
-        return list(structure.torsion)
-    return [gcd(d, ring.modulus) for d in structure.torsion]
-
-
 def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctComparison]:
     """Cross-check H^1(G; M (x) A) against Ext(H_0(G; M^*), A) +
     Hom(H_1(G; M^*), A) for A = Z and each Z/n, with M^* = Hom(M, Z) under
@@ -253,11 +235,17 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
     rebuilt over Z/n, and J is factored once, with V^-1, for all the rings.
     Only the group is read, so every ring, Z included, reads it off V^-1
     on the rows that survive, mod n over Z/n, and no lattice is solved.
-    H_1(G; M^*) over Z is read off the pivots of that same SNF of J and of
-    one diagonal-only SNF of P, and H_0(G; M^*) = coker P^T off the pivots
-    of P. So the comparison sets the lattice-quotient reading of (J, P)
-    against the invariant factors of the same pair; the Fox walk of the
-    dual action is not repeated here, and the h1 stage exercises it.
+    The expected side is read off the pivots of that same SNF of J and of
+    one diagonal-only SNF of P, with no group of M^* built: H_0(G; M^*) =
+    coker P^T has torsion Z/d for the pivots d of P, and H_1(G; M^*) over
+    Z has torsion Z/d for the pivots d of J and free rank m - r_J - r_P,
+    the pivot counts taken off. Over A = Z/n (n = 0 for Z) that gives
+    Ext(Z/d, A) = Z/gcd(d, n) for each pivot of P, Hom(Z, A) = A for each
+    free summand and, over Z/n only, Hom(Z/d, Z/n) = Z/gcd(d, n) for each
+    pivot of J, Hom(Z/d, Z) being 0. So the comparison sets the
+    lattice-quotient reading of (J, P) against the pivots of the same
+    pair; the Fox walk of the dual action is not repeated here, and the h1
+    stage exercises it.
     """
     if rep.ring.modulus != 0:
         raise ValueError("universal-coefficient comparison needs the action over Z")
@@ -266,13 +254,13 @@ def uct_check(p: Presentation, rep: Representation, moduli) -> list[UctCompariso
         raise ValueError("moduli must all be >= 2")
     J, P = checked_cochains(p, rep)
     factored, p_pivots = snf(J, transforms="VX"), snf(P, transforms="").pivots
-    h0 = _cokernel(p_pivots, rep.rank, 0)
-    h1 = _h1_over_integers(p_pivots, factored.pivots, J.cols)
+    free = J.cols - len(factored.pivots) - len(p_pivots)
     comparisons = []
     for ring in [CoefficientRing.integers()] + [CoefficientRing.modular(n) for n in moduli]:
-        computed = _subquotient(factored, P, ring.modulus)[0]
+        n = ring.modulus
+        computed = _subquotient(factored, P, n)[0]
         expected = AbelianGroupStructure.from_cyclic_orders(
-            _ext_orders(h0, ring) + _hom_orders(h1, ring)
+            [gcd(d, n) for d in p_pivots] + [n] * free + ([gcd(d, n) for d in factored.pivots] if n else [])
         )
         comparisons.append(UctComparison(ring, computed, expected, computed == expected))
     return comparisons

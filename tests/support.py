@@ -39,7 +39,7 @@ from twistedhom import (
     vstack,
 )
 from twistedhom.exactlinalg import SnfResult
-from twistedhom.homology import _ext_orders, _hom_orders, checked_cochains
+from twistedhom.homology import checked_cochains
 
 
 def random_word(rng: random.Random, alphabet, max_len=8) -> Word:
@@ -490,9 +490,29 @@ def sl2_sym_example(k: int) -> NamedExample:
 
 def walked_dual_uct_expected(p: Presentation, rep: Representation, ring: CoefficientRing) -> AbelianGroupStructure:
     """Reference Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A) for A the ring,
-    with H_0 and H_1 computed on dual(rep), its own Fox walk and checked pair."""
+    with H_0 and H_1 computed on dual(rep), its own Fox walk and checked
+    pair, and each Ext and Hom of a cyclic summand counted here: Ext(Z, A)
+    = 0 and Hom(Z, A) = A. Nothing is shared with uct_check's pivot
+    formula."""
     h0, h1 = coinvariants(dual(rep)), h1_homology(p, dual(rep))
-    return AbelianGroupStructure.from_cyclic_orders(_ext_orders(h0, ring) + _hom_orders(h1, ring))
+    n = ring.modulus
+    ext = [_ext_cyclic(d, n) for d in h0.torsion]
+    hom = [n] * h1.free_rank + [_hom_cyclic(d, n) for d in h1.torsion]
+    return AbelianGroupStructure.from_cyclic_orders(ext + hom)
+
+
+def _ext_cyclic(d: int, n: int) -> int:
+    """Order of Ext(Z/d, A) = A / dA for A = Z/n, or Z (n = 0), counted:
+    over Z/n, n over the number of multiples d*a mod n."""
+    return d if n == 0 else n // len({d * a % n for a in range(n)})
+
+
+def _hom_cyclic(d: int, n: int) -> int:
+    """Order of Hom(Z/d, A) = {a in A : d*a = 0} for A = Z/n, or Z (n = 0),
+    counted: Z has no torsion, and over Z/n the solutions of d*a = 0 mod n
+    are enumerated. Both groups are cyclic, as subgroups or quotients of a
+    cyclic group."""
+    return 1 if n == 0 else sum(1 for a in range(n) if d * a % n == 0)
 
 
 def add_generator(p: Presentation, rep: Representation, w: Word) -> tuple[Presentation, Representation]:

@@ -787,6 +787,20 @@ class TestRun:
         with pytest.raises(ValueError):
             run(JobSpec(example="e2", computations=()))
 
+    def test_unknown_computation_refused(self, monkeypatch):
+        # Checked before the input is loaded, as main checks --compute.
+        loads = count_calls(monkeypatch, "builtin_example")
+        with pytest.raises(ValueError, match=re.escape("unknown computations: cohl")):
+            run(JobSpec(example="e2", computations=("cohl",)))
+        with pytest.raises(ValueError, match=re.escape("unknown computations: cohl, zeta")):
+            run(JobSpec(example="e2", computations=("h0", "zeta", "cohl")))
+        assert loads == []
+
+    def test_bare_string_refused(self):
+        # "coh1" would otherwise run h1 as well, matched as a substring.
+        with pytest.raises(ValueError, match=re.escape("computations must be a tuple of names, not the string 'coh1'")):
+            run(JobSpec(example="e2", computations="coh1"))
+
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
             run(JobSpec())
@@ -853,6 +867,7 @@ class TestMain:
 
     def test_unknown_compute_exit_2(self, capsys):
         assert main(["--example", "e2", "--compute", "zeta"]) == 2
+        assert capsys.readouterr().err == "error: unknown computations: zeta\n"
 
     def test_shipped_e2_file(self, capsys):
         import pathlib

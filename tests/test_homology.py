@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -458,9 +459,21 @@ class TestUct:
         assert all(c.computed.is_trivial() for c in comparisons)
 
     def test_corrupted_h1_reported(self, monkeypatch):
-        monkeypatch.setattr(homology, "_h1_over_integers", lambda *args: AbelianGroupStructure(0, (3,)))
-        comparisons = uct_check(E2.presentation, E2.representation, [2, 3])
-        assert not all(c.match for c in comparisons)
+        # A spurious pivot 3 of P, the one SNF without transforms here: the
+        # expected side gains Ext(Z/3, A) and loses one free summand of
+        # H_1(G; M^*), while the computed side, read off J alone, is as before.
+        clean = {c.ring: c.computed for c in uct_check(E2.presentation, E2.representation, [2, 3])}
+        real_snf = homology.snf
+
+        def spurious(matrix, *, transforms="UV"):
+            result = real_snf(matrix, transforms=transforms)
+            return replace(result, pivots=result.pivots + (3,)) if transforms == "" else result
+
+        monkeypatch.setattr(homology, "snf", spurious)
+        comparisons = {c.ring: c for c in uct_check(E2.presentation, E2.representation, [2, 3])}
+        assert {ring: c.computed for ring, c in comparisons.items()} == clean
+        assert not comparisons[CoefficientRing.integers()].match
+        assert not comparisons[CoefficientRing.modular(3)].match
 
     def test_matches_per_ring_route(self):
         moduli = (2, 3, 4, 8, 9)

@@ -1,18 +1,28 @@
-"""Property tests of uct_check on free groups acting by random unimodular
-matrices: every ring matches, and the expected side equals the route that
-walks the dual action."""
+"""Property tests of uct_check: every ring matches, and the expected side
+equals the route that walks the dual action. Free groups acting by random
+unimodular matrices have no relators, so their H_1(G; M^*) is free; the
+presented inputs, with relators, give it torsion, whose Hom into Z/n the
+expected side must carry too."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistedhom import CoefficientRing, Generator, Presentation, Representation, uct_check  # noqa: E402
+from twistedhom import (  # noqa: E402
+    CoefficientRing,
+    Generator,
+    Presentation,
+    Representation,
+    uct_check,
+    unimodular_inverse,
+)
 
-from support import random_unimodular, walked_dual_uct_expected  # noqa: E402
+from support import perturbed_pair, random_unimodular, sl2_sym_example, walked_dual_uct_expected  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
+MODULI = (2, 3, 4, 8, 9)
 
 
 @st.composite
@@ -24,10 +34,38 @@ def free_group_actions(draw):
     return Presentation(gens, ()), Representation.build(CoefficientRing.integers(), gens, matrices, rank=rank)
 
 
+@st.composite
+def presented_actions(draw):
+    """A built-in pair perturbed over Z, or SL(2, Z) on Sym^k Z^2, k <= 12,
+    under a drawn unimodular change of basis."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        p, rep = perturbed_pair(rng)
+        assume(rep.ring.modulus == 0)
+        return p, rep
+    example = sl2_sym_example(draw(st.integers(0, 12)))
+    rep = example.representation
+    q = random_unimodular(rng, rep.rank, steps=draw(st.integers(0, 8)))
+    q_inv = unimodular_inverse(q)
+    matrices = tuple(q * m * q_inv for m in rep.matrices)
+    return example.presentation, Representation.build(rep.ring, rep.alphabet, matrices, rank=rep.rank)
+
+
+def _assert_every_ring_matches(p, rep):
+    comparisons = uct_check(p, rep, MODULI)
+    assert [c.ring.modulus for c in comparisons] == [0, *MODULI]
+    for c in comparisons:
+        assert c.match, c
+        assert c.expected == walked_dual_uct_expected(p, rep, c.ring), c
+
+
 @SETTINGS
 @given(free_group_actions())
 def test_every_ring_matches_the_walked_dual_route(pair):
-    p, rep = pair
-    for c in uct_check(p, rep, (2, 3, 4, 8)):
-        assert c.match, c
-        assert c.expected == walked_dual_uct_expected(p, rep, c.ring), c
+    _assert_every_ring_matches(*pair)
+
+
+@SETTINGS
+@given(presented_actions())
+def test_presented_actions_match_the_walked_dual_route(pair):
+    _assert_every_ring_matches(*pair)
