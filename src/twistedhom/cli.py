@@ -69,16 +69,20 @@ MAX_RANK = 256
 # The cocycle matrix has rank columns per generator; no shipped input has more than 8.
 MAX_GENERATORS = 256
 # Columns of the cocycle matrix J, generators * rank. h1_cohomology over Z
-# with identity actions and one commutator relator took 0.7 s and 43 MB of
-# peak RSS at 576 columns, 2.4 s and 105 MB at 1024 and 6.0 s and 234 MB
-# at 1600 (Python 3.11, 2 vCPUs). The cap admits the genus-16 chain
-# (32 x 32); the largest shipped or generated input has 400 columns.
+# with identity actions of rank 32 and one commutator relator took 0.4 s
+# and 41 MB of peak RSS at 576 columns, 1.2 s and 89 MB at 1024 and 3.1 s
+# and 210 MB at 1600 (Python 3.11, 2 vCPUs), nearly all of it in the dense
+# V of J's SNF and the lattice solve in its columns. The cap admits the
+# genus-16 chain (32 x 32); the largest shipped or generated input has 400
+# columns.
 MAX_COCYCLE_COLUMNS = 1024
-# Rows of J, relators * rank. coh1 over Z with identity actions and
-# commutator relators at 1024 columns took 2.6 s and 179 MB of peak RSS at
-# 4096 rows and 4.7 s and 440 MB at 16384 (Python 3.11, 2 vCPUs). The cap
-# admits the genus-16 chain (496 x 32 = 15872); the largest shipped or
-# generated input has 3800 rows.
+# Rows of J, relators * rank. J is held as its nonzero rows, so its rows
+# cost little by themselves: h1_cohomology over Z with identity actions of
+# rank 32 and commutator relators at 1024 columns took 1.5 s and 89 MB of
+# peak RSS at 4096 rows and 1.5 s and 97 MB at 15872 (Python 3.11, 2
+# vCPUs; 4.2 s and 292 MB at 15872 while J was dense). The cap admits the
+# genus-16 chain (496 x 32 = 15872); the largest shipped or generated
+# input has 3800 rows.
 MAX_COCYCLE_ROWS = 16384
 # Relator letters after free reduction times rank^3: the Fox walk makes one
 # rank x rank product per letter, and the parser has not read the actions,
@@ -467,7 +471,7 @@ def main(argv=None) -> int:
         computations = JobSpec.computations
         if args.check:
             computations = ("check",)
-        elif args.compute:
+        elif args.compute is not None:
             computations = tuple(args.compute.replace(",", " ").split())
         job = JobSpec(args.path, args.example, ring, computations)
         status, records = run(job)

@@ -5,10 +5,16 @@ unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere. Every kernel quotient goes through _subquotient, and every
-SNF's pivots become a group through _cokernel. Every integer matrix
-product, IntMatrix's and the Fox walk's, goes through _product, which
-reads its right factor as the nonzero rows _nonzero_rows gives; the SNF
-reads its input through _nonzero_rows too.
+SNF's pivots become a group through _cokernel. A matrix is held either as
+its dense entries or as its nonzero rows, the (column, entry) pairs of
+each row that _nonzero_rows gives. One built from rows (_from_nonzero)
+keeps them: transpose, vstack, mod and a product with it on the left stay
+rows, and the entries tuple is formed only when something reads it. The
+cochains J, P, d1, d2 and the Z/n coordinates are built this way, so no
+stage visits their zeros. A product with a dense left factor, IntMatrix's
+and the Fox walk's, goes through _product, and one with a row-built left
+factor through _sparse_product; both read the right factor as nonzero
+rows, and the SNF reads its input through _nonzero_rows too.
 
 The SNF returns its pivots, the nonzero diagonal d_1 | ... | d_r whose
 count is the rank, and the shape; D is built from them only when read.
@@ -55,7 +61,11 @@ def _read_integer(text: str) -> int | None:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix; entries are stored row-major."""
+    """Immutable integer matrix; entries are stored row-major.
+
+    One built from its nonzero rows (_from_nonzero) keeps them, and forms
+    the entries tuple only when something reads it.
+    """
 
     rows: int
     cols: int
@@ -84,6 +94,17 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        return self
+
+    @classmethod
+    def _from_nonzero(cls, rows: int, cols: int, nonzero: list[list[tuple[int, int]]]) -> IntMatrix:
+        """A matrix from the nonzero (column, entry) pairs of each row, in
+        column order, as _nonzero_rows gives them, taken as is: a _RowBuilt,
+        which keeps them. Nothing may change them afterwards."""
+        self = object.__new__(_RowBuilt)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_nonzero", nonzero)
         return self
 
     @classmethod
@@ -204,14 +225,67 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _nonzero_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
+class _RowBuilt(IntMatrix):
+    """An IntMatrix built from its nonzero rows (IntMatrix._from_nonzero),
+    which it keeps in _nonzero. Its entries tuple is formed on first read,
+    and it equals, hashes and prints as the IntMatrix of those entries.
+    Its transpose, reduction mod n and products stay row-built. A subclass,
+    so that reading the attributes of a dense IntMatrix pays for no hook."""
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: the entries, formed
+        # here on first read.
+        if name != "entries":
+            raise AttributeError(f"'IntMatrix' object has no attribute {name!r}")
+        entries = [0] * (self.rows * self.cols)
+        # With no columns there are no entries, and a range step may not be 0.
+        for i, pairs in zip(range(0, len(entries), self.cols or 1), self._nonzero):
+            for j, x in pairs:
+                entries[i + j] = x
+        entries = tuple(entries)
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    __hash__ = IntMatrix.__hash__
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    def transpose(self) -> IntMatrix:
+        columns = [[] for _ in range(self.cols)]
+        for i, pairs in enumerate(self._nonzero):
+            for j, x in pairs:
+                columns[j].append((i, x))
+        return IntMatrix._from_nonzero(self.cols, self.rows, columns)
+
+    def __mul__(self, other: IntMatrix) -> IntMatrix:
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        return IntMatrix._from_nonzero(self.rows, other.cols, _sparse_product(self._nonzero, _nonzero_rows(other), 0))
+
+    def mod(self, n: int) -> IntMatrix:
+        if n == 0:
+            return self
+        return IntMatrix._from_nonzero(self.rows, self.cols, _reduced(self._nonzero, index(n)))
+
+
+def _nonzero_rows(matrix: IntMatrix, labels=None) -> list[list[tuple[int, int]]]:
     """The nonzeros of each row of matrix as (column, entry) pairs, in
-    column order, read by one compress over the entries."""
+    column order: the rows a matrix built from them keeps, else read by one
+    compress over the entries. With labels, an increasing sequence, column
+    j is given as labels[j]. The caller must not change the rows."""
+    if isinstance(matrix, _RowBuilt) and labels is None:
+        return matrix._nonzero
     entries, cols = matrix.entries, matrix.cols
     rows = [[] for _ in range(matrix.rows)]
     for k in compress(range(len(entries)), entries):
         i, j = divmod(k, cols)
-        rows[i].append((j, entries[k]))
+        rows[i].append((j if labels is None else labels[j], entries[k]))
     return rows
 
 
@@ -236,6 +310,30 @@ def _product(left, right: list[list[tuple[int, int]]], rows: int, cols: int, n: 
     return [x % n for x in out] if n else out
 
 
+def _sparse_product(left, right, n: int) -> list[list[tuple[int, int]]]:
+    """left * right mod n (over Z when n is 0), both factors and the product
+    held as _nonzero_rows gives them. Row i of the product adds a * (row k
+    of right) for every nonzero a at (i, k) of left, so the work is the
+    nonzeros of right's rows that left's nonzeros meet; no zero is visited.
+    """
+    out = []
+    for pairs in left:
+        row: dict[int, int] = {}
+        for k, a in pairs:
+            for j, x in right[k]:
+                row[j] = row.get(j, 0) + a * x
+        if n:
+            out.append([(j, y) for j, x in sorted(row.items()) if (y := x % n)])
+        else:
+            out.append([(j, x) for j, x in sorted(row.items()) if x])
+    return out
+
+
+def _reduced(nonzero, n: int) -> list[list[tuple[int, int]]]:
+    """Nonzero rows mod n, with the entries that vanish dropped."""
+    return [[(j, y) for j, x in pairs if (y := x % n)] for pairs in nonzero]
+
+
 def hstack(*matrices: IntMatrix) -> IntMatrix:
     """Join matrices left to right; all must have the same row count."""
     if not matrices:
@@ -254,7 +352,10 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     ncols = matrices[0].cols
     if any(m.cols != ncols for m in matrices):
         raise ValueError("column count mismatch")
-    return IntMatrix._trusted(sum(m.rows for m in matrices), ncols, tuple(chain.from_iterable(m.entries for m in matrices)))
+    rows = sum(m.rows for m in matrices)
+    if any(isinstance(m, _RowBuilt) for m in matrices):
+        return IntMatrix._from_nonzero(rows, ncols, list(chain.from_iterable(map(_nonzero_rows, matrices))))
+    return IntMatrix._trusted(rows, ncols, tuple(chain.from_iterable(m.entries for m in matrices)))
 
 
 # The placeholder for a transform that was not built: any use of it as U,
@@ -611,7 +712,10 @@ def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntM
     only mod s_j*g_j = n, so its coordinates, divided by s_j, are below g_j.
     Each kept row sits beside g_j in a diagonal block, in the order of j,
     and every entry lies in [0, n]. Over Z the kernel rows are those with
-    d_j = 0, every g_j is 0 and the block is zero.
+    d_j = 0, every g_j is 0 and the block is zero. X*incoming is the
+    product of the nonzero rows of X, mod n, by those of incoming, and the
+    coordinates are built from its nonzero rows, so no zero of either is
+    visited.
 
     Raises ValueError naming the first column of incoming outside the
     kernel: one with a row of X*incoming not divisible by s_j over Z/n, or
@@ -626,21 +730,20 @@ def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntM
     # free, g_j = 0, and any other row must be zero.
     kinds = [(gcd(d, n), n // gcd(d, n)) for d in diag] if n else [(1, 0) if d else (0, 1) for d in diag]
     size = sum(g != 1 for g, _ in kinds)
-    x, right = X.mod(n).entries, _nonzero_rows(incoming)
-    entries, outside, kept = [], [], 0
-    # Row by row, so that no more than one row of X*incoming is held apart
-    # from the coordinates.
-    for i, (g, s) in enumerate(kinds):
-        row = _product(x[i * X.cols : (i + 1) * X.cols], right, 1, count, n)
+    left = _nonzero_rows(X)
+    product = _sparse_product(_reduced(left, n) if n else left, _nonzero_rows(incoming), n)
+    rows, outside = [], []
+    for (g, s), row in zip(kinds, product):
         if s != 1:
-            outside += [j for j, y in enumerate(row) if (y % s if s else y)]
+            outside += [j for j, y in row if (y % s if s else y)]
         if g != 1:
-            entries += row if s == 1 else [y // s for y in row]
-            entries += [0] * kept + [g] + [0] * (size - kept - 1)
-            kept += 1
+            kept = row if s == 1 else [(j, y // s) for j, y in row]
+            if g:
+                kept.append((count + len(rows), g))
+            rows.append(kept)
     if outside:
         raise _outside(min(outside))
-    return IntMatrix._trusted(size, count + size, tuple(entries))
+    return IntMatrix._from_nonzero(size, count + size, rows)
 
 
 def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):

@@ -3,14 +3,16 @@
 The derivative of a word with respect to a generator lives in the integral
 group ring of the free group; substituting a representation into the
 derivatives of all relators linearizes the crossed-homomorphism condition
-into one integer matrix.
+into one integer matrix. That matrix is built from its nonzero rows: a
+relator's block row is nonzero only in the blocks of the generators it
+uses, so only those are walked, and the dense matrix is never formed.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .exactlinalg import IntMatrix, vstack
+from .exactlinalg import IntMatrix, _nonzero_rows, vstack
 from .presentation import Presentation
 from .representation import Representation, evaluate_group_ring
 from .words import Generator, Word, invert, word_to_text
@@ -155,49 +157,59 @@ def fundamental_identity_check(w: Word) -> bool:
 
 
 def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
-    """The linearized cocycle conditions of a presentation.
+    """The linearized cocycle conditions of a presentation, as nonzero rows.
 
     One block row per relator r and one block column per generator g; the
     (r, g) block is the action matrix of dr/dg. A stacked coefficient vector
     (d(g1), ..., d(gk)) is annihilated by this matrix exactly when the
     assignment extends to a crossed homomorphism of the presented group.
 
+    Block (r, g) is zero unless g occurs in r, so each relator's rows are
+    read off one evaluate_group_ring walk over the derivatives by the
+    generators it uses, in ascending order: the walk's dense block row is
+    read by _nonzero_rows, one compress in C, with its columns labelled
+    by those generators' blocks. J is built from these rows and never held densely.
+
     A relator is cut into pieces r = u_1 ... u_m of at most
-    _FOX_PIECE_LETTERS letters, and one evaluate_group_ring walk over a
-    piece u gives its whole block row B(u). The product rule joins them,
-    B(r) = sum_c M(u_1 ... u_(c-1)) * B(u_c), and Fox's fundamental formula
-    advances the prefix matrix by one product per piece, M(u) = 1 + B(u)*P,
-    where P stacks the blocks M_g - 1. So the walk holds the prefixes of one
-    piece at a time, and its memory is linear in the relator's length. The
-    walk evaluates only the derivatives by the generators a piece contains;
-    every other generator is given one shared zero element, whose block
-    evaluate_group_ring writes as zeros. An empty relator is one empty piece.
+    _FOX_PIECE_LETTERS letters, and one walk over a piece u gives its block
+    row B(u). The product rule joins them, B(r) = sum_c M(u_1 ... u_(c-1))
+    * B(u_c), and Fox's fundamental formula advances the prefix matrix by
+    one product per piece, M(u) = 1 + B(u)*P, where P stacks the blocks
+    M_g - 1 of the relator's generators. So the walk holds the prefixes of
+    one piece at a time, and its memory is linear in the relator's length.
+    A generator of the relator that a piece lacks is given one shared zero
+    element, whose block evaluate_group_ring writes as zeros. A relator
+    with no letters has zero rows, and no walk.
     """
     if rep.alphabet != p.generators:
         raise ValueError("alphabet mismatch")
-    if not p.generators or not p.relators:
-        return IntMatrix.zeros(len(p.relators) * rep.rank, len(p.generators) * rep.rank)
-    n, identity = rep.ring.modulus, IntMatrix.identity(rep.rank)
+    n, rank, identity = rep.ring.modulus, rep.rank, IntMatrix.identity(rep.rank)
     zero = GroupRingElement.zero(p.generators)
-    P = None
-    block_rows = []
+    differences = None
+    nonzero = []
     for relator in p.relators:
         letters = relator.letters
+        used = sorted({index for index, _ in letters})
+        if not used:
+            nonzero += [[] for _ in range(rank)]
+            continue
         pieces = [
             Word._trusted(relator.alphabet, letters[i : i + _FOX_PIECE_LETTERS])
-            for i in range(0, len(letters) or 1, _FOX_PIECE_LETTERS)
+            for i in range(0, len(letters), _FOX_PIECE_LETTERS)
         ]
-        if len(pieces) > 1 and P is None:
-            P = vstack(*[(m - identity).mod(n) for m in rep.matrices])
+        if len(pieces) > 1:
+            if differences is None:
+                differences = [(m - identity).mod(n) for m in rep.matrices]
+            P = vstack(*[differences[i] for i in used])
         prefix = row = None
         for c, piece in enumerate(pieces):
             present = {index for index, _ in piece.letters}
             block = evaluate_group_ring(
-                rep, *[fox_derivative(piece, g) if i in present else zero for i, g in enumerate(p.generators)]
+                rep, *[fox_derivative(piece, p.generators[i]) if i in present else zero for i in used]
             )
             row = block if prefix is None else (row + prefix * block).mod(n)
             if c + 1 < len(pieces):
                 advance = (identity + block * P).mod(n)
                 prefix = advance if prefix is None else (prefix * advance).mod(n)
-        block_rows.append(row)
-    return vstack(*block_rows)
+        nonzero += _nonzero_rows(row, [i * rank + k for i in used for k in range(rank)])
+    return IntMatrix._from_nonzero(len(p.relators) * rank, len(p.generators) * rank, nonzero)

@@ -18,7 +18,9 @@ with entries below n. Nothing is eliminated over Z/n. No
 relator is evaluated here: by Fox's fundamental formula, sum_g (dr/dg)(g -
 1) = r - 1, block r of J*P is M(r) - 1, so checked_cochains checks them
 through J*P when it builds the cochain pair (J, P) that every stage reads,
-H_1 that of the dual.
+H_1 that of the dual. J and P are built as nonzero rows, and so are
+d1 = P^T, d2 = J^T and J*P, so the check, the transposes and the SNFs
+follow the nonzeros and no dense J or d2 is formed.
 The universal coefficient theorem pairs H^1(G; M (x) A) with
 Ext(H_0(G; M^*), A) + Hom(H_1(G; M^*), A), M^* = Hom(M, Z) being the dual
 action, whose chain complex is d1 = P^T, d2 = J^T of the action's own pair:
@@ -38,6 +40,7 @@ from .exactlinalg import (
     AbelianGroupStructure,
     IntMatrix,
     _cokernel,
+    _nonzero_rows,
     _subquotient,
     hstack,
     snf,
@@ -106,9 +109,9 @@ def checked_cochains(p: Presentation, rep: Representation) -> tuple[IntMatrix, I
     cochains, so that one J and one P serve both, as in the coh1 stage.
     """
     J, P = cocycle_matrix(p, rep), principal_map(rep).matrix
-    entries, size = (J * P).mod(rep.ring.modulus).entries, rep.rank * rep.rank
+    rows, size = _nonzero_rows((J * P).mod(rep.ring.modulus)), rep.rank
     details = [
-        _nontrivial_relator(i, r).message for i, r in enumerate(p.relators) if any(entries[i * size : (i + 1) * size])
+        _nontrivial_relator(i, r).message for i, r in enumerate(p.relators) if any(rows[i * size : (i + 1) * size])
     ]
     if details:
         raise ValueError("cocycle condition is ill-posed: " + "; ".join(details))
@@ -124,7 +127,7 @@ def principal_map(rep: Representation) -> PrincipalMap:
     identity = IntMatrix.identity(rep.rank)
     blocks = [(m - identity).mod(rep.ring.modulus) for m in rep.matrices]
     matrix = vstack(*blocks) if blocks else IntMatrix.zeros(0, rep.rank)
-    return PrincipalMap(matrix)
+    return PrincipalMap(IntMatrix._from_nonzero(matrix.rows, matrix.cols, _nonzero_rows(matrix)))
 
 
 def coinvariants(rep: Representation) -> AbelianGroupStructure:

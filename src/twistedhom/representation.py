@@ -166,14 +166,24 @@ def dual(rep: Representation) -> Representation:
     )
 
 
+def _letter_entries(rep: Representation, letter: tuple[int, int]) -> tuple[int, ...]:
+    """The entries of M_g for the letter (g, 1), of M_g^-1 for (g, -1): the
+    stored matrices, already reduced mod n."""
+    index, sign = letter
+    return (rep.matrices if sign > 0 else rep.inverse_matrices)[index].entries
+
+
 def evaluate_word(rep: Representation, w: Word) -> IntMatrix:
     """Matrix of a word: the product of generator matrices, with inverse
-    matrices for negative letters; the empty word is the identity."""
+    matrices for negative letters; the empty word is the identity. The
+    product starts from the stored matrix of the first letter."""
     if w.alphabet != rep.alphabet:
         raise ValueError("alphabet mismatch")
+    if not w.letters:
+        return IntMatrix.identity(rep.rank)
     rows, n, size = rep._letter_rows, rep.ring.modulus, rep.rank
-    matrix = IntMatrix.identity(size).entries
-    for letter in w.letters:
+    matrix = _letter_entries(rep, w.letters[0])
+    for letter in w.letters[1:]:
         matrix = _product(matrix, rows[letter], size, size, n)
     return IntMatrix._trusted(size, size, tuple(matrix))
 
@@ -190,7 +200,8 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
     built. The terms of the Fox derivatives dr/dg of one relator r, for all
     its generators g, are prefixes of r, so all of them cost at most len(r)
     matrix products together instead of the sum of the prefix lengths. Any
-    other term is evaluated from the identity by evaluate_word. A letter
+    other term is evaluated by evaluate_word, and a term continuing the
+    empty word starts from its first letter's stored matrix. A letter
     multiplies the running matrix by the nonzero rows of its factor and
     reduces it mod n in the same call (_product). Each total is a flat list of
     ints, to which exactlinalg._combined adds coefficient times the matrix.
@@ -215,6 +226,10 @@ def evaluate_group_ring(rep: Representation, element, *more) -> IntMatrix:
         current = word.letters
         done = len(letters)
         if matrix is not None and current[:done] == letters:
+            if not done and current:
+                # A term continuing the empty word starts from its first
+                # letter's stored matrix, with no product by the identity.
+                matrix, done = _letter_entries(rep, current[0]), 1
             for letter in current[done:]:
                 matrix = _product(matrix, rows[letter], size, size, n)
         else:

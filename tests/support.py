@@ -38,7 +38,7 @@ from twistedhom import (
     unimodular_inverse,
     vstack,
 )
-from twistedhom.exactlinalg import SnfResult
+from twistedhom.exactlinalg import SnfResult, _coordinates_off_x
 from twistedhom.homology import checked_cochains
 
 
@@ -167,6 +167,50 @@ def reference_cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
     if not block_rows:
         return IntMatrix.zeros(0, width)
     return vstack(*block_rows)
+
+
+def reference_coordinates(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntMatrix:
+    """The coordinates of exactlinalg._coordinates_off_x, formed densely:
+    X*incoming by reference_product, mod n; the rows j with g_j != 1 kept
+    (d_j = 0 over Z), each divided by s_j = n / g_j, beside diag(g_j), the
+    zero block over Z."""
+    X = outgoing.X
+    diagonal = outgoing.pivots + (0,) * (X.rows - len(outgoing.pivots))
+    product = reference_product(X, incoming).mod(n)
+    if n:
+        kept = [(j, gcd(d, n), n // gcd(d, n)) for j, d in enumerate(diagonal) if gcd(d, n) != 1]
+    else:
+        kept = [(j, 0, 1) for j, d in enumerate(diagonal) if d == 0]
+    rows = [
+        [y // s for y in product.row(j)] + [g if k == i else 0 for k in range(len(kept))]
+        for i, (j, g, s) in enumerate(kept)
+    ]
+    return IntMatrix(len(kept), incoming.cols + len(kept), tuple(x for row in rows for x in row))
+
+
+def row_form_pairs(p: Presentation, rep: Representation, f: IntMatrix) -> list[tuple[str, IntMatrix, IntMatrix]]:
+    """(name, matrix as the package builds it, dense reference) for J, P,
+    vstack(J, f), d1 and d2 of the dual action, and the Z/n coordinates of
+    the coh1 and h1 quotients. The relators must act trivially."""
+    n, identity = rep.ring.modulus, IntMatrix.identity(rep.rank)
+    J, P = checked_cochains(p, rep)
+    dense_J = reference_cocycle_matrix(p, rep)
+    blocks = [(m - identity).mod(n).entries for m in rep.matrices]
+    dense_P = IntMatrix(len(blocks) * rep.rank, rep.rank, tuple(x for block in blocks for x in block))
+    dual_J, dual_P = checked_cochains(p, dual(rep))
+    d1, d2 = dual_P.transpose(), dual_J.transpose()
+    pairs = [
+        ("J", J, dense_J),
+        ("P", P, dense_P),
+        ("vstack(J, f)", vstack(J, f.mod(n)), vstack(dense_J, f.mod(n))),
+        ("d1", d1, inverse_difference_d1(rep)),
+        ("d2", d2, involuted_d2(p, rep)),
+    ]
+    for name, outgoing, incoming in (("coh1", J, P), ("h1", d1, d2)):
+        factored = snf(outgoing, transforms="VX")
+        pairs.append((f"{name} coordinates", _coordinates_off_x(factored, incoming, n),
+                      reference_coordinates(factored, incoming, n)))
+    return pairs
 
 
 def is_freely_reduced(letters) -> bool:

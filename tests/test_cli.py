@@ -869,6 +869,14 @@ class TestMain:
         assert main(["--example", "e2", "--compute", "zeta"]) == 2
         assert capsys.readouterr().err == "error: unknown computations: zeta\n"
 
+    @pytest.mark.parametrize("compute", ["", ","])
+    def test_empty_compute_exit_2(self, capsys, compute):
+        # An empty --compute selects nothing; it is not the default stages.
+        assert main(["--example", "e2", "--compute", compute]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: at least one computation must be selected\n"
+        assert captured.out == ""
+
     def test_shipped_e2_file(self, capsys):
         import pathlib
 
