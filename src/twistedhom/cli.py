@@ -69,17 +69,17 @@ MAX_RANK = 256
 # The cocycle matrix has rank columns per generator; no shipped input has more than 8.
 MAX_GENERATORS = 256
 # Columns of the cocycle matrix J, generators * rank. h1_cohomology over Z
-# with identity actions of rank 32 and one commutator relator took 0.4 s
-# and 41 MB of peak RSS at 576 columns, 1.2 s and 89 MB at 1024 and 3.1 s
-# and 210 MB at 1600 (Python 3.11, 2 vCPUs), nearly all of it in the dense
-# V of J's SNF and the lattice solve in its columns. The cap admits the
-# genus-16 chain (32 x 32); the largest shipped or generated input has 400
-# columns.
+# with identity actions of rank 32 and one commutator relator took 0.2 s
+# and 28 MB of peak RSS at 576 columns, 0.4 s and 57 MB at 1024 and 1.0 s
+# and 115 MB at 1600 (Python 3.11, 2 vCPUs), mostly in products with the
+# dense square U and V of the lattice solve and the kernel basis. The cap
+# admits the genus-16 chain (32 x 32); the largest shipped or generated
+# input has 400 columns.
 MAX_COCYCLE_COLUMNS = 1024
 # Rows of J, relators * rank. J is held as its nonzero rows, so its rows
 # cost little by themselves: h1_cohomology over Z with identity actions of
-# rank 32 and commutator relators at 1024 columns took 1.5 s and 89 MB of
-# peak RSS at 4096 rows and 1.5 s and 97 MB at 15872 (Python 3.11, 2
+# rank 32 and commutator relators at 1024 columns took 0.4 s and 57 MB of
+# peak RSS at 4096 rows and 0.6 s and 59 MB at 15872 (Python 3.11, 2
 # vCPUs; 4.2 s and 292 MB at 15872 while J was dense). The cap admits the
 # genus-16 chain (496 x 32 = 15872); the largest shipped or generated
 # input has 3800 rows.

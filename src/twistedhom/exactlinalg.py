@@ -5,7 +5,8 @@ unimodular transforms, integer kernels, lattice membership and solving, and
 invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere. Every kernel quotient goes through _subquotient, and every
-SNF's pivots become a group through _cokernel. A matrix is held either as
+SNF's pivots become a group through _cokernel; the columns a quotient
+keeps are suffixes, read one row slice at a time. A matrix is held either as
 its dense entries or as its nonzero rows, the (column, entry) pairs of
 each row that _nonzero_rows gives. One built from rows (_from_nonzero)
 keeps them: transpose, vstack, mod and a product with it on the left stay
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from math import gcd, prod
-from operator import add, index, neg, sub
+from operator import add, index, mul, neg, sub
 
 # Most digits of an integer in input text, which leaves room for 128-bit
 # moduli. Across the 965 shipped and generated inputs (the built-ins plus
@@ -120,8 +121,7 @@ class IntMatrix:
         columns = [tuple(c) for c in columns]
         if any(len(c) != nrows for c in columns):
             raise ValueError("column length mismatch")
-        entries = tuple(col[i] for i in range(nrows) for col in columns)
-        return cls(nrows, len(columns), entries)
+        return cls(nrows, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -146,13 +146,19 @@ class IntMatrix:
         return cls(n, n, entries)
 
     def at(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) lies outside a {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} lies outside a {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} lies outside a {self.rows}x{self.cols} matrix")
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -605,35 +611,24 @@ def snf(matrix: IntMatrix, *, transforms: str = "UV") -> SnfResult:
     )
 
 
-def _kernel_over_ring(factored: SnfResult, modulus: int) -> tuple[IntMatrix, tuple[int, ...]]:
-    """The lattice {v : A*v = 0} over Z, or {v in Z^cols : A*v = 0 mod n},
-    as columns B of V and their scales s: its basis is K = B * diag(s). Read
-    off U*A*V = D, one SNF of A over Z; only V and the pivots are read.
-
-    v = V*y satisfies A*v = 0 mod n iff d_j*y_j = 0 mod n for every j,
-    because U is unimodular. So over Z/n, B is all of V and
-    s_j = n / gcd(d_j, n), where d_j = 0 past the pivots and gcd(0, n) = n.
-    Over Z, B is the columns of V with d_j = 0 and every s_j is 1. Either
-    way B is a set of columns of the unimodular V, so its SNF has only unit
-    pivots and the columns of K are independent. Over Z/n, where B is all of
-    V, the coordinates of v in K are X*v with row j divided by s_j.
-    """
-    V = factored.V
-    diag = factored.pivots + (0,) * (V.cols - len(factored.pivots))
-    if modulus == 0:
-        kept = [V.column(j) for j, x in enumerate(diag) if x == 0]
-        return IntMatrix.from_columns(V.rows, kept), (1,) * len(kept)
-    return V, tuple(modulus // gcd(x, modulus) for x in diag)
+def _columns_from(matrix: IntMatrix, start: int) -> IntMatrix:
+    """Columns start, ..., cols - 1 of matrix, one row slice each."""
+    if not start:
+        return matrix
+    entries, cols = matrix.entries, matrix.cols
+    rows = (entries[i + start : i + cols] for i in range(0, len(entries), cols))
+    return IntMatrix._trusted(matrix.rows, cols - start, tuple(chain.from_iterable(rows)))
 
 
 def kernel_basis(matrix: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {v : matrix * v = 0}, one basis vector per column.
 
-    The basis is read off the columns of the SNF transform V at the zero
-    diagonal positions; V being unimodular makes the returned sublattice
+    The basis is the columns of the SNF transform V past the rank, where
+    the diagonal is zero; V being unimodular makes the returned sublattice
     saturated (a direct summand of Z^cols).
     """
-    return _kernel_over_ring(snf(matrix, transforms="V"), 0)[0]
+    factored = snf(matrix, transforms="V")
+    return _columns_from(factored.V, len(factored.pivots))
 
 
 def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[tuple[int, ...] | None]:
@@ -661,13 +656,9 @@ def solve_in_lattice(basis: IntMatrix, target) -> tuple[int, ...] | None | list[
         all(row[j] % d == 0 for row, d in zip(c, res.pivots)) and not any(row[j] for row in c[rank:])
         for j in range(width)
     ]
-    y = tuple(
-        c[i][j] // res.pivots[i] if i < rank and solvable[j] else 0
-        for i in range(basis.cols)
-        for j in range(width)
-    )
-    x = res.V * IntMatrix._trusted(basis.cols, width, y)
-    solutions = [x.column(j) if solvable[j] else None for j in range(width)]
+    y = [e // d if ok else 0 for row, d in zip(c, res.pivots) for e, ok in zip(row, solvable)]
+    x = res.V * IntMatrix._trusted(basis.cols, width, tuple(y) + (0,) * ((basis.cols - rank) * width))
+    solutions = [x.entries[j::width] if solvable[j] else None for j in range(width)]
     return solutions if isinstance(target, IntMatrix) else solutions[0]
 
 
@@ -687,7 +678,7 @@ def _lattice_coordinates(basis: IntMatrix, subgroup_gens: IntMatrix) -> IntMatri
     solutions = solve_in_lattice(basis, subgroup_gens) if count else []
     if None in solutions:
         raise _outside(solutions.index(None))
-    return IntMatrix._trusted(k, count, tuple(x[i] for i in range(k) for x in solutions))
+    return IntMatrix._trusted(k, count, tuple(chain.from_iterable(zip(*solutions))))
 
 
 def _cokernel(pivots, size: int, n: int) -> AbelianGroupStructure:
@@ -749,37 +740,44 @@ def _coordinates_off_x(outgoing: SnfResult, incoming: IntMatrix, n: int) -> IntM
 def _subquotient(outgoing: SnfResult, incoming: IntMatrix, n: int, generators: bool = False):
     """ker(A) / (im(incoming) + n*Z^m) over Z/n, with n = 0 for Z.
 
-    The group is the cokernel of the coordinates, which two readers give.
-    Every quotient over Z/n, and every group read alone, reads them off
-    X = V^-1 of outgoing = snf(A, transforms="VX") by _coordinates_off_x,
-    with no lattice solved. Witnesses over Z solve the subgroup in the
-    kernel's columns B of outgoing = snf(A, transforms="V") by
-    solve_in_lattice. The route follows n, not the shape of X.
+    The kernel is read off U*A*V = D, one SNF of A over Z: v = V*y has
+    A*v = 0 mod n iff d_j*y_j = 0 mod n for every j, U being unimodular,
+    with d_j = 0 past the pivots. So its basis K is V*diag(s) over Z/n,
+    s_j = n / gcd(d_j, n) and gcd(0, n) = n, and V's columns past the rank
+    over Z. The positions kept, gcd(d_j, n) != 1, are a suffix: d_j | d_k
+    (and d_j | 0) for j <= k, so gcd(d_j, n) | gcd(d_k, n).
 
-    Returns (group, kernel basis K, generators), K and the generators only
-    when generators are asked for, else None and (). K = B * diag(s) is the
-    basis of _kernel_over_ring. The generators are one kernel vector per
-    cyclic factor (torsion first, then free): the columns of K that the
-    coordinates keep, those with s_j != n, times the matching column of
-    U^-1 from the coordinates' SNF, reduced mod n.
+    The group is the cokernel of the coordinates. Every quotient over Z/n,
+    and every group read alone, reads them off X = V^-1 of outgoing =
+    snf(A, transforms="VX") by _coordinates_off_x, with no lattice solved;
+    witnesses over Z solve the subgroup in K by solve_in_lattice. The
+    route follows n, not the shape of X.
+
+    Returns (group, K, generators), K and the generators only when asked
+    for, else None and (): one kernel vector per cyclic factor (torsion
+    first, then free), the kept columns of K times U^-1's columns past the
+    unit pivots of the coordinates' SNF, reduced mod n, each a suffix of
+    columns read one row slice at a time.
     """
     if not generators:
         coordinates = _coordinates_off_x(outgoing, incoming, n)
         return _cokernel(snf(coordinates, transforms="").pivots, coordinates.rows, 0), None, ()
-    B, scales = _kernel_over_ring(outgoing, n)
-    K = IntMatrix._trusted(
-        B.rows, B.cols, tuple(x * s for i in range(B.rows) for x, s in zip(B.row(i), scales))
-    )
-    basis = IntMatrix.from_columns(K.rows, [K.column(j) for j, s in enumerate(scales) if s != n])
-    coordinates = _coordinates_off_x(outgoing, incoming, n) if n else _lattice_coordinates(B, incoming)
+    V, m, pivots = outgoing.V, outgoing.V.cols, outgoing.pivots
+    if n:
+        scales = [n // gcd(d, n) for d in pivots] + [1] * (m - len(pivots))
+        rows = (map(mul, V.entries[i : i + m], scales) for i in range(0, m * m, m or 1))
+        K = IntMatrix._trusted(m, m, tuple(chain.from_iterable(rows)))
+        basis = _columns_from(K, scales.count(n))
+    else:
+        K = basis = _columns_from(V, len(pivots))
+    coordinates = _coordinates_off_x(outgoing, incoming, n) if n else _lattice_coordinates(K, incoming)
     res = snf(coordinates, transforms="W")
     size = coordinates.rows
     group = _cokernel(res.pivots, size, 0)
     # The pivots are 1, ..., 1 and then one order per torsion factor.
     units = size - group.free_rank - len(group.torsion)
-    chosen = IntMatrix.from_columns(size, [res.W.column(i) for i in range(units, size)])
-    images = (basis * chosen).mod(n)
-    return group, K, tuple(images.column(j) for j in range(images.cols))
+    images = (basis * _columns_from(res.W, units)).mod(n)
+    return group, K, tuple(images.entries[j :: images.cols] for j in range(images.cols))
 
 
 def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> AbelianGroupStructure:

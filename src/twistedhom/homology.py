@@ -126,8 +126,8 @@ def principal_map(rep: Representation) -> PrincipalMap:
     """
     identity = IntMatrix.identity(rep.rank)
     blocks = [(m - identity).mod(rep.ring.modulus) for m in rep.matrices]
-    matrix = vstack(*blocks) if blocks else IntMatrix.zeros(0, rep.rank)
-    return PrincipalMap(IntMatrix._from_nonzero(matrix.rows, matrix.cols, _nonzero_rows(matrix)))
+    rows = [pairs for block in blocks for pairs in _nonzero_rows(block)]
+    return PrincipalMap(IntMatrix._from_nonzero(len(rows), rep.rank, rows))
 
 
 def coinvariants(rep: Representation) -> AbelianGroupStructure:
@@ -276,7 +276,7 @@ def _kernel_size_mod2(matrix: IntMatrix) -> int:
     halves are equal, A*x = B*y mod 2, so the syndromes of every x are
     tabulated and the count adds up the table at the syndrome of every y.
     Time and memory are O(2^(cols/2)), one XOR per syndrome."""
-    columns = [sum((x & 1) << i for i, x in enumerate(matrix.column(j))) for j in range(matrix.cols)]
+    columns = [sum((x & 1) << i for i, x in pairs) for pairs in _nonzero_rows(matrix.transpose())]
     half = matrix.cols // 2
     table = Counter(_subset_xors(columns[:half]))
     return sum(table[s] for s in _subset_xors(columns[half:]))

@@ -452,6 +452,15 @@ def workload_examples(name: str, seed: int):
     return bench_workloads().build(name, seed).examples
 
 
+def filtered_kernel_basis(factored: SnfResult) -> IntMatrix:
+    """The integer kernel basis of factored = snf(A, transforms="V") by a
+    per-column filter: the columns of V tested one at a time for a zero
+    diagonal entry."""
+    V = factored.V
+    diagonal = factored.diagonal() + (0,) * (V.cols - len(factored.diagonal()))
+    return IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0])
+
+
 def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: CoefficientRing, generators: bool = False):
     """exactlinalg._subquotient by solving in the scaled kernel basis. K is
     built first from outgoing = snf(A, transforms="V"): V * diag(s_j) with
@@ -469,7 +478,7 @@ def reference_homology(outgoing: SnfResult, incoming: IntMatrix, ring: Coefficie
         K = V * IntMatrix.diagonal(n // gcd(d, n) for d in diagonal)
         full = hstack(incoming, IntMatrix.identity(incoming.rows).scale(n))
     else:
-        K, full = IntMatrix.from_columns(V.rows, [V.column(j) for j, d in enumerate(diagonal) if d == 0]), incoming
+        K, full = filtered_kernel_basis(outgoing), incoming
     solutions = solve_in_lattice(K, full) if full.cols else []
     assert None not in solutions, "the subgroup lies outside the kernel"
     coordinates = IntMatrix.from_columns(K.cols, solutions)

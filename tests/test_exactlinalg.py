@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -115,6 +116,28 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[-1, 5]])
         assert m.mod(4) == IntMatrix.from_rows([[3, 1]])
         assert m.mod(0) == m
+
+    def test_accessors_read_inside_the_shape(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert [m.at(i, j) for i in range(2) for j in range(3)] == list(m.entries)
+        assert [m.row(i) for i in range(2)] == [(1, 2, 3), (4, 5, 6)]
+        assert [m.column(j) for j in range(3)] == [(1, 4), (2, 5), (3, 6)]
+        assert IntMatrix.zeros(3, 1).column(0) == (0, 0, 0) and IntMatrix.zeros(1, 0).row(0) == ()
+        assert IntMatrix.from_columns(2, [(1, 4), (2, 5), (3, 6)]) == m
+        assert IntMatrix.from_columns(0, [(), ()]) == IntMatrix.zeros(0, 2)
+        assert IntMatrix.from_columns(3, []) == IntMatrix.zeros(3, 0)
+
+    @pytest.mark.parametrize(
+        "accessor, index",
+        [("column", (-1,)), ("column", (2,)), ("row", (5,)), ("row", (-1,)), ("row", (2,)),
+         ("at", (0, 2)), ("at", (2, 0)), ("at", (-1, 0)), ("at", (0, -1))],
+    )
+    def test_accessors_refuse_an_index_outside_the_shape(self, accessor, index):
+        # A negative index or a slice would read another entry, or none,
+        # without raising.
+        named = f"entry {index}" if accessor == "at" else f"{accessor} {index[0]}"
+        with pytest.raises(IndexError, match=f"^{re.escape(named)} lies outside a 2x2 matrix$"):
+            getattr(IntMatrix.from_rows([[1, 2], [3, 4]]), accessor)(*index)
 
 
 class TestSnf:

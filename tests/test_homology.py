@@ -35,8 +35,8 @@ from twistedhom import (
     Word,
 )
 
-from twistedhom import cli, exactlinalg, homology, representation
-from twistedhom.exactlinalg import _kernel_over_ring, _subquotient
+from twistedhom import cli, homology, representation
+from twistedhom.exactlinalg import _subquotient
 from twistedhom.homology import _kernel_size_mod2, checked_cochains
 
 from support import (
@@ -227,6 +227,12 @@ class TestRelatorCheckParity:
         assert str(err.value) == "cocycle condition is ill-posed: " + "; ".join(messages)
 
 
+def _kernel_lattice(factored, n):
+    """The kernel basis K that _subquotient returns with generators, for an
+    empty subgroup."""
+    return _subquotient(factored, IntMatrix.zeros(factored.V.cols, 0), n, generators=True)[1]
+
+
 def _augmented_kernel_over_ring(matrix, n):
     """Reference route to {v : matrix*v = 0 mod n}: the integer kernel of
     [matrix | n*I], projected to the first block of coordinates."""
@@ -255,9 +261,11 @@ class TestModularKernelLattice:
                     row[column] = 2 * row[0]
             matrix = IntMatrix.from_rows(matrix)
             for n in (2, 3, 4, 6, 8, 9):
-                columns, scales = _kernel_over_ring(snf(matrix, transforms="V"), n)
-                basis = columns * IntMatrix.diagonal(scales)
-                assert abs(columns.det()) == 1
+                factored = snf(matrix, transforms="VX")
+                basis = _kernel_lattice(factored, n)
+                scales = [n // gcd(d, n) for d in factored.diagonal()] + [1] * (cols - len(factored.diagonal()))
+                assert basis == factored.V * IntMatrix.diagonal(scales)
+                assert abs(factored.V.det()) == 1
                 reference = _augmented_kernel_over_ring(matrix, n)
                 assert basis.rows == basis.cols == reference.cols == cols
                 assert (matrix * basis).mod(n).is_zero()
@@ -266,9 +274,10 @@ class TestModularKernelLattice:
                 assert (adjugate(reference) * basis).mod(abs(det)).is_zero()
 
     def test_zero_matrix_and_units(self):
-        assert _kernel_over_ring(snf(IntMatrix.zeros(2, 3), transforms="V"), 4) == (IntMatrix.identity(3), (1, 1, 1))
-        columns, scales = _kernel_over_ring(snf(IntMatrix.identity(2), transforms="V"), 6)
-        assert scales == (6, 6) and abs((columns * IntMatrix.diagonal(scales)).det()) == 36
+        assert _kernel_lattice(snf(IntMatrix.zeros(2, 3), transforms="VX"), 4) == IntMatrix.identity(3)
+        factored = snf(IntMatrix.identity(2), transforms="VX")
+        basis = _kernel_lattice(factored, 6)
+        assert basis == factored.V.scale(6) and abs(basis.det()) == 36
 
 
 class TestH1Homology:
@@ -640,14 +649,8 @@ class TestUctDualModule:
 class TestTransformsAsked:
     def test_kernels_and_chain_h1_build_no_u(self, monkeypatch):
         recorder = SnfRecorder(monkeypatch)
-        factored = []
-        kernel_over_ring = exactlinalg._kernel_over_ring
-
-        def recording(res, modulus):
-            factored.append((res, modulus))
-            return kernel_over_ring(res, modulus)
-
-        monkeypatch.setattr(exactlinalg, "_kernel_over_ring", recording)
+        # Every factorization a kernel quotient is given, with its modulus.
+        quotients = count_calls(monkeypatch, "_subquotient")
         chain = chain_example(3)
         assert h1_homology(chain.presentation, chain.representation) == AbelianGroupStructure(0, (2,))
         assert [t for caller, _, t in recorder.calls if caller == "h1_homology"] == ["", ""]
@@ -686,6 +689,7 @@ class TestTransformsAsked:
         assert [(m, t) for caller, m, t in recorder.calls if caller == "uct_check"] == uct_expected
         kernel_callers = homology_callers - {"coinvariants", "h1_homology", "uct_check"}
         assert set().union(*(recorder.asked(caller) for caller in kernel_callers)) == {"V", "VX"}
+        factored = [(res, n) for res, _, n, *_ in quotients]
         assert factored and all(res.U == IntMatrix(0, 0, ()) for res, _ in factored)
         assert all(res.X * res.V == IntMatrix.identity(res.V.cols) for res, n in factored if n)
         assert {t for caller, _, t in recorder.calls if caller == "_subquotient"} <= {"", "W"}
@@ -787,10 +791,9 @@ class TestSolveInVColumns:
                         assert _subquotient(factored, incoming, n, generators) == expected
                         continue
                     # The group alone builds no kernel basis: it is checked
-                    # through _kernel_over_ring.
+                    # with an empty subgroup and generators.
                     assert _subquotient(factored, incoming, n, generators) == (expected[0], None, ())
-                    columns, scales = _kernel_over_ring(factored, n)
-                    assert columns * IntMatrix.diagonal(scales) == expected[1]
+                    assert _kernel_lattice(factored, n) == expected[1]
 
     def test_witness_coordinates_stay_below_n(self, monkeypatch):
         # Over Z/n the witnesses are read off the SNF of the rows of V^-1
@@ -872,8 +875,7 @@ class TestSolveInVColumns:
             a = random_int_matrix(rng, rows, cols, -6, 6)
             for n in (0, 2, 4, 6):
                 factored = snf(a, transforms="VX")
-                basis, scales = _kernel_over_ring(factored, n)
-                kernel = basis * IntMatrix.diagonal(scales)
+                kernel = _kernel_lattice(factored, n)
                 inside = kernel * random_int_matrix(rng, kernel.cols, 3, -3, 3)
                 columns = [inside.column(j) for j in range(3)]
                 columns += [random_int_matrix(rng, cols, 1, -3, 3).entries for _ in range(3)]

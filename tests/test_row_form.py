@@ -1,6 +1,7 @@
 """The cochains travel as nonzero rows: on the chain family the row form
-equals the dense references, and no h0, coh1, h1 or uct stage forms the
-entries of a dense J, d2 or coordinate matrix."""
+equals the dense references, no h0, coh1, h1 or uct stage forms the
+entries of a dense J, d2 or coordinate matrix, and the oracle forms none
+of J or P."""
 
 import random
 
@@ -25,16 +26,10 @@ def test_chain_row_form_equals_the_dense_references(genus, modulus):
         assert built == dense, name
 
 
-def test_no_stage_forms_a_dense_cochain(tmp_path, monkeypatch):
-    # Records the shape of every entries tuple formed: by the public
-    # constructor, by _trusted, and on first read of a matrix built from
-    # its nonzero rows. J has a row per relator and module basis vector,
-    # and d2 and the h1 coordinates as many columns; nothing else comes
-    # near that size.
-    example = chain_example(6)
-    path = tmp_path / "chain6.grp"
-    path.write_text(example_to_text(example))
-    tall = len(example.presentation.relators) * example.representation.rank
+def record_formed(monkeypatch) -> list[tuple[int, int]]:
+    """Records the shape of every entries tuple formed from now on: by the
+    public constructor, by _trusted, and on first read of a matrix built
+    from its nonzero rows."""
     formed = []
     trusted, post_init = IntMatrix._trusted, IntMatrix.__post_init__
     row_built = getattr(exactlinalg, "_RowBuilt", None)
@@ -58,11 +53,39 @@ def test_no_stage_forms_a_dense_cochain(tmp_path, monkeypatch):
             return lazy(self, name)
 
         monkeypatch.setattr(row_built, "__getattr__", record_lazy)
+    return formed
+
+
+def test_no_stage_forms_a_dense_cochain(tmp_path, monkeypatch):
+    # J has a row per relator and module basis vector, and d2 and the h1
+    # coordinates as many columns; nothing else comes near that size.
+    example = chain_example(6)
+    path = tmp_path / "chain6.grp"
+    path.write_text(example_to_text(example))
+    tall = len(example.presentation.relators) * example.representation.rank
+    formed = record_formed(monkeypatch)
     for ring, stages in ((None, ("h0", "coh1", "h1", "uct")), (CoefficientRing.modular(2), ("h0", "coh1", "h1"))):
         status, records = run(JobSpec(path=str(path), ring=ring, computations=stages))
         assert status == 0, records
     assert formed
     assert max(max(shape) for shape in formed) < tall, sorted(formed, key=max)[-3:]
+
+
+def test_the_oracle_forms_no_dense_cochain(tmp_path, monkeypatch):
+    # The mod-2 oracle reads the column bitmasks of J and P off their
+    # nonzero rows: chain g = 2 has 16 bits, and no entries tuple of J's
+    # or P's shape is formed.
+    example = chain_example(2)
+    path = tmp_path / "chain2.grp"
+    path.write_text(example_to_text(example))
+    J, P = checked_cochains(example.presentation, change_ring(example.representation, CoefficientRing.modular(2)))
+    assert J.cols == 16
+    formed = record_formed(monkeypatch)
+    status, records = run(JobSpec(path=str(path), computations=("oracle",)))
+    assert status == 0, records
+    assert [r["name"] for r in records if "z1_count" in r] == ["oracle"], records
+    assert formed
+    assert {(J.rows, J.cols), (P.rows, P.cols)}.isdisjoint(formed), sorted(set(formed))
 
 
 def test_row_built_matrix_equals_hashes_and_prints_as_dense():

@@ -2,7 +2,11 @@
 the group alone, read off V^-1 on the rows that survive, equals the group
 of the witness route and of the reference that solves in the scaled kernel
 basis, over Z and Z/n, and both routes name the same first generator
-outside the kernel."""
+outside the kernel. The positions the quotient keeps are a suffix of the
+SNF's diagonal, and the integer kernel basis is V's columns past the
+rank."""
+
+from math import gcd
 
 import pytest
 
@@ -10,24 +14,31 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistedhom import CoefficientRing, IntMatrix, snf  # noqa: E402
-from twistedhom.exactlinalg import _kernel_over_ring, _subquotient  # noqa: E402
+from twistedhom import CoefficientRing, IntMatrix, kernel_basis, snf  # noqa: E402
+from twistedhom.exactlinalg import _subquotient  # noqa: E402
 
-from support import reference_homology  # noqa: E402
+from support import filtered_kernel_basis, reference_homology  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 MODULI = (0, 2, 3, 4, 6, 8, 9, 12)
 
 
 @st.composite
+def matrices(draw, max_side=5):
+    """A small matrix with zeros, units and entries sharing factors with
+    the moduli."""
+    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    return IntMatrix(rows, cols, draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -3, 4, 6, -9)), min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
 def quotients(draw, max_side=5):
     """(A, incoming, n) with every column of incoming in ker A mod n: kernel
     combinations, plus multiples of n over Z/n, which leave the class."""
-    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
-    a = IntMatrix(rows, cols, draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -3, 4, 6, -9)), min_size=rows * cols, max_size=rows * cols)))
+    a = draw(matrices(max_side))
+    cols = a.cols
     n = draw(st.sampled_from(MODULI))
-    basis, scales = _kernel_over_ring(snf(a, transforms="V"), n)
-    kernel = basis * IntMatrix.diagonal(scales)
+    kernel = _subquotient(snf(a, transforms="VX"), IntMatrix.zeros(cols, 0), n, generators=True)[1]
     count = draw(st.integers(0, 4))
     small = st.integers(-3, 3)
     mix = IntMatrix(kernel.cols, count, draw(st.lists(small, min_size=kernel.cols * count, max_size=kernel.cols * count)))
@@ -78,3 +89,15 @@ def test_a_generator_outside_is_named_first_on_both_routes(case, entries, where)
             continue
         with pytest.raises(ValueError, match=f"^subgroup generator {first} lies outside the ambient lattice$"):
             _subquotient(factored, incoming, n, generators)
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from(MODULI))
+def test_kept_positions_are_a_suffix_and_the_kernel_is_the_tail_of_v(a, n):
+    # d_j | d_k for j <= k, and d_j | 0 past the pivots, so gcd(d_j, n)
+    # divides gcd(d_k, n): once a position is kept, every later one is.
+    factored = snf(a, transforms="V")
+    diagonal = factored.pivots + (0,) * (a.cols - len(factored.pivots))
+    kept = [gcd(d, n) != 1 for d in diagonal]
+    assert kept == sorted(kept)
+    assert kernel_basis(a) == filtered_kernel_basis(factored)
