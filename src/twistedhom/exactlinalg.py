@@ -33,6 +33,13 @@ matrix is held as sparse rows under a column permutation, so a column
 swap touches no row and the work follows the nonzeros, and its scans
 visit only the nonzero rows; the pivot sequence, and so D, U, V, W and X,
 is that of the dense elimination.
+
+An inverse takes no SNF. unimodular_inverse runs one fraction-free
+Gauss-Jordan elimination over Z (_eliminate) on [M | I], taking a +-1
+pivot where a column has one and a Bareiss step, whose divisions are
+exact, where it has none; IntMatrix.det reads its value off the same
+elimination. The adjugate is formed over Z and only det^-1 is taken mod
+n, so nothing is eliminated over Z/n.
 Matrices this module computes itself skip the entry checks of the public
 constructor.
 """
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from math import gcd, prod
+from math import gcd
 from operator import add, index, mul, neg, sub
 
 # Most digits of an integer in input text, which leaves room for 128-bit
@@ -207,28 +214,11 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols, tuple(a % n for a in self.entries))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant, read off the fraction-free elimination over Z that
+        unimodular_inverse runs (_eliminate)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _eliminate(self.to_rows(), self.rows)[0]
 
 
 class _RowBuilt(IntMatrix):
@@ -797,30 +787,133 @@ def lattice_quotient(ambient_basis: IntMatrix, subgroup_gens: IntMatrix) -> Abel
     return _cokernel(snf(coordinates, transforms="").pivots, ambient_basis.cols, 0)
 
 
+def _permutation_sign(order: list[int]) -> int:
+    """The sign of the permutation k -> order[k], by its cycles."""
+    sign, seen = 1, [False] * len(order)
+    for start in range(len(order)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        if length and not length % 2:
+            sign = -sign
+    return sign
+
+
+def _eliminate(rows: list[list[int]], size: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z of the first size
+    columns of rows, a square matrix with any columns appended, in place.
+
+    Column k takes its pivot from the unused rows that hold it. A +-1 entry
+    is taken when there is one, from the row with the fewest nonzeros
+    (ties to the lowest row), and that row is negated so the pivot is 1;
+    each other row holding column k then subtracts c times it along its
+    nonzeros, and no row is divided or scaled. With no unit a Bareiss step
+    (Bareiss, Math. Comp. 22, 1968) takes the pivot p from the row with the
+    fewest nonzeros: every other row becomes (p*x - c*y) / prev, x and c
+    its own, y the pivot row and prev the last Bareiss pivot (1 before
+    any), and each division is exact.
+
+    Row r is s_r times its state in plain Bareiss elimination on the same
+    pivots, whose entries are minors of the input (Sylvester's identity),
+    and s_r = 1 until a unit step meets prev != 1. Plain Bareiss would
+    divide every row but the pivot row by prev there, so those rows take
+    s_r = prev, and prev is kept: it is the plain divisor, now 1, times
+    the scale of the unused rows (scale). The step formula is linear in
+    the row it changes, so it stays exact whatever that row's scale. Every
+    unused row is then a multiple of prev, |prev| >= 2, so no unit comes
+    again and scale changes at most once.
+
+    Returns (det, order), order[k] the row holding the pivot of column k,
+    or (0, order so far) when a column has no pivot. Otherwise row
+    order[k] ends as q*e_k on the first size columns, q = s_r * D with
+    D = prev / scale the last plain divisor, and det = +-D, the sign that
+    of the permutation order times -1 per negated row.
+    """
+    sign, prev, scale, order = 1, 1, 1, []
+    unused = [True] * size
+    span = range(size)
+    width = len(rows[0]) if rows else 0
+    for k in span:
+        column = [row[k] for row in rows]
+        holders = list(compress(span, column))
+        units = [i for i in holders if unused[i] and column[i] in (1, -1)]
+        if len(units) == 1:
+            where = units[0]
+        else:
+            free = units or [i for i in holders if unused[i]]
+            if not free:
+                return 0, order
+            # The most zeros, first among equals.
+            where = max(free, key=lambda i: rows[i].count(0))
+        y = rows[where]
+        if units:
+            if y[k] < 0:
+                y = rows[where] = list(map(neg, y))
+                sign = -sign
+            holders.remove(where)
+            if holders:
+                support = list(compress(range(k, width), islice(y, k, None)))
+                for i in holders:
+                    row, c = rows[i], column[i]
+                    for j in support:
+                        row[j] -= c * y[j]
+            scale = prev
+        else:
+            p = y[k]
+            for i, row in enumerate(rows):
+                if i != where:
+                    c = row[k]
+                    if c:
+                        rows[i] = [(p * x - c * b) // prev for x, b in zip(row, y)]
+                    elif p != prev:
+                        rows[i] = [p * x // prev for x in row]
+            prev = p
+        unused[where] = False
+        order.append(where)
+    return sign * _permutation_sign(order) * (prev // scale), order
+
+
 def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Inverse of a square integer matrix over Z (modulus 0) or over Z/modulus.
 
-    With U * M * V = D from snf(M), M^-1 = V * D^-1 * U. Over Z this needs
-    every d_i = 1, that is det M = +-1. Over Z/n it needs every d_i to be a
-    unit mod n, that is det M a unit, and the inverse is
-    V * diag(d_i^-1 mod n) * U with entries in [0, n). The one SNF over Z
-    serves both rings; nothing is eliminated over Z/n. Raises ValueError
-    when the matrix is not invertible over the ring, giving |det M|, the
-    product of the invariant factors.
+    One fraction-free elimination over Z (_eliminate, which IntMatrix.det
+    reads too) takes [M | I] to rows q_k*[e_k | row k of M^-1], one per
+    column k, and gives det M. Row k of the adjugate, det M * M^-1, is
+    then the right half divided exactly by q_k / det M. The inverse is
+    that times det^-1: over Z this needs det M = +-1, and over Z/n det M a
+    unit mod n, the entries then in [0, n). Nothing is eliminated over
+    Z/n: the adjugate is formed over Z, and only det^-1 is taken mod n.
+    Raises ValueError when the matrix is not invertible over the ring,
+    giving |det M|.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
-    res = snf(matrix, transforms="UV")
-    diag = res.diagonal()
-    det = prod(diag)
-    # gcd(det, 0) = det, so over Z this asks for det = 1.
+    n, entries = matrix.rows, matrix.entries
+    # Row i of [M | I], the 1 of I cut from the middle of pad.
+    pad = [0] * n + [1] + [0] * n
+    rows = [[*entries[i * n : i * n + n], *pad[n - i : n + n - i]] for i in range(n)]
+    det, order = _eliminate(rows, n)
+    # gcd(det, 0) = |det|, so over Z this asks for det = +-1.
     if gcd(det, modulus) != 1:
         ring = f"Z/{modulus}" if modulus else "Z"
-        raise ValueError(f"|det| = {det} is not a unit over {ring}")
-    if modulus == 0:
-        return res.V * res.U
-    units = IntMatrix.diagonal(pow(d, -1, modulus) for d in diag)
-    return (res.V * units * res.U).mod(modulus)
+        raise ValueError(f"|det| = {abs(det)} is not a unit over {ring}")
+    if not det:
+        # Over Z/1 every matrix is the inverse of every other.
+        return IntMatrix.zeros(n, n)
+    # Row order[k] is q*[e_k | row k of M^-1]. Over Z/n, q / det divides
+    # its right half exactly into row k of the adjugate.
+    inverse = pow(det, -1, modulus) if modulus else None
+    out = []
+    for k, i in enumerate(order):
+        row, q = rows[i], rows[i][k]
+        if not modulus:
+            out.append(row[n:] if q == 1 else [x // q for x in islice(row, n, None)])
+        else:
+            t = q // det
+            out.append([x // t * inverse % modulus for x in islice(row, n, None)])
+    return IntMatrix._trusted(n, n, tuple(chain.from_iterable(out)))
 
 
 @dataclass(frozen=True)

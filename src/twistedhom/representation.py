@@ -99,8 +99,10 @@ class Representation:
                 raise ActionError(f"action matrix for {gen.name!r} is {shape}", gen.name)
             matrix = matrix.mod(ring.modulus)
             try:
-                # One SNF over Z, U*M*V = D, gives M^-1 = V*diag(d_i^-1)*U over
-                # Z and Z/n alike; it exists exactly when every d_i is a unit.
+                # One fraction-free elimination over Z, shared with det, gives
+                # the adjugate and det M; the inverse is the adjugate times
+                # det^-1, taken in Z or mod n, and exists exactly when det M
+                # is a unit there.
                 inverse = unimodular_inverse(matrix, ring.modulus)
             except ValueError as exc:
                 raise ActionError(f"action matrix for {gen.name!r} is not invertible: {exc}", gen.name) from None

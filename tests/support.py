@@ -6,6 +6,7 @@ Everything takes an explicit random.Random so failures reproduce.
 import importlib.util
 import random
 import sys
+from functools import cache
 from math import comb, gcd
 from pathlib import Path
 
@@ -72,24 +73,40 @@ def random_unimodular(rng: random.Random, n, steps=6) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def cofactor_det(matrix: IntMatrix) -> int:
+    """Determinant by Laplace expansion down the rows, the minor on each
+    set of remaining columns counted once: no elimination and nothing
+    shared with IntMatrix.det."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = matrix.to_rows()
+
+    @cache
+    def minor(columns: tuple[int, ...]) -> int:
+        # The rows from matrix.rows - len(columns) on, on these columns.
+        if not columns:
+            return 1
+        row = rows[len(rows) - len(columns)]
+        return sum(
+            (-1) ** k * row[j] * minor(columns[:k] + columns[k + 1 :]) for k, j in enumerate(columns) if row[j]
+        )
+
+    return minor(tuple(range(matrix.cols)))
+
+
 def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Adjugate (transposed cofactor matrix): adjugate(M) * M = det(M) * I."""
+    """Adjugate (transposed cofactor matrix): adjugate(M) * M = det(M) * I,
+    each cofactor by cofactor_det."""
     if matrix.rows != matrix.cols:
         raise ValueError("adjugate of a non-square matrix")
     n = matrix.rows
-    if n == 0:
-        return matrix
-    if n == 1:
-        return IntMatrix(1, 1, (1,))
     rows = matrix.to_rows()
 
     def minor_det(i, j):
         minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-        return IntMatrix.from_rows(minor).det()
+        return cofactor_det(IntMatrix(n - 1, n - 1, tuple(x for r in minor for x in r)))
 
-    return IntMatrix.from_rows(
-        [[(-1) ** (i + j) * minor_det(i, j) for i in range(n)] for j in range(n)]
-    )
+    return IntMatrix(n, n, tuple((-1) ** (i + j) * minor_det(i, j) for j in range(n) for i in range(n)))
 
 
 def reference_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -848,6 +848,18 @@ class TestMain:
         assert main(["--example", "e2", "--check"]) == 0
         assert "check: ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["file", "example"])
+    def test_the_check_stage_on_e2_takes_no_snf(self, tmp_path, monkeypatch, capsys, source):
+        # Each of e2's four actions is inverted by one fraction-free
+        # elimination, and checking the relators factors nothing.
+        path = tmp_path / "e2.grp"
+        path.write_text(E2_TEXT)
+        calls = count_calls(monkeypatch, "snf")
+        argv = [str(path)] if source == "file" else ["--example", "e2"]
+        assert main([*argv, "--compute", "check"]) == 0
+        assert "check: ok" in capsys.readouterr().out
+        assert calls == []
+
     def test_ring_flag(self, capsys):
         assert main(["--example", "e2", "--ring", "Z/5", "--compute", "coh1"]) == 0
         assert "H^1 = 0" in capsys.readouterr().out

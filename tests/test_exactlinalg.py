@@ -28,6 +28,7 @@ from support import (
     SnfRecorder,
     adjugate,
     chain_example,
+    cofactor_det,
     random_int_matrix,
     random_unimodular,
     reference_snf,
@@ -82,22 +83,10 @@ class TestIntMatrix:
 
     def test_det_matches_cofactor_expansion_randomized(self):
         rng = random.Random(7)
-
-        def cofactor_det(rows):
-            n = len(rows)
-            if n == 0:
-                return 1
-            if n == 1:
-                return rows[0][0]
-            return sum(
-                (-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-                for j in range(n)
-            )
-
         for _ in range(50):
             n = rng.randint(1, 4)
             m = random_int_matrix(rng, n, n)
-            assert m.det() == cofactor_det(m.to_rows())
+            assert m.det() == cofactor_det(m)
 
     def test_adjugate_identity(self):
         rng = random.Random(8)
@@ -293,12 +282,15 @@ class TestTransformsAsked:
         lattice_quotient(basis, sub)
         AbelianGroupStructure.from_cyclic_orders([4, 6, 0])
         solve_in_lattice(basis, (1, 2, 3))
-        unimodular_inverse(IntMatrix.from_rows([[2, 1], [1, 1]]))
         assert recorder.asked("kernel_basis") == {"V"}
         assert recorder.asked("lattice_quotient") == {""}
         assert recorder.asked("from_cyclic_orders") == {""}
         assert recorder.asked("solve_in_lattice") == {"UV"}
-        assert recorder.asked("unimodular_inverse") == {"UV"}
+        # Inverting is one fraction-free elimination: no SNF at all.
+        recorder.calls.clear()
+        unimodular_inverse(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        unimodular_inverse(IntMatrix.from_rows([[2, 3], [3, 5]]), 4)
+        assert recorder.calls == []
 
 
 class TestKernel:
