@@ -37,6 +37,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .exactlinalg import AbelianGroupStructure, IntMatrix, _read_integer
 from .goeritzdata import NamedExample, builtin_example
@@ -121,7 +122,12 @@ def _parse_matrix(text: str) -> IntMatrix:
         if None in row:
             raise ValueError(f"bad matrix entry in {chunk.strip()!r}")
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix rows have unequal lengths")
+    # Every entry is an int _read_integer has checked, so the matrix is
+    # built as is, with no second pass over the entries.
+    return IntMatrix._trusted(len(rows), width, tuple(chain.from_iterable(rows)))
 
 
 def _format_matrix(matrix: IntMatrix) -> str:

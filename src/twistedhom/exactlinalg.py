@@ -6,16 +6,14 @@ invariant factors of lattice quotients. These primitives are the trusted
 core that all (co)homology computations reduce to; there is no floating
 point anywhere. Every kernel quotient goes through _subquotient, and every
 SNF's pivots become a group through _cokernel; the columns a quotient
-keeps are suffixes, read one row slice at a time. A matrix is held either as
-its dense entries or as its nonzero rows, the (column, entry) pairs of
-each row that _nonzero_rows gives. One built from rows (_from_nonzero)
-keeps them: transpose, vstack, mod and a product with it on the left stay
-rows, and the entries tuple is formed only when something reads it. The
-cochains J, P, d1, d2 and the Z/n coordinates are built this way, so no
-stage visits their zeros. A product with a dense left factor, IntMatrix's
-and the Fox walk's, goes through _product, and one with a row-built left
-factor through _sparse_product; both read the right factor as nonzero
-rows, and the SNF reads its input through _nonzero_rows too.
+keeps are suffixes, read one row slice at a time. An IntMatrix keeps the
+form it was built in, its entries or its nonzero rows (the (column, entry)
+pairs of each row that _nonzero_rows gives), and forms the other once, on
+first read. The cochains J, P, d1, d2 and the Z/n coordinates are built
+from rows, so no stage visits their zeros. Only a product picks its code
+by form: _product for a left factor that holds its entries, as the Fox
+walk's do, _sparse_product for one that holds only its rows; both read
+the right factor's rows, as the SNF reads its input's.
 
 The SNF returns its pivots, the nonzero diagonal d_1 | ... | d_r whose
 count is the rank, and the shape; D is built from them only when read.
@@ -67,53 +65,86 @@ def _read_integer(text: str) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; entries are stored row-major.
+class _FormedOnce:
+    """A view of a matrix that func forms on first read and stores on the
+    instance, where later reads find it with no call: a non-data
+    descriptor, as functools.cached_property is, without its lock."""
 
-    One built from its nonzero rows (_from_nonzero) keeps them, and forms
-    the entries tuple only when something reads it.
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:
+            return self
+        value = matrix.__dict__[self.name] = self.func(matrix)
+        return value
+
+
+class IntMatrix:
+    """Immutable integer matrix, held in the form it was built in: its
+    entries, row-major, or its nonzero rows (_from_nonzero) as _nonzero_rows
+    gives them. The other form is formed on first read, once, and kept.
+
+    transpose, mod, vstack and is_zero read the rows; element access, +, -,
+    scale, det, equality, hashing and repr read the entries. Only a product
+    picks its kernel by form. Row lists are shared: nothing may change them.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", index(self.rows))
-        object.__setattr__(self, "cols", index(self.cols))
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        rows, cols = index(rows), index(cols)
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        entries = tuple(map(index, self.entries))
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
-        object.__setattr__(self, "entries", entries)
+        entries = tuple(map(index, entries))
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
-        """A matrix from a tuple of rows*cols ints, taken as is.
-
-        For results computed in this module only; IntMatrix(...) checks and
-        converts its entries.
-        """
+        """A matrix from a tuple of rows*cols ints, taken as is: for entries
+        computed here or read by cli, which need none of IntMatrix's checks."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
         return self
 
     @classmethod
     def _from_nonzero(cls, rows: int, cols: int, nonzero: list[list[tuple[int, int]]]) -> IntMatrix:
         """A matrix from the nonzero (column, entry) pairs of each row, in
-        column order, as _nonzero_rows gives them, taken as is: a _RowBuilt,
-        which keeps them. Nothing may change them afterwards."""
-        self = object.__new__(_RowBuilt)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_nonzero", nonzero)
+        column order, as _nonzero_rows gives them, taken as is and kept."""
+        self = object.__new__(cls)
+        self.__dict__.update(rows=rows, cols=cols, _nonzero=nonzero)
         return self
+
+    @_FormedOnce
+    def entries(self) -> tuple[int, ...]:
+        """The entries, row-major, of a matrix built from rows."""
+        entries = [0] * (self.rows * self.cols)
+        # With no columns there are no entries, and a range step may not be 0.
+        for i, pairs in zip(range(0, len(entries), self.cols or 1), self._nonzero):
+            for j, x in pairs:
+                entries[i + j] = x
+        return tuple(entries)
+
+    @_FormedOnce
+    def _nonzero(self) -> list[list[tuple[int, int]]]:
+        """The nonzero rows of a matrix built from entries."""
+        return _nonzero_rows(self, range(self.cols))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}: IntMatrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
@@ -171,12 +202,14 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix._trusted(self.cols, self.rows, tuple(chain.from_iterable(
-            self.entries[j :: self.cols] for j in range(self.cols)
-        )))
+        columns = [[] for _ in range(self.cols)]
+        for i, pairs in enumerate(self._nonzero):
+            for j, x in pairs:
+                columns[j].append((i, x))
+        return IntMatrix._from_nonzero(self.cols, self.rows, columns)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._nonzero)
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -198,8 +231,11 @@ class IntMatrix:
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        product = _product(self.entries, _nonzero_rows(other), self.rows, other.cols, 0)
-        return IntMatrix._trusted(self.rows, other.cols, tuple(product))
+        # The one choice by form: the left factor is read as it is held.
+        if "entries" in self.__dict__:
+            product = _product(self.entries, other._nonzero, self.rows, other.cols, 0)
+            return IntMatrix._trusted(self.rows, other.cols, tuple(product))
+        return IntMatrix._from_nonzero(self.rows, other.cols, _sparse_product(self._nonzero, other._nonzero, 0))
 
     def apply(self, vector) -> tuple[int, ...]:
         vector = tuple(map(index, vector))
@@ -210,8 +246,7 @@ class IntMatrix:
     def mod(self, n: int) -> IntMatrix:
         if n == 0:
             return self
-        n = index(n)
-        return IntMatrix._trusted(self.rows, self.cols, tuple(a % n for a in self.entries))
+        return IntMatrix._from_nonzero(self.rows, self.cols, _reduced(self._nonzero, index(n)))
 
     def det(self) -> int:
         """Determinant, read off the fraction-free elimination over Z that
@@ -221,67 +256,19 @@ class IntMatrix:
         return _eliminate(self.to_rows(), self.rows)[0]
 
 
-class _RowBuilt(IntMatrix):
-    """An IntMatrix built from its nonzero rows (IntMatrix._from_nonzero),
-    which it keeps in _nonzero. Its entries tuple is formed on first read,
-    and it equals, hashes and prints as the IntMatrix of those entries.
-    Its transpose, reduction mod n and products stay row-built. A subclass,
-    so that reading the attributes of a dense IntMatrix pays for no hook."""
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: the entries, formed
-        # here on first read.
-        if name != "entries":
-            raise AttributeError(f"'IntMatrix' object has no attribute {name!r}")
-        entries = [0] * (self.rows * self.cols)
-        # With no columns there are no entries, and a range step may not be 0.
-        for i, pairs in zip(range(0, len(entries), self.cols or 1), self._nonzero):
-            for j, x in pairs:
-                entries[i + j] = x
-        entries = tuple(entries)
-        object.__setattr__(self, "entries", entries)
-        return entries
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    __hash__ = IntMatrix.__hash__
-
-    def __repr__(self):
-        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
-
-    def transpose(self) -> IntMatrix:
-        columns = [[] for _ in range(self.cols)]
-        for i, pairs in enumerate(self._nonzero):
-            for j, x in pairs:
-                columns[j].append((i, x))
-        return IntMatrix._from_nonzero(self.cols, self.rows, columns)
-
-    def __mul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return IntMatrix._from_nonzero(self.rows, other.cols, _sparse_product(self._nonzero, _nonzero_rows(other), 0))
-
-    def mod(self, n: int) -> IntMatrix:
-        if n == 0:
-            return self
-        return IntMatrix._from_nonzero(self.rows, self.cols, _reduced(self._nonzero, index(n)))
-
-
 def _nonzero_rows(matrix: IntMatrix, labels=None) -> list[list[tuple[int, int]]]:
     """The nonzeros of each row of matrix as (column, entry) pairs, in
-    column order: the rows a matrix built from them keeps, else read by one
-    compress over the entries. With labels, an increasing sequence, column
-    j is given as labels[j]. The caller must not change the rows."""
-    if isinstance(matrix, _RowBuilt) and labels is None:
+    column order: the rows the matrix holds, formed once. With labels, an
+    increasing sequence, column j is given as labels[j], and the rows are
+    read afresh off the entries by one compress. The caller must not change
+    the rows."""
+    if labels is None:
         return matrix._nonzero
     entries, cols = matrix.entries, matrix.cols
     rows = [[] for _ in range(matrix.rows)]
     for k in compress(range(len(entries)), entries):
         i, j = divmod(k, cols)
-        rows[i].append((j if labels is None else labels[j], entries[k]))
+        rows[i].append((labels[j], entries[k]))
     return rows
 
 
@@ -348,10 +335,8 @@ def vstack(*matrices: IntMatrix) -> IntMatrix:
     ncols = matrices[0].cols
     if any(m.cols != ncols for m in matrices):
         raise ValueError("column count mismatch")
-    rows = sum(m.rows for m in matrices)
-    if any(isinstance(m, _RowBuilt) for m in matrices):
-        return IntMatrix._from_nonzero(rows, ncols, list(chain.from_iterable(map(_nonzero_rows, matrices))))
-    return IntMatrix._trusted(rows, ncols, tuple(chain.from_iterable(m.entries for m in matrices)))
+    rows = list(chain.from_iterable(map(_nonzero_rows, matrices)))
+    return IntMatrix._from_nonzero(len(rows), ncols, rows)
 
 
 # The placeholder for a transform that was not built: any use of it as U,

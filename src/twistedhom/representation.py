@@ -3,7 +3,8 @@
 Vectors are columns and the matrix of a generator has the images of the
 basis vectors as its columns, so a word uv acts by matrix(u) * matrix(v).
 A word is evaluated letter by letter through exactlinalg._product, with
-the nonzero rows of each M_g and M_g^-1 read once per Representation.
+the nonzero rows of each M_g and M_g^-1 that the matrix itself holds,
+formed once per matrix.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ class Representation:
     @cached_property
     def _letter_rows(self) -> dict[tuple[int, int], list[list[tuple[int, int]]]]:
         """The nonzero rows of M_g for each letter (g, 1) and of M_g^-1 for
-        (g, -1), as _product reads them, built on first use. Not a field, so
-        equality and hashing ignore it."""
+        (g, -1), as _product reads them: each matrix's own, formed once per
+        matrix and shared by every Representation that holds it. Not a
+        field, so equality and hashing ignore it."""
         return {
             (index, sign): _nonzero_rows(matrix)
             for sign, matrices in ((1, self.matrices), (-1, self.inverse_matrices))

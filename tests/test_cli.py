@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from twistedhom.words import MAX_WORD_LETTERS
 
 from support import chain_example, count_calls
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 E2_TEXT = example_to_text(goeritz_e2())
 
 SMALL = """\
@@ -66,6 +68,25 @@ class TestParseInputFile:
     def test_round_trip_objects(self, name):
         ex = builtin_examples()[name]
         assert parse_input_file(example_to_text(ex)) == dataclasses.replace(ex, name="")
+
+    def test_matrices_are_built_from_the_checked_entries(self, monkeypatch):
+        # Every entry is checked once, as it is read, and each matrix is
+        # built from those ints as they are: e2's four actions, its form
+        # and its kerf make no public IntMatrix construction, which would
+        # convert every entry again.
+        built = []
+        init = IntMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        example = parse_input_file((DEMOS / "e2.grp").read_text(encoding="utf-8"))
+        assert len(example.representation.matrices) == 4
+        assert example.form is not None and example.kerf is not None
+        assert built == []
+        assert example == dataclasses.replace(goeritz_e2(), name="")
 
     def test_dimension_mismatch_names_line(self):
         text = SMALL.replace("action a: [-1]", "action a: [-1 0; 0 1; 1 1]")

@@ -69,6 +69,17 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    def test_either_form_is_immutable(self):
+        dense = IntMatrix(2, 2, (1, 0, 0, 3))
+        rows = IntMatrix._from_nonzero(2, 2, [[(0, 1)], [(1, 3)]])
+        for matrix in (dense, rows):
+            for name in ("rows", "cols", "entries", "_nonzero"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(matrix, name, 0)
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(matrix, name)
+            assert matrix == IntMatrix(2, 2, (1, 0, 0, 3))
+
     def test_product_and_apply(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])

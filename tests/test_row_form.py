@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from twistedhom import CoefficientRing, IntMatrix, change_ring, exactlinalg
+from twistedhom import CoefficientRing, IntMatrix, change_ring
 from twistedhom.cli import JobSpec, example_to_text, run
 from twistedhom.exactlinalg import _nonzero_rows
 from twistedhom.homology import checked_cochains
@@ -31,28 +31,23 @@ def record_formed(monkeypatch) -> list[tuple[int, int]]:
     public constructor, by _trusted, and on first read of a matrix built
     from its nonzero rows."""
     formed = []
-    trusted, post_init = IntMatrix._trusted, IntMatrix.__post_init__
-    row_built = getattr(exactlinalg, "_RowBuilt", None)
+    init, trusted, lazy = IntMatrix.__init__, IntMatrix._trusted, IntMatrix.__dict__["entries"].func
+
+    def record_init(self, rows, cols, entries):
+        init(self, rows, cols, entries)
+        formed.append((self.rows, self.cols))
 
     def record_trusted(cls, rows, cols, entries):
         formed.append((rows, cols))
         return trusted(rows, cols, entries)
 
-    def record_post_init(self):
+    def record_lazy(self):
         formed.append((self.rows, self.cols))
-        post_init(self)
+        return lazy(self)
 
+    monkeypatch.setattr(IntMatrix, "__init__", record_init)
     monkeypatch.setattr(IntMatrix, "_trusted", classmethod(record_trusted))
-    monkeypatch.setattr(IntMatrix, "__post_init__", record_post_init)
-    if row_built is not None:
-        lazy = row_built.__getattr__
-
-        def record_lazy(self, name):
-            if name == "entries":
-                formed.append((self.rows, self.cols))
-            return lazy(self, name)
-
-        monkeypatch.setattr(row_built, "__getattr__", record_lazy)
+    monkeypatch.setattr(IntMatrix.__dict__["entries"], "func", record_lazy)
     return formed
 
 
