@@ -70,12 +70,12 @@ MAX_RANK = 256
 # The cocycle matrix has rank columns per generator; no shipped input has more than 8.
 MAX_GENERATORS = 256
 # Columns of the cocycle matrix J, generators * rank. h1_cohomology over Z
-# with identity actions of rank 32 and one commutator relator took 0.2 s
-# and 28 MB of peak RSS at 576 columns, 0.4 s and 57 MB at 1024 and 1.0 s
-# and 115 MB at 1600 (Python 3.11, 2 vCPUs), mostly in products with the
-# dense square U and V of the lattice solve and the kernel basis. The cap
-# admits the genus-16 chain (32 x 32); the largest shipped or generated
-# input has 400 columns.
+# with identity actions of rank 32 and one commutator relator took 0.1 s
+# and 29 MB of peak RSS at 576 columns, 0.3-0.4 s and 57 MB at 1024 and
+# 0.8 s and 116 MB at 1600 (Python 3.11, 2 vCPUs), mostly in the dense
+# square U, V and W that the SNFs build and the products then scan for
+# their nonzeros. The cap admits the genus-16 chain (32 x 32); the largest
+# shipped or generated input has 400 columns.
 MAX_COCYCLE_COLUMNS = 1024
 # Rows of J, relators * rank. J is held as its nonzero rows, so its rows
 # cost little by themselves: h1_cohomology over Z with identity actions of

@@ -10,10 +10,10 @@ keeps are suffixes, read one row slice at a time. An IntMatrix keeps the
 form it was built in, its entries or its nonzero rows (the (column, entry)
 pairs of each row that _nonzero_rows gives), and forms the other once, on
 first read. The cochains J, P, d1, d2 and the Z/n coordinates are built
-from rows, so no stage visits their zeros. Only a product picks its code
-by form: _product for a left factor that holds its entries, as the Fox
-walk's do, _sparse_product for one that holds only its rows; both read
-the right factor's rows, as the SNF reads its input's.
+from rows, so no stage visits their zeros. Every IntMatrix product
+multiplies the nonzero rows of both factors (_sparse_product), as the SNF
+reads its input's; _product, for a left factor held as its entries, is the
+Fox walk's kernel alone.
 
 The SNF returns its pivots, the nonzero diagonal d_1 | ... | d_r whose
 count is the rank, and the shape; D is built from them only when read.
@@ -33,11 +33,12 @@ visit only the nonzero rows; the pivot sequence, and so D, U, V, W and X,
 is that of the dense elimination.
 
 An inverse takes no SNF. unimodular_inverse runs one fraction-free
-Gauss-Jordan elimination over Z (_eliminate) on [M | I], taking a +-1
-pivot where a column has one and a Bareiss step, whose divisions are
-exact, where it has none; IntMatrix.det reads its value off the same
-elimination. The adjugate is formed over Z and only det^-1 is taken mod
-n, so nothing is eliminated over Z/n.
+Gauss-Jordan elimination over Z (_eliminate), Bareiss's, on [M | I],
+preferring a +-1 pivot where a column has one; every division is exact,
+and every pivot row ends at the same multiple +-det of its unit vector.
+IntMatrix.det reads its value off the same elimination. The adjugate is
+formed over Z and only the inverse of +-det is taken mod n, so nothing
+is eliminated over Z/n.
 Matrices this module computes itself skip the entry checks of the public
 constructor.
 """
@@ -85,9 +86,9 @@ class IntMatrix:
     entries, row-major, or its nonzero rows (_from_nonzero) as _nonzero_rows
     gives them. The other form is formed on first read, once, and kept.
 
-    transpose, mod, vstack and is_zero read the rows; element access, +, -,
-    scale, det, equality, hashing and repr read the entries. Only a product
-    picks its kernel by form. Row lists are shared: nothing may change them.
+    transpose, mod, vstack, is_zero and products read the rows; element
+    access, +, -, scale, det, equality, hashing and repr read the entries.
+    Row lists are shared: nothing may change them.
     """
 
     def __init__(self, rows: int, cols: int, entries):
@@ -127,8 +128,14 @@ class IntMatrix:
 
     @_FormedOnce
     def _nonzero(self) -> list[list[tuple[int, int]]]:
-        """The nonzero rows of a matrix built from entries."""
-        return _nonzero_rows(self, range(self.cols))
+        """The nonzero rows of a matrix built from entries, read by one
+        compress over the entries."""
+        entries, cols = self.entries, self.cols
+        rows = [[] for _ in range(self.rows)]
+        for k in compress(range(len(entries)), entries):
+            i, j = divmod(k, cols)
+            rows[i].append((j, entries[k]))
+        return rows
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete {name!r}: IntMatrix is immutable")
@@ -231,10 +238,6 @@ class IntMatrix:
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # The one choice by form: the left factor is read as it is held.
-        if "entries" in self.__dict__:
-            product = _product(self.entries, other._nonzero, self.rows, other.cols, 0)
-            return IntMatrix._trusted(self.rows, other.cols, tuple(product))
         return IntMatrix._from_nonzero(self.rows, other.cols, _sparse_product(self._nonzero, other._nonzero, 0))
 
     def apply(self, vector) -> tuple[int, ...]:
@@ -256,20 +259,11 @@ class IntMatrix:
         return _eliminate(self.to_rows(), self.rows)[0]
 
 
-def _nonzero_rows(matrix: IntMatrix, labels=None) -> list[list[tuple[int, int]]]:
+def _nonzero_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
     """The nonzeros of each row of matrix as (column, entry) pairs, in
-    column order: the rows the matrix holds, formed once. With labels, an
-    increasing sequence, column j is given as labels[j], and the rows are
-    read afresh off the entries by one compress. The caller must not change
-    the rows."""
-    if labels is None:
-        return matrix._nonzero
-    entries, cols = matrix.entries, matrix.cols
-    rows = [[] for _ in range(matrix.rows)]
-    for k in compress(range(len(entries)), entries):
-        i, j = divmod(k, cols)
-        rows[i].append((labels[j], entries[k]))
-    return rows
+    column order: the rows the matrix holds, formed once. The caller must
+    not change the rows."""
+    return matrix._nonzero
 
 
 def _product(left, right: list[list[tuple[int, int]]], rows: int, cols: int, n: int) -> list[int]:
@@ -790,33 +784,22 @@ def _eliminate(rows: list[list[int]], size: int) -> tuple[int, list[int]]:
     """Fraction-free Gauss-Jordan elimination over Z of the first size
     columns of rows, a square matrix with any columns appended, in place.
 
-    Column k takes its pivot from the unused rows that hold it. A +-1 entry
-    is taken when there is one, from the row with the fewest nonzeros
-    (ties to the lowest row), and that row is negated so the pivot is 1;
-    each other row holding column k then subtracts c times it along its
-    nonzeros, and no row is divided or scaled. With no unit a Bareiss step
-    (Bareiss, Math. Comp. 22, 1968) takes the pivot p from the row with the
-    fewest nonzeros: every other row becomes (p*x - c*y) / prev, x and c
-    its own, y the pivot row and prev the last Bareiss pivot (1 before
-    any), and each division is exact.
-
-    Row r is s_r times its state in plain Bareiss elimination on the same
-    pivots, whose entries are minors of the input (Sylvester's identity),
-    and s_r = 1 until a unit step meets prev != 1. Plain Bareiss would
-    divide every row but the pivot row by prev there, so those rows take
-    s_r = prev, and prev is kept: it is the plain divisor, now 1, times
-    the scale of the unused rows (scale). The step formula is linear in
-    the row it changes, so it stays exact whatever that row's scale. Every
-    unused row is then a multiple of prev, |prev| >= 2, so no unit comes
-    again and scale changes at most once.
+    Column k takes its pivot p from the unused rows that hold it: a +-1
+    entry when there is one, and the row with the fewest nonzeros (ties to
+    the lowest row) among those that qualify; a unit's row is negated so
+    that p = 1. Each step is one of Bareiss (Math. Comp. 22, 1968): every
+    other row becomes (p*x - c*y) / prev, x and c its own, y the pivot row
+    and prev the pivot before (1 before any), and each division is exact.
+    When p = prev = 1 that is x - c*y, so only the rows holding column k
+    change, each along the pivot row's nonzeros.
 
     Returns (det, order), order[k] the row holding the pivot of column k,
-    or (0, order so far) when a column has no pivot. Otherwise row
-    order[k] ends as q*e_k on the first size columns, q = s_r * D with
-    D = prev / scale the last plain divisor, and det = +-D, the sign that
-    of the permutation order times -1 per negated row.
+    or (0, order so far) when a column has no pivot. Otherwise every row
+    order[k] ends as q*e_k on the first size columns, q the last pivot,
+    and det = +-q, the sign that of the permutation order times -1 per
+    negated row.
     """
-    sign, prev, scale, order = 1, 1, 1, []
+    sign, prev, order = 1, 1, []
     unused = [True] * size
     span = range(size)
     width = len(rows[0]) if rows else 0
@@ -833,10 +816,11 @@ def _eliminate(rows: list[list[int]], size: int) -> tuple[int, list[int]]:
             # The most zeros, first among equals.
             where = max(free, key=lambda i: rows[i].count(0))
         y = rows[where]
-        if units:
-            if y[k] < 0:
-                y = rows[where] = list(map(neg, y))
-                sign = -sign
+        if y[k] == -1:
+            y = rows[where] = list(map(neg, y))
+            sign = -sign
+        p = y[k]
+        if p == prev == 1:
             holders.remove(where)
             if holders:
                 support = list(compress(range(k, width), islice(y, k, None)))
@@ -844,9 +828,7 @@ def _eliminate(rows: list[list[int]], size: int) -> tuple[int, list[int]]:
                     row, c = rows[i], column[i]
                     for j in support:
                         row[j] -= c * y[j]
-            scale = prev
         else:
-            p = y[k]
             for i, row in enumerate(rows):
                 if i != where:
                     c = row[k]
@@ -854,22 +836,22 @@ def _eliminate(rows: list[list[int]], size: int) -> tuple[int, list[int]]:
                         rows[i] = [(p * x - c * b) // prev for x, b in zip(row, y)]
                     elif p != prev:
                         rows[i] = [p * x // prev for x in row]
-            prev = p
+        prev = p
         unused[where] = False
         order.append(where)
-    return sign * _permutation_sign(order) * (prev // scale), order
+    return sign * _permutation_sign(order) * prev, order
 
 
 def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Inverse of a square integer matrix over Z (modulus 0) or over Z/modulus.
 
     One fraction-free elimination over Z (_eliminate, which IntMatrix.det
-    reads too) takes [M | I] to rows q_k*[e_k | row k of M^-1], one per
-    column k, and gives det M. Row k of the adjugate, det M * M^-1, is
-    then the right half divided exactly by q_k / det M. The inverse is
-    that times det^-1: over Z this needs det M = +-1, and over Z/n det M a
-    unit mod n, the entries then in [0, n). Nothing is eliminated over
-    Z/n: the adjugate is formed over Z, and only det^-1 is taken mod n.
+    reads too) takes [M | I] to rows q*[e_k | row k of M^-1], one per
+    column k, with q = +-det M, so the right halves are +-1 times the
+    adjugate, det M * M^-1. The inverse is every right half times q^-1:
+    over Z this needs det M = +-1, and over Z/n det M a unit mod n, the
+    entries then in [0, n). Nothing is eliminated over Z/n: the adjugate
+    is formed over Z, and only q^-1 is taken mod n.
     Raises ValueError when the matrix is not invertible over the ring,
     giving |det M|.
     """
@@ -887,18 +869,11 @@ def unimodular_inverse(matrix: IntMatrix, modulus: int = 0) -> IntMatrix:
     if not det:
         # Over Z/1 every matrix is the inverse of every other.
         return IntMatrix.zeros(n, n)
-    # Row order[k] is q*[e_k | row k of M^-1]. Over Z/n, q / det divides
-    # its right half exactly into row k of the adjugate.
-    inverse = pow(det, -1, modulus) if modulus else None
-    out = []
-    for k, i in enumerate(order):
-        row, q = rows[i], rows[i][k]
-        if not modulus:
-            out.append(row[n:] if q == 1 else [x // q for x in islice(row, n, None)])
-        else:
-            t = q // det
-            out.append([x // t * inverse % modulus for x in islice(row, n, None)])
-    return IntMatrix._trusted(n, n, tuple(chain.from_iterable(out)))
+    # Over Z, q = +-1 is its own inverse.
+    q = rows[order[0]][0] if n else 1
+    inverse = pow(q, -1, modulus) if modulus else q
+    out = [x * inverse for i in order for x in islice(rows[i], n, None)]
+    return IntMatrix._trusted(n, n, tuple([x % modulus for x in out] if modulus else out))
 
 
 @dataclass(frozen=True)

@@ -166,9 +166,10 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
 
     Block (r, g) is zero unless g occurs in r, so each relator's rows are
     read off one evaluate_group_ring walk over the derivatives by the
-    generators it uses, in ascending order: the walk's dense block row is
-    read by _nonzero_rows, one compress in C, with its columns labelled
-    by those generators' blocks. J is built from these rows and never held densely.
+    generators it uses, in ascending order: the nonzero rows of the walk's
+    dense block row are read by _nonzero_rows, and each column is
+    relabelled by its generator's block. J is built from these rows and
+    never held densely.
 
     A relator is cut into pieces r = u_1 ... u_m of at most
     _FOX_PIECE_LETTERS letters, and one walk over a piece u gives its block
@@ -211,5 +212,6 @@ def cocycle_matrix(p: Presentation, rep: Representation) -> IntMatrix:
             if c + 1 < len(pieces):
                 advance = (identity + block * P).mod(n)
                 prefix = advance if prefix is None else (prefix * advance).mod(n)
-        nonzero += _nonzero_rows(row, [i * rank + k for i in used for k in range(rank)])
+        labels = [i * rank + k for i in used for k in range(rank)]
+        nonzero += [[(labels[j], x) for j, x in pairs] for pairs in _nonzero_rows(row)]
     return IntMatrix._from_nonzero(len(p.relators) * rank, len(p.generators) * rank, nonzero)

@@ -516,6 +516,20 @@ class TestRun:
         status, _ = run(JobSpec(path=str(path), ring=ring, computations=cli.COMPUTATION_ORDER))
         assert status == 0 and reads == []
 
+    def test_no_matrix_product_takes_the_dense_kernel(self, monkeypatch):
+        # IntMatrix.__mul__ multiplies nonzero rows; exactlinalg._product is
+        # the Fox walk's kernel alone, bound in representation as its own name.
+        from twistedhom import exactlinalg
+
+        def refused(*args):
+            raise AssertionError("an IntMatrix product took the dense kernel")
+
+        monkeypatch.setattr(exactlinalg, "_product", refused)
+        jobs = [(CoefficientRing(0), cli.COMPUTATION_ORDER), (CoefficientRing(2), ("coh1", "h1"))]
+        for ring, computations in jobs:
+            status, records = run(JobSpec(example="e2", ring=ring, computations=computations))
+            assert status == 0, records
+
     def test_oracle_builds_one_cochain_pair(self, monkeypatch):
         builds = count_calls(monkeypatch, "cocycle_matrix")
         principals = count_calls(monkeypatch, "principal_map")

@@ -3,7 +3,9 @@ and gives a determinant: over Z and Z/n, unimodular_inverse equals the
 adjugate times det^-1, or refuses with the |det| of a Laplace expansion,
 and IntMatrix.det equals that expansion. The matrices drawn are dense,
 free of +-1 (so every pivot is a Bareiss step), permuted triangular, and
-singular."""
+singular; and, apart, matrices whose first column holds no +-1 while later
+ones do, so that a unit pivot may follow a Bareiss step and divide the
+rows by a pivot other than 1."""
 
 from math import gcd
 
@@ -45,15 +47,22 @@ def squares(draw, max_side=8):
     return IntMatrix(size, size, tuple(x for row in rows for x in row))
 
 
-@SETTINGS
-@given(squares(), st.sampled_from(MODULI))
-@example(IntMatrix.from_rows([[2, 3], [3, 5]]), 0)
-@example(IntMatrix.from_rows([[2, 3], [3, 5]]), 4)
-@example(IntMatrix.from_rows([[3, 1], [1, 5]]), 4)
-@example(IntMatrix.from_rows([[0, 2, 3], [3, 0, 2], [2, 3, 0]]), 35)
-@example(IntMatrix.from_rows([[-1]]), 3)
-@example(IntMatrix.zeros(0, 0), 0)
-def test_inverse_is_the_adjugate_over_det(m, n):
+@st.composite
+def late_units(draw, max_side=6):
+    """A square matrix of side 2 to max_side whose first column is nonzero
+    and holds no +-1, its other columns drawn with +-1."""
+    size = draw(st.integers(2, max_side))
+    first = draw(st.lists(st.sampled_from(NO_UNIT), min_size=size, max_size=size).filter(any))
+    rest = st.lists(st.sampled_from(DENSE), min_size=size - 1, max_size=size - 1)
+    return IntMatrix.from_rows([[x, *draw(rest)] for x in first])
+
+
+# Column 0 takes the Bareiss pivot 5, column 1 the unit of row 1 after it,
+# which divides row 2 (0 in column 1) by 5, and column 2 a unit after a unit.
+LATE_UNIT = IntMatrix.from_rows([[5, 2, -1], [2, 1, -1], [0, 0, 1]])
+
+
+def check_inverse(m, n):
     det = cofactor_det(m)
     if gcd(det, n) != 1:
         ring = f"Z/{n}" if n else "Z"
@@ -67,9 +76,31 @@ def test_inverse_is_the_adjugate_over_det(m, n):
 
 
 @SETTINGS
+@given(squares(), st.sampled_from(MODULI))
+@example(IntMatrix.from_rows([[2, 3], [3, 5]]), 0)
+@example(IntMatrix.from_rows([[2, 3], [3, 5]]), 4)
+@example(IntMatrix.from_rows([[3, 1], [1, 5]]), 4)
+@example(IntMatrix.from_rows([[0, 2, 3], [3, 0, 2], [2, 3, 0]]), 35)
+@example(IntMatrix.from_rows([[-1]]), 3)
+@example(IntMatrix.zeros(0, 0), 0)
+def test_inverse_is_the_adjugate_over_det(m, n):
+    check_inverse(m, n)
+
+
+@SETTINGS
 @given(squares())
 @example(IntMatrix.from_rows([[2, 3], [3, 5]]))
 @example(IntMatrix.from_rows([[0, -1], [1, 0]]))
 @example(IntMatrix.from_rows([[2, 0, 3], [0, 2, 5], [4, 3, 0]]))
 def test_det_is_the_cofactor_expansion(m):
+    assert m.det() == cofactor_det(m)
+
+
+@SETTINGS
+@given(late_units(), st.sampled_from(MODULI))
+@example(LATE_UNIT, 0)
+@example(LATE_UNIT, 4)
+@example(LATE_UNIT.scale(3), 4)
+def test_a_unit_pivot_after_a_bareiss_step(m, n):
+    check_inverse(m, n)
     assert m.det() == cofactor_det(m)

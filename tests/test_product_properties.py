@@ -1,6 +1,7 @@
-"""Property tests of the one integer product kernel, exactlinalg._product,
-through IntMatrix.__mul__, IntMatrix.apply and the kernel itself mod n,
-against the dense triple loop in support and against sympy."""
+"""Property tests of the integer products: IntMatrix.__mul__ and
+IntMatrix.apply, which multiply nonzero rows, and the Fox walk's kernel,
+exactlinalg._product, mod n, against the dense triple loop in support and
+against sympy."""
 
 import pytest
 
